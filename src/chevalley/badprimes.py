@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import PrimeField
+from .fields import PrimeField, RationalField
 from .grading import CocharRational
 from .lie import LieElement, StructureConstants, bracket, root_vector
 from .linalg import kernel_basis
@@ -70,7 +70,7 @@ def regular_counterexample(rs: RootSystem, sc: StructureConstants, p: int):
 
 def regular_counterexample_report(rs: RootSystem, sc: StructureConstants, p: int) -> dict:
     """JSON transcript of the degeneracy search at the prime p."""
-    cert = optimal_cocharacter(rs, regular_nilpotent(rs, _q()))
+    cert = optimal_cocharacter(rs, regular_nilpotent(rs, RationalField()))
     X = regular_counterexample(rs, sc, p)
     out = {
         "type": rs.type_string(),
@@ -90,12 +90,6 @@ def regular_counterexample_report(rs: RootSystem, sc: StructureConstants, p: int
         }
         out["bracket_cartan_component_zero"] = not lie_bracket.cartan_part()
     return out
-
-
-def _q():
-    from .fields import RationalField
-
-    return RationalField()
 
 
 @dataclass

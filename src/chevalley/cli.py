@@ -11,10 +11,9 @@ import json
 import random
 import re
 import sys
-from fractions import Fraction
 
 from .badprimes import coker_eta, regular_counterexample_report
-from .corpus import run_corpus, standard_corpus
+from .corpus import element_from_support, run_corpus, standard_corpus
 from .fields import FunctionField, PrimeField, RationalField
 from .gradedmap import (block_report, check_kernel, graded_ad, lattice_image,
                         verify_phi_inverse, verify_rrao)
@@ -70,6 +69,8 @@ def _parse_support(rs, text: str):
 
 
 def _coeff_to_field(field, coeff: str):
+    """Parse a coefficient string over GF(p) or GF(q)(t); Q and Q_p take
+    the strings as they are (`field.element` reads "3" and "1/2")."""
     if isinstance(field, FunctionField):
         m = _COEFF_RE.match(coeff.replace(" ", ""))
         if not m:
@@ -79,18 +80,7 @@ def _coeff_to_field(field, coeff: str):
             e = int(m.group(2)) if m.group(2) else 1
             return field.poly([0] * e + [c])
         return field.element(c)
-    if isinstance(field, RationalField):
-        return field.element(Fraction(coeff))
     return field.element(int(coeff))
-
-
-def _element(rs, field, roots, coeffs) -> LieElement:
-    Y = LieElement(field)
-    for r, c in zip(roots, coeffs):
-        Y = Y + root_vector(rs, field, rs.root_index[r], _coeff_to_field(field, c))
-    if Y.is_zero():
-        raise ValueError("support collapsed to zero over the chosen field")
-    return Y
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
@@ -99,10 +89,6 @@ def _emit(payload: dict, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-
-
-def _cert_payload(cert) -> dict:
-    return cert.to_json()
 
 
 def cmd_roots(args):
@@ -122,23 +108,24 @@ def cmd_grade(args):
     rs = build(_parse_type(args), args.isogeny)
     roots, coeffs = _parse_support(rs, args.support)
     q = RationalField()
-    cert = optimal_cocharacter(rs, _element(rs, q, roots, coeffs))
+    Y = element_from_support(rs, q, roots, coeffs)
+    cert = optimal_cocharacter(rs, Y)
     report = grade(rs, cert.lam)
-    return {"certificate": _cert_payload(cert), "grading": report.to_json()}, 0
+    return {"certificate": cert.to_json(), "grading": report.to_json()}, 0
 
 
 def cmd_optimal(args):
     rs = build(_parse_type(args), args.isogeny)
     roots, coeffs = _parse_support(rs, args.support)
     q = RationalField()
-    Y = _element(rs, q, roots, coeffs)
+    Y = element_from_support(rs, q, roots, coeffs)
     cert = optimal_cocharacter(rs, Y)
     code = 0
     if args.box_radius:
         bf = brute_force_verify(rs, Y, cert, args.box_radius)
         cert.brute_force_checked = bf
         code = 0 if bf["ok"] else VERIFY_ERROR
-    payload = _cert_payload(cert)
+    payload = cert.to_json()
     payload["torus_check"] = kirwan_ness_torus_check(rs, Y, cert.lam)
     return payload, code
 
@@ -148,9 +135,9 @@ def cmd_kernel_check(args):
     sc = structure_constants(rs)
     roots, coeffs = _parse_support(rs, args.support)
     q = RationalField()
-    Y = _element(rs, q, roots, coeffs)
+    Y = element_from_support(rs, q, roots, coeffs)
     cert = optimal_cocharacter(rs, Y)
-    payload = {"certificate": _cert_payload(cert), "fields": {}}
+    payload = {"certificate": cert.to_json(), "fields": {}}
     ok = True
     gbm = graded_ad(rs, sc, Y, cert.lam, cert.k)
     kern = check_kernel(q, gbm)
@@ -158,7 +145,7 @@ def cmd_kernel_check(args):
     ok = ok and all(v["injective"] for v in kern.values())
     if args.prime:
         fp = PrimeField(args.prime)
-        Yp = _element(rs, fp, roots, coeffs)
+        Yp = element_from_support(rs, fp, roots, [_coeff_to_field(fp, c) for c in coeffs])
         kern_p = check_kernel(fp, graded_ad(rs, sc, Yp, cert.lam, cert.k))
         payload["fields"][f"F{args.prime}"] = {str(i): kern_p[i] for i in sorted(kern_p)}
         ok = ok and all(v["injective"] for v in kern_p.values())
@@ -171,10 +158,10 @@ def cmd_phi(args):
     sc = structure_constants(rs)
     roots, coeffs = _parse_support(rs, args.support)
     field = RationalField(args.prime or 2)
-    Y = _element(rs, field, roots, coeffs)
+    Y = element_from_support(rs, field, roots, coeffs)
     cert = optimal_cocharacter(rs, Y)
-    payload = {"certificate": _cert_payload(cert)}
-    payload.update(block_report(rs, sc, Y, cert.lam, cert.k, field))
+    payload = {"certificate": cert.to_json()}
+    payload.update(block_report(field, graded_ad(rs, sc, Y, cert.lam, cert.k)))
     return payload, 0
 
 
@@ -183,7 +170,7 @@ def cmd_rrao_check(args):
     sc = structure_constants(rs)
     roots, coeffs = _parse_support(rs, args.support)
     field = RationalField(args.prime or 2)
-    Y = _element(rs, field, roots, coeffs)
+    Y = element_from_support(rs, field, roots, coeffs)
     cert = optimal_cocharacter(rs, Y)
     rng = random.Random(args.seed)
     degree_k = [ri for ri in range(len(rs.roots))
@@ -205,7 +192,7 @@ def cmd_rrao_check(args):
             failures += 1
         trials.append({"trial": t, "rrao": ok_rrao, "inverse": ok_inv,
                        "v": list(v)})
-    payload = {"certificate": _cert_payload(cert), "trials": trials,
+    payload = {"certificate": cert.to_json(), "trials": trials,
                "failures": failures, "ok": failures == 0}
     return payload, 0 if failures == 0 else VERIFY_ERROR
 
@@ -215,15 +202,15 @@ def cmd_snf(args):
     sc = structure_constants(rs)
     roots, coeffs = _parse_support(rs, args.support)
     field = FunctionField(args.q or 2)
-    Y = _element(rs, field, roots, coeffs)
+    Y = element_from_support(rs, field, roots, [_coeff_to_field(field, c) for c in coeffs])
     q0 = RationalField()
-    cert = optimal_cocharacter(rs, _element(rs, q0, roots, ["1"] * len(roots)))
-    m = args.trunc_m or 4
+    cert = optimal_cocharacter(rs, element_from_support(rs, q0, roots))
+    m = 4 if args.trunc_m is None else args.trunc_m
     divisors = {}
     for i in range(1, cert.k):
         vals = lattice_image(rs, sc, Y, cert.lam, cert.k, i, m)
         divisors[str(i)] = ["inf" if v is None else v for v in vals]
-    payload = {"certificate": _cert_payload(cert), "q": field.residue_cardinality,
+    payload = {"certificate": cert.to_json(), "q": field.residue_cardinality,
                "trunc_m": m, "divisor_valuations": divisors}
     return payload, 0
 

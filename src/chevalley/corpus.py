@@ -37,14 +37,15 @@ def field_from_spec(spec: dict):
 
 
 def element_from_support(rs: RootSystem, field, support, coefficients=None) -> LieElement:
-    """Sum of root vectors; support entries are coordinate lists or indices."""
+    """Sum of root vectors; support entries are coordinate lists or indices.
+    Coefficients that are integers, strings or Fractions go through
+    field.element, and elements of the field pass as they are."""
     Y = LieElement(field)
     coefficients = coefficients or [1] * len(support)
     for root, c in zip(support, coefficients):
-        ri = root if isinstance(root, int) else rs.root_index[tuple(root)]
-        Y = Y + root_vector(rs, field, ri, field.element(c))
+        Y = Y + root_vector(rs, field, root if isinstance(root, int) else tuple(root), c)
     if Y.is_zero():
-        raise ValueError("instance support collapsed to zero")
+        raise ValueError("support collapsed to zero over the chosen field")
     return Y
 
 
@@ -133,9 +134,9 @@ def run_instance(rs: RootSystem, sc, entry: dict, primes) -> dict:
     shapes = gbm.shapes()
     report["dims_symmetric"] = all(r == c for r, c in shapes.values())
     report["block_shapes"] = {str(i): list(shapes[i]) for i in sorted(shapes)}
-    kern_q = check_kernel(q, gbm)
-    report["injective_over_Q"] = all(v["injective"] for v in kern_q.values())
-    report["blocks_over_Q"] = {str(i): kern_q[i] for i in sorted(kern_q)}
+    report["detail"] = block_report(q, gbm)
+    report["blocks_over_Q"] = report["detail"]["blocks"]
+    report["injective_over_Q"] = all(v["injective"] for v in report["blocks_over_Q"].values())
     mod_p = {}
     for p in primes:
         fp = PrimeField(p)
@@ -159,7 +160,6 @@ def run_instance(rs: RootSystem, sc, entry: dict, primes) -> dict:
     report["mod_p"] = mod_p
     if gbm.is_square():
         report["phi_over_Q_v2"] = phi(RationalField(2), gbm).to_json()
-    report["detail"] = block_report(rs, sc, Y, cert.lam, cert.k, q)
     return report
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .fields import has_valuation
-from .grading import delta_exponent
+from .grading import degrees_of, delta_exponent, grade
 from .lie import LieElement, StructureConstants, bracket, root_vector
 from .rootsystem import RootSystem
 
@@ -68,12 +68,7 @@ def homogeneous_component_degree(rs: RootSystem, X: LieElement, lam) -> int:
     """The single degree of X's support, or raise if X is not graded."""
     if X.is_zero():
         raise ValueError("zero element has no degree")
-    degs = set()
-    for key in X.coeffs:
-        if key[0] == "H":
-            degs.add(0)
-        else:
-            degs.add(int(rs.pair(rs.roots[key[1]], lam)))
+    degs = {int(d) for d in degrees_of(rs, X, lam)}
     if len(degs) != 1:
         raise ValueError(f"element is not concentrated in one degree: {sorted(degs)}")
     return degs.pop()
@@ -88,14 +83,11 @@ def graded_ad(rs: RootSystem, sc: StructureConstants, Y: LieElement, lam,
     if deg != k or k < 1:
         raise ValueError(f"Y must be concentrated in degree k = {k}, found {deg}")
     field = Y.field
-    lam = tuple(lam)
-    by_degree: dict[int, list[int]] = {}
-    for ri, a in enumerate(rs.roots):
-        by_degree.setdefault(int(rs.pair(a, lam)), []).append(ri)
+    by_degree = grade(rs, lam).weight_spaces
     blocks, dom, cod = {}, {}, {}
     for i in range(1, k):
-        src = sorted(by_degree.get(-i, []))
-        dst = sorted(by_degree.get(k - i, []))
+        src = by_degree.get(-i, [])
+        dst = by_degree.get(k - i, [])
         dst_pos = {ri: r for r, ri in enumerate(dst)}
         mat = [[field.zero for _ in src] for _ in dst]
         for c, ri in enumerate(src):
@@ -157,8 +149,7 @@ def phi_of(rs: RootSystem, sc: StructureConstants, X: LieElement, lam, k: int,
         if not has_valuation(fld):
             raise ValueError("phi needs a field with a valuation")
         q = fld.residue_cardinality
-        lam = tuple(lam)
-        degs = [int(rs.pair(a, lam)) for a in rs.roots]
+        degs = grade(rs, lam).weight_spaces
         for i in range(1, k):
             if -i in degs or (k - i) in degs:
                 return AbsValue(q, None)  # some zero block of positive size
@@ -239,10 +230,9 @@ def lattice_image(rs: RootSystem, sc: StructureConstants, Y: LieElement, lam,
     return dvr_divisor_valuations(field, gbm.blocks[i], m_cap=m)
 
 
-def block_report(rs: RootSystem, sc: StructureConstants, Y: LieElement, lam,
-                 k: int, field) -> dict:
-    """Per-instance JSON payload: dims, ranks, det valuations, phi."""
-    gbm = graded_ad(rs, sc, Y, lam, k)
+def block_report(field, gbm: GradedBlockMap) -> dict:
+    """Per-instance JSON payload of the given blocks: dims, ranks, det
+    valuations, phi."""
     kern = check_kernel(field, gbm)
     per_i = {}
     for i in sorted(gbm.blocks):
@@ -251,7 +241,7 @@ def block_report(rs: RootSystem, sc: StructureConstants, Y: LieElement, lam,
             d = linalg.det(field, gbm.blocks[i])
             entry["det_valuation"] = field.valuation(d) if d else "inf"
         per_i[str(i)] = entry
-    out = {"k": k, "blocks": per_i}
+    out = {"k": gbm.k, "blocks": per_i}
     if has_valuation(field) and gbm.is_square():
         out["phi"] = phi(field, gbm).to_json()
     return out

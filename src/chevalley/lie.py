@@ -149,12 +149,6 @@ class StructureConstants:
                     break
         return out
 
-    def _chain_q(self, a, b) -> int:
-        q = 0
-        while tuple(bi - (q + 1) * ai for ai, bi in zip(a, b)) in self.rs.root_index:
-            q += 1
-        return q
-
     def _compute(self, a, b, _memo_key=None):
         rs = self.rs
         key = (rs.root_index[a], rs.root_index[b])
@@ -169,7 +163,7 @@ class StructureConstants:
             if ia > ib:
                 val = -self._compute(b, a)
             elif self._extraspecial.get(s) == (a, b):
-                val = self._chain_q(a, b) + 1
+                val = rs.alpha_chain(a, b)[0] + 1
             else:
                 val = self._from_four_root_identity(a, b, s)
         elif not apos and not bpos:
@@ -272,15 +266,11 @@ def bracket(sc: StructureConstants, X: LieElement, Y: LieElement) -> LieElement:
             if ka[0] == "H" and kb[0] == "H":
                 continue
             if ka[0] == "H" and kb[0] == "E":
-                b = rs.roots[kb[1]]
-                p = rs.basis_pairing  # <b, basis_j> integers
-                w = sum(b[i] * p[i][ka[1]] for i in range(rs.rank) if b[i])
+                w = rs.pairing_rows[kb[1]][ka[1]]  # <b, basis_j>
                 if w:
                     add(kb, va * vb * field.element(w))
             elif ka[0] == "E" and kb[0] == "H":
-                a = rs.roots[ka[1]]
-                p = rs.basis_pairing
-                w = sum(a[i] * p[i][kb[1]] for i in range(rs.rank) if a[i])
+                w = rs.pairing_rows[ka[1]][kb[1]]
                 if w:
                     add(ka, -(va * vb * field.element(w)))
             else:

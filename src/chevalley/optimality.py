@@ -14,15 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .fields import RationalField
 from .grading import CocharRational, degrees_of, m_of
 from .lie import LieElement
 from .linalg import rank, solve
 from .rootsystem import RootSystem
 
 
-class _Q:
-    zero = Fraction(0)
-    one = Fraction(1)
+QQ = RationalField()
 
 
 @dataclass
@@ -67,9 +66,7 @@ def minimum_norm_cocharacter(rs: RootSystem, support: list[int]) -> tuple[Cochar
     n = rs.rank
     pvecs = {}  # dedup by pairing functional
     for ri in support:
-        a = rs.roots[ri]
-        key = tuple(rs.pair(a, tuple(1 if j == c else 0 for j in range(n))) for c in range(n))
-        pvecs.setdefault(key, ri)
+        pvecs.setdefault(rs.pairing_rows[ri], ri)
     functionals = list(pvecs)
     nus = [rs.nu(rs.roots[pvecs[f]]) for f in functionals]
     m = len(functionals)
@@ -84,7 +81,7 @@ def minimum_norm_cocharacter(rs: RootSystem, support: list[int]) -> tuple[Cochar
         idx = [i for i in range(m) if mask >> i & 1]
         A = [[gram[i][j] for j in idx] for i in idx]
         rhs = [Fraction(1)] * len(idx)
-        x = solve(_Q, A, rhs)
+        x = solve(QQ, A, rhs)
         if x is None:
             continue
         mu = tuple(sum(x[t] * nus[j][c] for t, j in enumerate(idx)) for c in range(n))
@@ -95,14 +92,8 @@ def minimum_norm_cocharacter(rs: RootSystem, support: list[int]) -> tuple[Cochar
             best = cand
     assert best is not None, "the constraint set of a positive support is feasible"
     active = [ri for ri in support
-              if sum(Fraction(c) * m for c, m in zip(_pairing_vec(rs, ri), best.coords)) == 1]
+              if sum(Fraction(c) * m for c, m in zip(rs.pairing_rows[ri], best.coords)) == 1]
     return best, active
-
-
-def _pairing_vec(rs: RootSystem, ri: int):
-    n = rs.rank
-    a = rs.roots[ri]
-    return [rs.pair(a, tuple(1 if j == c else 0 for j in range(n))) for c in range(n)]
 
 
 def optimal_cocharacter(rs: RootSystem, Y: LieElement) -> OptimalityCertificate:
@@ -112,7 +103,7 @@ def optimal_cocharacter(rs: RootSystem, Y: LieElement) -> OptimalityCertificate:
         raise ValueError("support must consist of positive roots (standard position)")
     mu, active = minimum_norm_cocharacter(rs, supp)
     # normalization m_Y(mu) = 1: the least support pairing is exactly 1
-    assert min(sum(Fraction(c) * m for c, m in zip(_pairing_vec(rs, ri), mu.coords))
+    assert min(sum(Fraction(c) * m for c, m in zip(rs.pairing_rows[ri], mu.coords))
                for ri in supp) == 1
     lam, _ = mu.primitive_multiple()
     k = m_of(rs, Y, lam)
@@ -120,9 +111,9 @@ def optimal_cocharacter(rs: RootSystem, Y: LieElement) -> OptimalityCertificate:
     assert all(Fraction(l) == k * c for l, c in zip(lam, mu.coords))
     # KKT: mu in the span of the active coroots
     nus = [list(rs.nu(rs.roots[ri])) for ri in active]
-    span_rank = rank(_Q, nus) if nus else 0
+    span_rank = rank(QQ, nus) if nus else 0
     aug = nus + [list(mu.coords)]
-    assert rank(_Q, aug) == span_rank, "KKT span condition violated"
+    assert rank(QQ, aug) == span_rank, "KKT span condition violated"
     return OptimalityCertificate(mu=mu, lam=lam, k=k,
                                  active_constraints=active, support=supp)
 
@@ -136,7 +127,7 @@ def brute_force_verify(rs: RootSystem, Y: LieElement, cert: OptimalityCertificat
     """
     if box_radius < max(abs(c) for c in cert.lam):
         raise ValueError("box must contain the certified optimum")
-    supp_vecs = [_pairing_vec(rs, ri) for ri in cert.support]
+    supp_vecs = [rs.pairing_rows[ri] for ri in cert.support]
     cert_ratio = Fraction(cert.k * cert.k) / rs.norm_sq(cert.lam)
     n = rs.rank
     violations = []
@@ -213,7 +204,7 @@ def kirwan_ness_torus_check(rs: RootSystem, Y: LieElement, lam) -> bool:
     rows = [lam_row + [Fraction(0)],
             [-c for c in lam_row] + [Fraction(0)]]
     for ri in Y.support_roots():
-        rows.append([Fraction(c) for c in _pairing_vec(rs, ri)] + [Fraction(1)])
+        rows.append([Fraction(c) for c in rs.pairing_rows[ri]] + [Fraction(1)])
     return not _fourier_motzkin_feasible(rows)
 
 
@@ -249,4 +240,4 @@ def sl2_completion_check(rs: RootSystem, sc, Y: LieElement,
     keys = sorted(keyset)
     A = [[img.coeffs.get(key, field.zero) for img in images] for key in keys]
     b = [h.coeffs.get(key, field.zero) for key in keys]
-    return solve(_Q, A, b) is not None
+    return solve(QQ, A, b) is not None

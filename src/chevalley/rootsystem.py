@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import solve
+from .fields import RationalField
+from .linalg import identity, rref
 
 Root = tuple[int, ...]
 
@@ -174,44 +175,34 @@ class RootSystem:
         else:
             self.basis_pairing = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
-        self._coroot_simple = {}  # root -> expansion of the coroot over simple coroots
+        # per root, by root index: squared length, pairing row <a, basis_j>,
+        # and the coroot expanded over the simple coroots
+        self.len_sq = []
+        self.pairing_rows = []
+        self._coroot_simple = {}
         for a in self.roots:
-            la = self.root_len_sq(a)
+            # <a, simple coroot j>, and from it (a, a) = sum_j a_j (a, alpha_j)
+            on_coroots = tuple(sum(x * c for x, c in zip(a, row)) for row in self.cartan)
+            la = sum(x * c * form[j][j] for j, (x, c) in enumerate(zip(a, on_coroots)) if x) / 2
             ks = []
             for i in range(n):
                 k = a[i] * form[i][i] / la
                 assert k.denominator == 1
                 ks.append(int(k))
+            self.len_sq.append(la)
+            self.pairing_rows.append(on_coroots if isogeny == SIMPLY_CONNECTED else a)
             self._coroot_simple[a] = tuple(ks)
 
         # Gram matrix of the cocharacter basis for the dual invariant form
-        gram_cor = [[4 * form[i][j] / (form[i][i] * form[j][j]) for j in range(n)]
-                    for i in range(n)]
         if isogeny == SIMPLY_CONNECTED:
-            self.gram = gram_cor
+            self.gram = [[4 * form[i][j] / (form[i][i] * form[j][j]) for j in range(n)]
+                         for i in range(n)]
         else:
-            # coweights omega satisfy cartan . omega = coroot basis
-            q = RootSystem._QField
-            cart = [[Fraction(x) for x in row] for row in self.cartan]
-            minv = []
-            for i in range(n):
-                rhs = [Fraction(1) if j == i else Fraction(0) for j in range(n)]
-                col = solve(q, cart, rhs)
-                minv.append(col)
-            # minv[i] = column i of cartan^{-1}; omega_i = sum_k (C^-1)[k][i] coroot_k
-            gram = [[Fraction(0)] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(n):
-                    acc = Fraction(0)
-                    for k in range(n):
-                        for l in range(n):
-                            acc += minv[i][k] * minv[j][l] * gram_cor[k][l]
-                    gram[i][j] = acc
-            self.gram = gram
-
-    class _QField:
-        zero = Fraction(0)
-        one = Fraction(1)
+            # the fundamental coweights are the dual basis of the nu(simple
+            # roots), whose Gram is char_form, so theirs is its inverse
+            q = RationalField()
+            reduced, _ = rref(q, [row + ident for row, ident in zip(form, identity(q, n))])
+            self.gram = [row[n:] for row in reduced]
 
     # -- basic queries ------------------------------------------------
 
@@ -235,16 +226,15 @@ class RootSystem:
         return acc
 
     def root_len_sq(self, a) -> Fraction:
-        return self.root_form(a, a)
+        """Squared length (a, a) of the root a."""
+        return self.len_sq[self.root_index[tuple(a)]]
 
     def pair(self, a, lam) -> Fraction | int:
-        """Canonical pairing <a, lam> of a character with a cocharacter."""
+        """Canonical pairing <a, lam> of the root a with a cocharacter."""
         acc = 0
-        for i, ai in enumerate(a):
-            if ai:
-                for j, lj in enumerate(lam):
-                    if lj:
-                        acc += ai * lj * self.basis_pairing[i][j]
+        for p, lj in zip(self.pairing_rows[self.root_index[tuple(a)]], lam):
+            if p and lj:
+                acc += p * lj
         return acc
 
     def coroot(self, a) -> tuple[int, ...]:
@@ -270,12 +260,10 @@ class RootSystem:
 
     def nu(self, a) -> tuple[Fraction, ...]:
         """Image of the root a under the pairing-induced map into
-        cocharacter space: <b, nu(a)> = (b, a) and (lam, nu(a)) = <a, lam>."""
-        pvec = [Fraction(self.pair(a, tuple(1 if j == k else 0 for j in range(self.rank))))
-                for k in range(self.rank)]
-        x = solve(RootSystem._QField, [[self.gram[i][j] for j in range(self.rank)]
-                                       for i in range(self.rank)], pvec)
-        return tuple(x)
+        cocharacter space: <b, nu(a)> = (b, a) and (lam, nu(a)) = <a, lam>.
+        In closed form nu(a) = (a, a)/2 * coroot(a)."""
+        half = self.root_len_sq(a) / 2
+        return tuple(half * c for c in self.coroot(a))
 
     def reflect(self, a, b) -> Root:
         """s_a(b) = b - <b, coroot(a)> a."""

@@ -9,8 +9,6 @@ a cheap cross-check of determinant valuations.
 
 from __future__ import annotations
 
-from math import gcd
-
 
 def integer_elementary_divisors(A) -> list[int]:
     """Elementary divisors d_1 | d_2 | ... of an integer matrix.
@@ -124,31 +122,3 @@ def dvr_divisor_valuations(field, A, m_cap: int | None = None):
         vals = [v if v is None else min(v, m_cap) for v in vals]
     return vals
 
-
-def integer_gcd_of_minors(A, k: int) -> int:
-    """gcd of all k x k minors; brute-force oracle for SNF tests."""
-    from itertools import combinations
-
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    if k == 0:
-        return 1
-    g = 0
-    for rsel in combinations(range(rows), k):
-        for csel in combinations(range(cols), k):
-            g = gcd(g, _int_det([[A[i][j] for j in csel] for i in rsel]))
-    return abs(g)
-
-
-def _int_det(M) -> int:
-    n = len(M)
-    if n == 1:
-        return M[0][0]
-    total = 0
-    sign = 1
-    for j in range(n):
-        if M[0][j]:
-            minor = [row[:j] + row[j + 1:] for row in M[1:]]
-            total += sign * M[0][j] * _int_det(minor)
-        sign = -sign
-    return total

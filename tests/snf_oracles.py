@@ -1,0 +1,32 @@
+"""Brute-force integer oracles for the Smith-normal-form tests."""
+
+from itertools import combinations
+from math import gcd
+
+
+def integer_gcd_of_minors(A, k: int) -> int:
+    """gcd of all k x k minors of an integer matrix."""
+    rows = len(A)
+    cols = len(A[0]) if rows else 0
+    if k == 0:
+        return 1
+    g = 0
+    for rsel in combinations(range(rows), k):
+        for csel in combinations(range(cols), k):
+            g = gcd(g, int_det([[A[i][j] for j in csel] for i in rsel]))
+    return abs(g)
+
+
+def int_det(M) -> int:
+    """Determinant of a square integer matrix by cofactor expansion."""
+    n = len(M)
+    if n == 1:
+        return M[0][0]
+    total = 0
+    sign = 1
+    for j in range(n):
+        if M[0][j]:
+            minor = [row[:j] + row[j + 1:] for row in M[1:]]
+            total += sign * M[0][j] * int_det(minor)
+        sign = -sign
+    return total

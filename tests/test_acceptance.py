@@ -10,6 +10,7 @@ tests/test_badprimes.py::test_d4_characteristic_two_kernel_phenomenon
 and the corpus report's `counterexample_to_expected` flag).
 """
 
+import hashlib
 import json
 import random
 import subprocess
@@ -37,6 +38,9 @@ REPO = Path(__file__).resolve().parent.parent
 BAD_PRIMES = {"A": (), "D": (2,)}
 # the one documented D-type instance that is not injective at its bad prime
 D4_OUTER_NODES_P2 = ("D4", ((1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), "2")
+# SHA-256 of `chevalley corpus --corpus corpus/standard.json` stdout, the
+# same bytes perfbench/reference.json pins
+CORPUS_STDOUT_SHA256 = "111ccef9dd682955e37e353b5de8620558269cd4137ab2086f8b40c0c8fd9ec5"
 
 CONSTANT_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "C3", "D4", "F4", "G2", "E6"]
 
@@ -333,7 +337,8 @@ def test_criterion_9_cli_determinism():
             capture_output=True)
         assert proc.returncode == 0
         outs.append(proc.stdout)
-    ok = outs[0] == outs[1]
-    report(9, ok, f"corpus CLI output byte-identical across runs "
-                  f"({len(outs[0])} bytes)", time.monotonic() - start)
+    digest = hashlib.sha256(outs[0]).hexdigest()
+    ok = outs[0] == outs[1] and digest == CORPUS_STDOUT_SHA256
+    report(9, ok, f"corpus CLI output byte-identical across runs and to the pinned "
+                  f"SHA-256 ({len(outs[0])} bytes, {digest[:12]})", time.monotonic() - start)
     assert ok

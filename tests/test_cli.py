@@ -74,6 +74,23 @@ def test_roots_constants_grade_phi_snf_rrao():
     assert payload["ok"] and payload["failures"] == 0
 
 
+def test_optimal_adjoint_b2():
+    # coweight Gram = char_form^-1: lambda = 2 omega_1 - omega_2 pairs 2 with a1
+    code, out, _ = run_cli("optimal", "--type", "B2", "--isogeny", "adjoint",
+                           "--support", "a1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["lambda"] == [2, -1]
+    assert payload["k"] == 2
+
+
+def test_snf_trunc_m_zero_exits_2():
+    code, out, err = run_cli("snf", "--type", "A2", "--support", "a1+a2=t", "--q", "4",
+                             "--trunc-m", "0")
+    assert code == 2, out
+    assert "truncation level" in err
+
+
 def test_support_coefficient_parsing():
     code, out, _ = run_cli("optimal", "--type", "B2", "--support", "a1+a2=3,a2")
     assert code == 0

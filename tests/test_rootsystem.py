@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -160,10 +161,10 @@ def test_degree_symmetry_under_negation():
 
 
 def test_nu_compatibilities():
-    # <b, nu(a)> = (b, a) and (lam, nu(a)) = <a, lam>
+    # <b, nu(a)> = (b, a) and (lam, nu(a)) = <a, lam>, in both isogeny types
     rng = random.Random(9)
-    for t in ["A2", "B2", "G2", "C3"]:
-        rs = build(t)
+    for t, isogeny in product(["A2", "B2", "G2", "C3"], ["simply_connected", "adjoint"]):
+        rs = build(t, isogeny)
         for _ in range(30):
             a = rng.choice(rs.roots)
             b = rng.choice(rs.roots)
