@@ -1,7 +1,8 @@
 """Command-line entry point: build systems, verify instances, emit JSON.
 
 Output is deterministic (sorted keys, no unseeded randomness); exit
-codes: 0 success, 1 verification failure, 2 usage error.
+codes: 0 success, 1 verification failure, 2 usage error, 3 internal
+error.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .rootsystem import build
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
+INTERNAL_ERROR = 3
 
 _COEFF_RE = re.compile(r"^(-?\d+)?(?:\*?t(?:\^(\d+))?)?$")
 
@@ -198,6 +200,9 @@ def cmd_rrao_check(args):
 
 
 def cmd_snf(args):
+    m = 4 if args.trunc_m is None else args.trunc_m
+    if m < 1:
+        raise ValueError(f"truncation level --trunc-m must be >= 1, got {m}")
     rs = build(_parse_type(args), args.isogeny)
     sc = structure_constants(rs)
     roots, coeffs = _parse_support(rs, args.support)
@@ -205,7 +210,6 @@ def cmd_snf(args):
     Y = element_from_support(rs, field, roots, [_coeff_to_field(field, c) for c in coeffs])
     q0 = RationalField()
     cert = optimal_cocharacter(rs, element_from_support(rs, q0, roots))
-    m = 4 if args.trunc_m is None else args.trunc_m
     divisors = {}
     for i in range(1, cert.k):
         vals = lattice_image(rs, sc, Y, cert.lam, cert.k, i, m)
@@ -279,11 +283,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, code = COMMANDS[args.command](args)
+        _emit(payload, args.out)
     except (ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return USAGE_ERROR
-    _emit(payload, args.out)
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
     return code
 
 

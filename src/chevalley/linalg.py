@@ -24,20 +24,6 @@ def mat_vec(A, x, zero):
     return out
 
 
-def mat_mul(A, B, zero):
-    n, m = len(A), len(B[0])
-    k = len(B)
-    out = [[zero for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for l in range(k):
-            a = A[i][l]
-            if a:
-                for j in range(m):
-                    if B[l][j]:
-                        out[i][j] = out[i][j] + a * B[l][j]
-    return out
-
-
 def rref(field, A):
     """Reduced row echelon form; returns (R, pivot column list)."""
     R = [list(row) for row in A]

@@ -1,12 +1,12 @@
 """Optimal cocharacters of nilpotent elements by exact quadratic programming.
 
 The normalized optimal cocharacter of Y is the unique minimizer of
-(mu, mu) subject to <a, mu> >= 1 for every support root a of Y.  The
-solver enumerates active subsets of the (deduplicated) support
-constraints, solves each equality-constrained projection exactly via
-its Lagrange conditions, filters by feasibility and keeps the feasible
-candidate of least norm.  Exactness over speed: support sizes at desk
-scale stay small.
+(mu, mu) subject to <a, mu> >= 1 for every support root a of Y.  With
+v the point of least norm in the convex hull of the nu(a), that
+minimizer is mu = v / (v, v), and the constraints are infeasible iff
+v = 0.  Wolfe's nearest-point algorithm finds v exactly over Fractions;
+the Kirwan-Ness torus check asks the same question of the nu(a)
+projected onto lam-perp.
 """
 
 from __future__ import annotations
@@ -53,47 +53,68 @@ def support_of(rs: RootSystem, Y: LieElement) -> list[int]:
     return supp
 
 
+def _min_norm_weights(K) -> list[Fraction]:
+    """Convex weights x of the point v = sum x_i P_i of least norm in
+    conv{P_i}, from the Gram matrix K[i][j] = (P_i, P_j) alone.
+
+    Wolfe's algorithm (Math. Programming 11, 1976) in exact arithmetic:
+    the corral S stays affinely independent, so each affine minimizer
+    solves the nonsingular bordered system [K_S 1; 1^T 0].  v is optimal
+    once min_j (P_j, v) >= (v, v), with no tolerance.
+    """
+    m = len(K)
+    x = {min(range(m), key=lambda i: K[i][i]): QQ.one}
+    while True:
+        g = [sum(w * K[j][i] for i, w in x.items()) for j in range(m)]
+        j = min(range(m), key=g.__getitem__)
+        if g[j] >= sum(w * g[i] for i, w in x.items()):
+            return [x.get(i, QQ.zero) for i in range(m)]
+        x[j] = QQ.zero
+        while True:
+            S = list(x)
+            A = [[K[i][l] for l in S] + [QQ.one] for i in S] + [[QQ.one] * len(S) + [QQ.zero]]
+            y = solve(QQ, A, [QQ.zero] * len(S) + [QQ.one])[:-1]
+            if all(c > 0 for c in y):
+                x = dict(zip(S, y))
+                break
+            # walk from x towards y until the first weight reaches 0
+            theta = min(x[i] / (x[i] - c) for i, c in zip(S, y) if c <= 0)
+            x = {i: x[i] + theta * (c - x[i]) for i, c in zip(S, y)}
+            x = {i: w for i, w in x.items() if w > 0}
+
+
+def _support_gram(rs: RootSystem, support):
+    """nu images of the support, one per distinct pairing row, as pairs
+    (h, coroot(a)) with nu(a) = h * coroot(a), h = (a, a)/2, and their
+    Gram K[i][j] = <a_i, nu(a_j)> = (nu(a_i), nu(a_j)), built from the
+    integers <a_i, coroot(a_j)>."""
+    first = {}
+    for ri in support:
+        first.setdefault(rs.pairing_rows[ri], ri)
+    nus = [(rs.len_sq[ri] / 2, rs.coroot(rs.roots[ri])) for ri in first.values()]
+    K = [[h * sum(p * c for p, c in zip(row, co)) for h, co in nus] for row in first]
+    return nus, K
+
+
 def minimum_norm_cocharacter(rs: RootSystem, support: list[int]) -> tuple[CocharRational, list[int]]:
     """Solve min (mu,mu) s.t. <a,mu> >= 1 on the support; exact.
 
-    Returns the minimizer and the active root indices.  By the KKT
-    conditions the minimizer lies in the span of the nu-images of its
-    active constraints, so enumerating active subsets and solving the
-    Lagrange system on each finds it.
+    Returns the minimizer mu = v / (v, v), v the min-norm point of the
+    support's nu images, and the root indices with <a, mu> = 1.
     """
     if not support:
         raise ValueError("empty support")
-    n = rs.rank
-    pvecs = {}  # dedup by pairing functional
-    for ri in support:
-        pvecs.setdefault(rs.pairing_rows[ri], ri)
-    functionals = list(pvecs)
-    nus = [rs.nu(rs.roots[pvecs[f]]) for f in functionals]
-    m = len(functionals)
-    if m > 16:
-        raise ValueError(f"{m} distinct support constraints: the active-set "
-                         "enumeration is meant for desk-scale supports (<= 16)")
-    # Gram of the nu vectors in the invariant form = <f_i, nu_j>
-    gram = [[sum(Fraction(fi[c]) * nj[c] for c in range(n)) for nj in nus] for fi in functionals]
-
-    best: CocharRational | None = None
-    for mask in range(1, 1 << m):
-        idx = [i for i in range(m) if mask >> i & 1]
-        A = [[gram[i][j] for j in idx] for i in idx]
-        rhs = [Fraction(1)] * len(idx)
-        x = solve(QQ, A, rhs)
-        if x is None:
-            continue
-        mu = tuple(sum(x[t] * nus[j][c] for t, j in enumerate(idx)) for c in range(n))
-        if any(sum(Fraction(f[c]) * mu[c] for c in range(n)) < 1 for f in functionals):
-            continue
-        cand = CocharRational.of(rs, mu)
-        if best is None or cand.norm_sq < best.norm_sq:
-            best = cand
-    assert best is not None, "the constraint set of a positive support is feasible"
+    nus, K = _support_gram(rs, support)
+    x = _min_norm_weights(K)
+    v = [sum(w * h * co[c] for w, (h, co) in zip(x, nus) if w) for c in range(rs.rank)]
+    vv = rs.norm_sq(v)
+    if not vv:
+        raise RuntimeError("the min-norm point of the support is zero: "
+                           "its constraints are infeasible")
+    mu = CocharRational.of(rs, [c / vv for c in v])
     active = [ri for ri in support
-              if sum(Fraction(c) * m for c, m in zip(rs.pairing_rows[ri], best.coords)) == 1]
-    return best, active
+              if sum(c * m for c, m in zip(rs.pairing_rows[ri], mu.coords)) == 1]
+    return mu, active
 
 
 def optimal_cocharacter(rs: RootSystem, Y: LieElement) -> OptimalityCertificate:
@@ -103,17 +124,16 @@ def optimal_cocharacter(rs: RootSystem, Y: LieElement) -> OptimalityCertificate:
         raise ValueError("support must consist of positive roots (standard position)")
     mu, active = minimum_norm_cocharacter(rs, supp)
     # normalization m_Y(mu) = 1: the least support pairing is exactly 1
-    assert min(sum(Fraction(c) * m for c, m in zip(rs.pairing_rows[ri], mu.coords))
-               for ri in supp) == 1
+    if min(sum(c * m for c, m in zip(rs.pairing_rows[ri], mu.coords)) for ri in supp) != 1:
+        raise RuntimeError("optimal mu violates the normalization m_Y(mu) = 1")
     lam, _ = mu.primitive_multiple()
     k = m_of(rs, Y, lam)
-    # lambda = k * mu exactly
-    assert all(Fraction(l) == k * c for l, c in zip(lam, mu.coords))
+    if any(l != k * c for l, c in zip(lam, mu.coords)):
+        raise RuntimeError("lambda is not k * mu")
     # KKT: mu in the span of the active coroots
     nus = [list(rs.nu(rs.roots[ri])) for ri in active]
-    span_rank = rank(QQ, nus) if nus else 0
-    aug = nus + [list(mu.coords)]
-    assert rank(QQ, aug) == span_rank, "KKT span condition violated"
+    if rank(QQ, nus + [list(mu.coords)]) != rank(QQ, nus):
+        raise RuntimeError("KKT span condition violated")
     return OptimalityCertificate(mu=mu, lam=lam, k=k,
                                  active_constraints=active, support=supp)
 
@@ -162,31 +182,6 @@ def brute_force_verify(rs: RootSystem, Y: LieElement, cert: OptimalityCertificat
     }
 
 
-def _fourier_motzkin_feasible(rows: list[list[Fraction]]) -> bool:
-    """Feasibility of {x : row[:-1] . x >= row[-1]} by FM elimination."""
-    rows = [list(r) for r in rows]
-    nvars = len(rows[0]) - 1
-    for v in range(nvars):
-        pos, neg, rest = [], [], []
-        for r in rows:
-            if r[v] > 0:
-                pos.append(r)
-            elif r[v] < 0:
-                neg.append(r)
-            else:
-                rest.append(r)
-        new_rows = rest
-        for rp in pos:
-            for rn in neg:
-                # combine to eliminate variable v
-                comb = [rp[j] / rp[v] - rn[j] / rn[v] for j in range(nvars + 1)]
-                new_rows.append(comb)
-        rows = new_rows
-        if not rows:
-            return True
-    return all(Fraction(0) >= r[-1] for r in rows)
-
-
 def kirwan_ness_torus_check(rs: RootSystem, Y: LieElement, lam) -> bool:
     """True iff no rational mu with (mu, lam) = 0 destabilizes Y.
 
@@ -198,14 +193,19 @@ def kirwan_ness_torus_check(rs: RootSystem, Y: LieElement, lam) -> bool:
     degs = set(degrees_of(rs, Y, lam))
     if len(degs) != 1:
         raise ValueError("Y must be concentrated in a single degree")
-    n = rs.rank
-    # equality (mu, lam) = 0 as two inequalities, plus <a, mu> >= 1
-    lam_row = [sum(Fraction(lam[i]) * rs.gram[i][j] for i in range(n)) for j in range(n)]
-    rows = [lam_row + [Fraction(0)],
-            [-c for c in lam_row] + [Fraction(0)]]
-    for ri in Y.support_roots():
-        rows.append([Fraction(c) for c in rs.pairing_rows[ri]] + [Fraction(1)])
-    return not _fourier_motzkin_feasible(rows)
+    _, K = _support_gram(rs, Y.support_roots())
+    if not K:
+        return False  # no constraint: mu = 0 already qualifies
+    # <a, mu> = (nu(a), mu), and some mu in lam-perp has them all >= 1 iff
+    # the min-norm point of the nu(a) projected onto lam-perp is nonzero.
+    # Every <a, lam> is the one degree d, so on convex weights the
+    # projected Gram is K - d^2/(lam, lam): a constant shift of K, with
+    # the same min-norm weights.
+    x = _min_norm_weights(K)
+    vv = sum(xi * xj * Kij for xi, row in zip(x, K) for xj, Kij in zip(x, row))
+    lam_sq = rs.norm_sq(lam)
+    d = degs.pop()
+    return vv == (d * d / lam_sq if lam_sq else 0)
 
 
 def sl2_completion_check(rs: RootSystem, sc, Y: LieElement,

@@ -331,14 +331,15 @@ def test_criterion_9_cli_determinism():
     start = time.monotonic()
     corpus_path = str(REPO / "corpus" / "standard.json")
     outs = []
-    for _ in range(2):
+    # the second run under -O: no check the output relies on may be an assert
+    for flags in ([], ["-O"]):
         proc = subprocess.run(
-            [sys.executable, "-m", "chevalley.cli", "corpus", "--corpus", corpus_path],
+            [sys.executable, *flags, "-m", "chevalley.cli", "corpus", "--corpus", corpus_path],
             capture_output=True)
         assert proc.returncode == 0
         outs.append(proc.stdout)
     digest = hashlib.sha256(outs[0]).hexdigest()
     ok = outs[0] == outs[1] and digest == CORPUS_STDOUT_SHA256
-    report(9, ok, f"corpus CLI output byte-identical across runs and to the pinned "
+    report(9, ok, f"corpus CLI output byte-identical across runs (plain and -O) and to the pinned "
                   f"SHA-256 ({len(outs[0])} bytes, {digest[:12]})", time.monotonic() - start)
     assert ok

@@ -89,6 +89,23 @@ def test_snf_trunc_m_zero_exits_2():
                              "--trunc-m", "0")
     assert code == 2, out
     assert "truncation level" in err
+    # the regular A2 support has k = 1, so there is no block to check m on
+    for m in ("0", "-1"):
+        code, out, err = run_cli("snf", "--type", "A2", "--support", "a1,a2", "--trunc-m", m)
+        assert code == 2, out
+        assert "truncation level" in err and not out
+
+
+def test_internal_error_exits_3_without_traceback(monkeypatch, capsys):
+    from chevalley import cli
+
+    def broken(args):
+        raise RuntimeError("invariant broken")
+    monkeypatch.setitem(cli.COMMANDS, "roots", broken)
+    assert main(["roots", "--type", "A1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: RuntimeError: invariant broken\n"
+    assert not captured.out
 
 
 def test_support_coefficient_parsing():
@@ -130,6 +147,9 @@ def test_out_flag_writes_file(tmp_path):
     code, out, _ = run_cli("roots", "--type", "A1", "--out", str(target))
     assert code == 0
     assert json.loads(target.read_text()) == json.loads(out)
+    # an --out path in a missing directory is a usage error, not a traceback
+    code, _, err = run_cli("roots", "--type", "A1", "--out", str(tmp_path / "no" / "r.json"))
+    assert code == 2 and "Traceback" not in err
 
 
 def test_main_entry_direct(capsys):

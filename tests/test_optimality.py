@@ -11,6 +11,7 @@ from chevalley.grading import CocharRational
 from chevalley.lie import LieElement
 from chevalley.linalg import rank
 from chevalley.optimality import OptimalityCertificate, minimum_norm_cocharacter
+from qp_oracles import active_set_min_norm, fourier_motzkin_torus_check
 
 
 def _simple_sum(rs, field, idxs=None):
@@ -219,7 +220,7 @@ def test_argmin_invariant_under_norm_scaling():
 
 
 def test_qp_against_box_enumeration_random_supports():
-    # the dual route: active-set QP vs exhaustive integral search
+    # the dual route: min-norm solver vs exhaustive integral search
     rng = random.Random("qp-vs-box")
     for t in ["A2", "B2", "G2", "A3"]:
         rs = build(t)
@@ -255,14 +256,69 @@ def test_products_full_flow():
                                    (0, 0, 1)) is True
 
 
-def test_desk_scale_guard_on_huge_supports():
-    rs = build("E6")
+def _assert_certificate(rs, Y, cert):
+    """The checks optimal_cocharacter makes, repeated from the outside."""
+    assert min(rs.pair(rs.roots[ri], cert.mu.coords) for ri in cert.support) == 1
+    assert m_of(rs, Y, cert.lam) == cert.k
+    assert all(Fraction(l) == cert.k * c for l, c in zip(cert.lam, cert.mu.coords))
+    nus = [list(rs.nu(rs.roots[ri])) for ri in cert.active_constraints]
+    assert rank(RationalField(), nus + [list(cert.mu.coords)]) == rank(RationalField(), nus)
+
+
+@pytest.mark.parametrize("t, count", [("E6", 20), ("E8", None)])
+def test_huge_supports_solve(t, count):
+    # no cap on the number of constraints: 20 E6 roots and all 120
+    # positive E8 roots; both supports contain the simple roots, so the
+    # optimum is the half sum of positive coroots with k = 1
+    rs = build(t)
     q = RationalField()
     Y = LieElement(q)
-    for ri in rs.positive_roots[:20]:
+    for ri in rs.positive_roots[:count]:
         Y = Y + root_vector(rs, q, ri)
-    with pytest.raises(ValueError):
-        optimal_cocharacter(rs, Y)
+    cert = optimal_cocharacter(rs, Y)
+    _assert_certificate(rs, Y, cert)
+    rho = [Fraction(0)] * rs.rank
+    for ri in rs.positive_roots:
+        for j, c in enumerate(rs.coroot(rs.roots[ri])):
+            rho[j] += Fraction(c, 2)
+    assert cert.lam == tuple(rho) and cert.k == 1
+    assert sorted(cert.active_constraints) == sorted(rs.simple_roots)
+
+
+def test_solver_matches_active_set_and_fourier_motzkin_oracles():
+    # seeded supports with m <= 10 distinct constraints: mu, the active
+    # set and the torus verdict agree with the exponential oracles
+    rng = random.Random("min-norm-vs-oracles")
+    q = RationalField()
+    verdicts = []
+    for t in ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "F4", "G2", "E6"]:
+        for iso in ["simply_connected", "adjoint"]:
+            rs = build(t, iso)
+            for _ in range(4):
+                supp = rng.sample(rs.positive_roots, rng.randint(1, min(10, len(rs.positive_roots))))
+                mu, active = minimum_norm_cocharacter(rs, supp)
+                assert (mu, active) == active_set_min_norm(rs, supp), (t, iso, supp)
+                Ya = LieElement(q)
+                for ri in active:
+                    Ya = Ya + root_vector(rs, q, ri)
+                lam_opt = optimal_cocharacter(rs, Ya).lam
+                lam_rand = tuple(rng.randint(-3, 3) for _ in range(rs.rank))
+                # Y on the largest degree class of the support under lam_rand
+                classes = {}
+                for ri in supp:
+                    classes.setdefault(rs.pair(rs.roots[ri], lam_rand), []).append(ri)
+                part = max(classes.values(), key=len)
+                for lam, roots in [(lam_opt, active), (lam_rand, part),
+                                   ((0,) * rs.rank, supp)]:
+                    Y = LieElement(q)
+                    for ri in roots:
+                        Y = Y + root_vector(rs, q, ri)
+                    verdict = kirwan_ness_torus_check(rs, Y, lam)
+                    assert verdict == fourier_motzkin_torus_check(rs, roots, lam), (t, iso, roots, lam)
+                    verdicts.append((lam, verdict))
+    zero = [v for lam, v in verdicts if not any(lam)]
+    assert zero and not any(zero)  # lam = 0: the positive support is destabilizing
+    assert {True, False} <= {v for lam, v in verdicts if any(lam)}
 
 
 def test_errors_on_bad_support():
