@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import re
 import sys
@@ -16,8 +17,8 @@ import sys
 from .badprimes import coker_eta, regular_counterexample_report
 from .corpus import element_from_support, run_corpus, standard_corpus
 from .fields import FunctionField, PrimeField, RationalField
-from .gradedmap import (block_report, check_kernel, graded_ad, lattice_image,
-                        verify_phi_inverse, verify_rrao)
+from .gradedmap import (block_divisors, block_report, graded_ad, kernel_from_divisors,
+                        lattice_image, verify_phi_inverse, verify_rrao)
 from .grading import grade
 from .lie import LieElement, root_vector, structure_constants
 from .optimality import brute_force_verify, kirwan_ness_torus_check, optimal_cocharacter
@@ -31,8 +32,6 @@ _COEFF_RE = re.compile(r"^(-?\d+)?(?:\*?t(?:\^(\d+))?)?$")
 
 
 def _parse_type(args) -> str:
-    if args.type is None:
-        raise ValueError("--type is required")
     t = args.type
     if args.rank is not None:
         t = f"{t}{args.rank}"
@@ -41,8 +40,6 @@ def _parse_type(args) -> str:
 
 def _parse_support(rs, text: str):
     """Tokens like a1,a2 or a1+a2=3; returns (roots, coefficient strings)."""
-    if text is None:
-        raise ValueError("--support is required")
     roots, coeffs = [], []
     for token in text.split(","):
         token = token.strip()
@@ -85,6 +82,14 @@ def _coeff_to_field(field, coeff: str):
     return field.element(int(coeff))
 
 
+def _instance(args, p=None):
+    """Root system, support, Y over Q (p-adic when p is given), Y's certificate."""
+    rs = build(_parse_type(args), args.isogeny)
+    roots, coeffs = _parse_support(rs, args.support)
+    Y = element_from_support(rs, RationalField(p), roots, coeffs)
+    return rs, roots, coeffs, Y, optimal_cocharacter(rs, Y)
+
+
 def _emit(payload: dict, out_path: str | None) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2)
     print(text)
@@ -93,11 +98,25 @@ def _emit(payload: dict, out_path: str | None) -> None:
             fh.write(text + "\n")
 
 
+COMMANDS: dict = {}   # name -> handler(args) returning (payload, exit code)
+OPTIONS: dict = {}    # name -> the flags its handler reads, besides --out
+_SYSTEM = ("--type", "--rank", "--isogeny")
+
+
+def _command(name: str, *flags: str):
+    def register(fn):
+        COMMANDS[name], OPTIONS[name] = fn, flags
+        return fn
+    return register
+
+
+@_command("roots", *_SYSTEM)
 def cmd_roots(args):
     rs = build(_parse_type(args), args.isogeny)
     return rs.to_json(), 0
 
 
+@_command("constants", *_SYSTEM)
 def cmd_constants(args):
     rs = build(_parse_type(args), args.isogeny)
     sc = structure_constants(rs)
@@ -106,22 +125,16 @@ def cmd_constants(args):
     return payload, 0
 
 
+@_command("grade", *_SYSTEM, "--support")
 def cmd_grade(args):
-    rs = build(_parse_type(args), args.isogeny)
-    roots, coeffs = _parse_support(rs, args.support)
-    q = RationalField()
-    Y = element_from_support(rs, q, roots, coeffs)
-    cert = optimal_cocharacter(rs, Y)
+    rs, _, _, _, cert = _instance(args)
     report = grade(rs, cert.lam)
     return {"certificate": cert.to_json(), "grading": report.to_json()}, 0
 
 
+@_command("optimal", *_SYSTEM, "--support", "--box-radius")
 def cmd_optimal(args):
-    rs = build(_parse_type(args), args.isogeny)
-    roots, coeffs = _parse_support(rs, args.support)
-    q = RationalField()
-    Y = element_from_support(rs, q, roots, coeffs)
-    cert = optimal_cocharacter(rs, Y)
+    rs, _, _, Y, cert = _instance(args)
     code = 0
     if args.box_radius:
         bf = brute_force_verify(rs, Y, cert, args.box_radius)
@@ -132,48 +145,37 @@ def cmd_optimal(args):
     return payload, code
 
 
+@_command("kernel-check", *_SYSTEM, "--support", "--prime")
 def cmd_kernel_check(args):
-    rs = build(_parse_type(args), args.isogeny)
-    sc = structure_constants(rs)
-    roots, coeffs = _parse_support(rs, args.support)
-    q = RationalField()
-    Y = element_from_support(rs, q, roots, coeffs)
-    cert = optimal_cocharacter(rs, Y)
-    payload = {"certificate": cert.to_json(), "fields": {}}
-    ok = True
-    gbm = graded_ad(rs, sc, Y, cert.lam, cert.k)
-    kern = check_kernel(q, gbm)
-    payload["fields"]["Q"] = {str(i): kern[i] for i in sorted(kern)}
-    ok = ok and all(v["injective"] for v in kern.values())
+    rs, roots, coeffs, Y, cert = _instance(args)
+    # D Y has integer coefficients and the same ranks over Q
+    D = math.lcm(*(c.denominator for c in Y.coeffs.values()))
+    gbm = graded_ad(rs, structure_constants(rs), Y.scaled(D), cert.lam, cert.k)
+    divisors = block_divisors(gbm)
+    kerns = {"Q": kernel_from_divisors(gbm, divisors)}
     if args.prime:
+        # parsed over GF(p) too, so a bad or collapsing support exits 2; then D = 1
         fp = PrimeField(args.prime)
-        Yp = element_from_support(rs, fp, roots, [_coeff_to_field(fp, c) for c in coeffs])
-        kern_p = check_kernel(fp, graded_ad(rs, sc, Yp, cert.lam, cert.k))
-        payload["fields"][f"F{args.prime}"] = {str(i): kern_p[i] for i in sorted(kern_p)}
-        ok = ok and all(v["injective"] for v in kern_p.values())
-    payload["all_injective"] = ok
+        element_from_support(rs, fp, roots, [_coeff_to_field(fp, c) for c in coeffs])
+        kerns[f"F{args.prime}"] = kernel_from_divisors(gbm, divisors, args.prime)
+    ok = all(v["injective"] for kern in kerns.values() for v in kern.values())
+    payload = {"certificate": cert.to_json(), "all_injective": ok,
+               "fields": {name: {str(i): kern[i] for i in sorted(kern)}
+                          for name, kern in kerns.items()}}
     return payload, 0 if ok else VERIFY_ERROR
 
 
+@_command("phi", *_SYSTEM, "--support", "--prime")
 def cmd_phi(args):
-    rs = build(_parse_type(args), args.isogeny)
-    sc = structure_constants(rs)
-    roots, coeffs = _parse_support(rs, args.support)
-    field = RationalField(args.prime or 2)
-    Y = element_from_support(rs, field, roots, coeffs)
-    cert = optimal_cocharacter(rs, Y)
-    payload = {"certificate": cert.to_json()}
-    payload.update(block_report(field, graded_ad(rs, sc, Y, cert.lam, cert.k)))
-    return payload, 0
+    rs, _, _, Y, cert = _instance(args, args.prime or 2)
+    gbm = graded_ad(rs, structure_constants(rs), Y, cert.lam, cert.k)
+    return {"certificate": cert.to_json(), **block_report(Y.field, gbm)}, 0
 
 
+@_command("rrao-check", *_SYSTEM, "--support", "--prime", "--seed", "--trials")
 def cmd_rrao_check(args):
-    rs = build(_parse_type(args), args.isogeny)
-    sc = structure_constants(rs)
-    roots, coeffs = _parse_support(rs, args.support)
-    field = RationalField(args.prime or 2)
-    Y = element_from_support(rs, field, roots, coeffs)
-    cert = optimal_cocharacter(rs, Y)
+    rs, _, _, Y, cert = _instance(args, args.prime or 2)
+    sc, field = structure_constants(rs), Y.field
     rng = random.Random(args.seed)
     degree_k = [ri for ri in range(len(rs.roots))
                 if rs.pair(rs.roots[ri], cert.lam) == cert.k]
@@ -199,6 +201,7 @@ def cmd_rrao_check(args):
     return payload, 0 if failures == 0 else VERIFY_ERROR
 
 
+@_command("snf", *_SYSTEM, "--support", "--q", "--trunc-m")
 def cmd_snf(args):
     m = 4 if args.trunc_m is None else args.trunc_m
     if m < 1:
@@ -208,8 +211,7 @@ def cmd_snf(args):
     roots, coeffs = _parse_support(rs, args.support)
     field = FunctionField(args.q or 2)
     Y = element_from_support(rs, field, roots, [_coeff_to_field(field, c) for c in coeffs])
-    q0 = RationalField()
-    cert = optimal_cocharacter(rs, element_from_support(rs, q0, roots))
+    cert = optimal_cocharacter(rs, element_from_support(rs, RationalField(), roots))
     divisors = {}
     for i in range(1, cert.k):
         vals = lattice_image(rs, sc, Y, cert.lam, cert.k, i, m)
@@ -219,6 +221,7 @@ def cmd_snf(args):
     return payload, 0
 
 
+@_command("counterexample", *_SYSTEM, "--prime")
 def cmd_counterexample(args):
     rs = build(_parse_type(args), args.isogeny)
     sc = structure_constants(rs)
@@ -229,6 +232,7 @@ def cmd_counterexample(args):
     return payload, 0
 
 
+@_command("corpus", "--corpus")
 def cmd_corpus(args):
     if args.corpus:
         with open(args.corpus, "r", encoding="utf-8") as fh:
@@ -239,21 +243,24 @@ def cmd_corpus(args):
     return report, 0 if report["ok"] else VERIFY_ERROR
 
 
-COMMANDS = {
-    "roots": cmd_roots,
-    "constants": cmd_constants,
-    "grade": cmd_grade,
-    "optimal": cmd_optimal,
-    "kernel-check": cmd_kernel_check,
-    "phi": cmd_phi,
-    "rrao-check": cmd_rrao_check,
-    "snf": cmd_snf,
-    "counterexample": cmd_counterexample,
-    "corpus": cmd_corpus,
+_OPTION_SPECS = {
+    "--type": dict(required=True, help="Cartan type, e.g. A2 or A2xA1"),
+    "--rank": dict(type=int, help="rank, when --type is a bare series letter"),
+    "--isogeny": dict(choices=["simply_connected", "adjoint"], default="simply_connected"),
+    "--support": dict(required=True, help="e.g. a1,a2 or a1+a2=3"),
+    "--prime": dict(type=int, help="prime for mod-p / p-adic computations"),
+    "--q": dict(type=int, help="residue cardinality for GF(q)(t)"),
+    "--trunc-m": dict(type=int, help="lattice truncation level"),
+    "--box-radius": dict(type=int, help="brute-force verification box radius"),
+    "--seed": dict(type=int, default=0, help="seed for randomized checks"),
+    "--trials": dict(type=int, default=20, help="number of randomized trials"),
+    "--corpus": dict(help="corpus JSON file"),
+    "--out": dict(help="also write the JSON report to this path"),
 }
 
 
 def make_parser() -> argparse.ArgumentParser:
+    """One subcommand per COMMANDS entry, taking the OPTIONS it reads and --out."""
     parser = argparse.ArgumentParser(
         prog="chevalley",
         description="Exact computations in Chevalley-basis Lie algebras: "
@@ -261,20 +268,8 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--type", help="Cartan type, e.g. A2 or A2xA1")
-        p.add_argument("--rank", type=int, help="rank, when --type is a bare series letter")
-        p.add_argument("--isogeny", choices=["simply_connected", "adjoint"],
-                       default="simply_connected")
-        p.add_argument("--support", help="e.g. a1,a2 or a1+a2=3")
-        p.add_argument("--prime", type=int, help="prime for mod-p / p-adic computations")
-        p.add_argument("--q", type=int, help="residue cardinality for GF(q)(t)")
-        p.add_argument("--trunc-m", dest="trunc_m", type=int, help="lattice truncation level")
-        p.add_argument("--box-radius", dest="box_radius", type=int,
-                       help="brute-force verification box radius")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-        p.add_argument("--trials", type=int, default=20, help="number of randomized trials")
-        p.add_argument("--corpus", help="corpus JSON file")
-        p.add_argument("--out", help="also write the JSON report to this path")
+        for flag in OPTIONS[name] + ("--out",):
+            p.add_argument(flag, **_OPTION_SPECS[flag])
     return parser
 
 

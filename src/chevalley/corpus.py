@@ -1,11 +1,14 @@
 """Corpus of optimal nilpotent instances and the verification runner.
 
-An instance is (type, isogeny, support, coefficients); the runner
-attaches the exact optimal cocharacter, checks the kernel theorem per
-block over Q and over requested prime fields, evaluates phi, and emits
-a JSON-able report.  Mod-p outcomes are asserted for type A only; for
-every other type (B/C/D/E/F/G) they are reported as data, never
-asserted, and a non-injective A/D/E outcome is flagged
+An instance is (type, isogeny, support, integer coefficients); the
+runner attaches the exact optimal cocharacter, builds the graded blocks
+once over Q and takes one Smith normal form over Z of each.  Those
+elementary divisors give the kernel theorem over Q and over every
+requested prime field, and the 2-adic phi exponent; the runner emits a
+JSON-able report.  Coefficients that are not JSON integers and primes
+that are not primes raise ValueError.  Mod-p outcomes are asserted for
+type A only; for every other type (B/C/D/E/F/G) they are reported as
+data, never asserted, and a non-injective A/D/E outcome is flagged
 `counterexample_to_expected`.
 """
 
@@ -13,8 +16,8 @@ from __future__ import annotations
 
 import random
 
-from .fields import FunctionField, PrimeField, RationalField
-from .gradedmap import block_report, check_kernel, graded_ad, phi
+from .fields import RationalField, is_prime
+from .gradedmap import AbsValue, block_divisors, graded_ad, kernel_from_divisors
 from .lie import LieElement, structure_constants, root_vector
 from .optimality import (kirwan_ness_torus_check, minimum_norm_cocharacter,
                          optimal_cocharacter, sl2_completion_check)
@@ -23,17 +26,6 @@ from .rootsystem import RootSystem, build
 SCHEMA_VERSION = 1
 
 ADE = {"A", "D", "E"}
-
-
-def field_from_spec(spec: dict):
-    kind = spec.get("kind")
-    if kind == "rationals":
-        return RationalField(spec.get("p"))
-    if kind == "prime_field":
-        return PrimeField(spec["p"])
-    if kind == "rational_functions":
-        return FunctionField(spec["q"])
-    raise ValueError(f"unknown field kind {kind!r}")
 
 
 def element_from_support(rs: RootSystem, field, support, coefficients=None) -> LieElement:
@@ -114,16 +106,33 @@ def standard_corpus(types=None, seed: int = 20260808) -> dict:
     return {"schema": SCHEMA_VERSION, "primes": [2, 3, 5, 7], "entries": entries}
 
 
+def _integers(values, what: str, prime: bool = False) -> list[int]:
+    """values itself, if it is a list of JSON integers (of primes, if asked)."""
+    if not isinstance(values, list) or not all(
+            type(v) is int and (is_prime(v) or not prime) for v in values):
+        raise ValueError(f"{what} must be a list of {'primes' if prime else 'integers'}, "
+                         f"got {values!r}")
+    return values
+
+
 def run_instance(rs: RootSystem, sc, entry: dict, primes) -> dict:
-    """Verify one corpus entry; every computed fact lands in the report."""
-    primes = entry.get("primes", primes)  # per-entry override
+    """Verify one corpus entry; every computed fact lands in the report.
+
+    Y has integer coefficients, so one Smith form over Z per block
+    (`block_divisors`) gives its rank over Q, its rank mod every p and
+    the 2-adic valuation of its determinant."""
+    primes = _integers(entry.get("primes", primes), "primes", prime=True)  # per-entry override
+    support = entry["support"]
+    coefficients = _integers(entry.get("coefficients", [1] * len(support)), "coefficients")
+    if len(coefficients) != len(support):
+        raise ValueError(f"{len(coefficients)} coefficients for {len(support)} support roots")
     q = RationalField()
-    Y = element_from_support(rs, q, entry["support"], entry.get("coefficients"))
+    Y = element_from_support(rs, q, support, coefficients)
     cert = optimal_cocharacter(rs, Y)
     report = {
         "cartan_type": rs.type_string(),
-        "support": [list(map(int, r)) for r in entry["support"]],
-        "coefficients": [int(c) for c in entry.get("coefficients", [1] * len(entry["support"]))],
+        "support": [list(map(int, r)) for r in support],
+        "coefficients": list(coefficients),
         "origin": entry.get("origin", "corpus"),
         "lambda": list(cert.lam),
         "k": cert.k,
@@ -134,21 +143,17 @@ def run_instance(rs: RootSystem, sc, entry: dict, primes) -> dict:
     shapes = gbm.shapes()
     report["dims_symmetric"] = all(r == c for r, c in shapes.values())
     report["block_shapes"] = {str(i): list(shapes[i]) for i in sorted(shapes)}
-    report["detail"] = block_report(q, gbm)
+    divisors = block_divisors(gbm)
+    kern = kernel_from_divisors(gbm, divisors)
+    report["detail"] = {"k": gbm.k, "blocks": {str(i): kern[i] for i in sorted(kern)}}
     report["blocks_over_Q"] = report["detail"]["blocks"]
-    report["injective_over_Q"] = all(v["injective"] for v in report["blocks_over_Q"].values())
+    report["injective_over_Q"] = all(v["injective"] for v in kern.values())
     mod_p = {}
     for p in primes:
-        fp = PrimeField(p)
-        try:
-            Yp = element_from_support(rs, fp, entry["support"], entry.get("coefficients"))
-        except ValueError:
-            Yp = None
-        if Yp is None or set(Yp.support_roots()) != set(Y.support_roots()):
+        if any(c % p == 0 for c in Y.coeffs.values()):
             mod_p[str(p)] = {"injective": None, "note": "support degenerates mod p"}
             continue
-        kern_p = check_kernel(fp, graded_ad(rs, sc, Yp, cert.lam, cert.k))
-        inj = all(v["injective"] for v in kern_p.values())
+        inj = all(v["injective"] for v in kernel_from_divisors(gbm, divisors, p).values())
         entry_p = {
             "injective": inj,
             "asserted": is_type_a(rs),
@@ -159,7 +164,9 @@ def run_instance(rs: RootSystem, sc, entry: dict, primes) -> dict:
         mod_p[str(p)] = entry_p
     report["mod_p"] = mod_p
     if gbm.is_square():
-        report["phi_over_Q_v2"] = phi(RationalField(2), gbm).to_json()
+        ds = [d for block in divisors.values() for d in block]
+        e = None if 0 in ds else sum(RationalField(2).valuation(d) for d in ds)
+        report["phi_over_Q_v2"] = AbsValue(2, e).to_json()
     return report
 
 
@@ -168,7 +175,7 @@ def run_corpus(corpus: dict) -> dict:
     asserted facts (Q-injectivity, dim symmetry, type-A mod-p injectivity)."""
     if corpus.get("schema") != SCHEMA_VERSION:
         raise ValueError("unknown corpus schema version")
-    primes = corpus.get("primes", [2, 3, 5, 7])
+    primes = _integers(corpus.get("primes", [2, 3, 5, 7]), "primes", prime=True)
     cache: dict[tuple, tuple] = {}
     reports = []
     ok = True

@@ -6,7 +6,8 @@ the root-vector bases.  phi is the product of |det|^(1/2) over the
 blocks, kept symbolic as q**(-e/2) with an integer half-exponent e;
 the kernel theorem makes the blocks square and invertible on optimal
 instances, and the functional equations of phi are exact identities on
-these exponents.
+these exponents.  For an integer Y, one Smith form over Z per block
+(`block_divisors`) gives its rank over Q and modulo every prime.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .fields import has_valuation
 from .grading import degrees_of, delta_exponent, grade
 from .lie import LieElement, StructureConstants, bracket, root_vector
 from .rootsystem import RootSystem
+from .snf import dvr_divisor_valuations, integer_elementary_divisors
 
 
 @dataclass(frozen=True)
@@ -101,21 +103,32 @@ def graded_ad(rs: RootSystem, sc: StructureConstants, Y: LieElement, lam,
     return GradedBlockMap(k=k, blocks=blocks, domain_basis=dom, codomain_basis=cod)
 
 
+def _kernel_entry(gbm: GradedBlockMap, i: int, rank: int) -> dict:
+    rows, cols = len(gbm.codomain_basis[i]), len(gbm.domain_basis[i])
+    return {"rows": rows, "cols": cols, "rank": rank,
+            "injective": rank == cols, "surjective": rank == rows}
+
+
 def check_kernel(field, gbm: GradedBlockMap) -> dict[int, dict]:
     """Exact rank of every block; injectivity and surjectivity flags."""
-    out = {}
-    for i, mat in sorted(gbm.blocks.items()):
-        rows = len(gbm.codomain_basis[i])
-        cols = len(gbm.domain_basis[i])
-        r = linalg.rank(field, mat) if rows and cols else 0
-        out[i] = {
-            "rows": rows,
-            "cols": cols,
-            "rank": r,
-            "injective": r == cols,
-            "surjective": r == rows,
-        }
-    return out
+    return {i: _kernel_entry(gbm, i, linalg.rank(field, mat))
+            for i, mat in sorted(gbm.blocks.items())}
+
+
+def block_divisors(gbm: GradedBlockMap) -> dict[int, list[int]]:
+    """Elementary divisors over Z of every block of an integer Y.  Smith
+    transforms are unimodular, so they survive reduction mod any p: a block's
+    divisors d give its rank over Q (#{d != 0}), over GF(p) for Y mod p
+    (#{d : p does not divide d}), and |det| = prod d."""
+    return {i: integer_elementary_divisors(mat) for i, mat in sorted(gbm.blocks.items())}
+
+
+def kernel_from_divisors(gbm: GradedBlockMap, divisors: dict[int, list[int]],
+                         p: int | None = None) -> dict[int, dict]:
+    """check_kernel's payload read off block_divisors: over Q, or over
+    GF(p) for the blocks reduced mod p."""
+    return {i: _kernel_entry(gbm, i, sum(1 for d in ds if d and (p is None or d % p)))
+            for i, ds in divisors.items()}
 
 
 def phi(field, gbm: GradedBlockMap) -> AbsValue:
@@ -225,23 +238,24 @@ def lattice_image(rs: RootSystem, sc: StructureConstants, Y: LieElement, lam,
     gbm = graded_ad(rs, sc, Y, lam, k)
     if i not in gbm.blocks:
         raise ValueError(f"block index i = {i} outside 1..{k - 1}")
-    from .snf import dvr_divisor_valuations
-
     return dvr_divisor_valuations(field, gbm.blocks[i], m_cap=m)
 
 
 def block_report(field, gbm: GradedBlockMap) -> dict:
     """Per-instance JSON payload of the given blocks: dims, ranks, det
-    valuations, phi."""
+    valuations, and phi as their sum."""
     kern = check_kernel(field, gbm)
-    per_i = {}
+    valued = has_valuation(field)
+    per_i, vals = {}, []
     for i in sorted(gbm.blocks):
-        entry = dict(kern[i])
-        if entry["rows"] == entry["cols"] and entry["rows"] > 0 and has_valuation(field):
+        entry = kern[i]
+        if valued and entry["rows"] == entry["cols"] > 0:
             d = linalg.det(field, gbm.blocks[i])
             entry["det_valuation"] = field.valuation(d) if d else "inf"
+            vals.append(entry["det_valuation"])
         per_i[str(i)] = entry
     out = {"k": gbm.k, "blocks": per_i}
-    if has_valuation(field) and gbm.is_square():
-        out["phi"] = phi(field, gbm).to_json()
+    if valued and gbm.is_square():
+        e = None if "inf" in vals else sum(vals)
+        out["phi"] = AbsValue(field.residue_cardinality, e).to_json()
     return out

@@ -224,10 +224,6 @@ class StructureConstants:
     def max_abs_n(self) -> int:
         return max((abs(v) for v in self._n.values()), default=0)
 
-    def coroot_expansion(self, i: int) -> tuple[int, ...]:
-        """H_a in the Cartan (cocharacter lattice) basis."""
-        return self.rs.coroot(self.rs.roots[i])
-
     def to_json(self) -> dict:
         return {
             "type": self.rs.type_string(),

@@ -13,17 +13,6 @@ def identity(field, n):
     return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
 
 
-def mat_vec(A, x, zero):
-    out = []
-    for row in A:
-        acc = zero
-        for a, b in zip(row, x):
-            if a and b:
-                acc = acc + a * b
-        out.append(acc)
-    return out
-
-
 def rref(field, A):
     """Reduced row echelon form; returns (R, pivot column list)."""
     R = [list(row) for row in A]

@@ -228,7 +228,6 @@ def sl2_completion_check(rs: RootSystem, sc, Y: LieElement,
                if rs.pair(rs.roots[ri], cert.lam) == -cert.k]
     if not targets:
         return False
-    columns = []
     keyset = set()
     images = []
     for ri in targets:

@@ -206,9 +206,6 @@ class RootSystem:
 
     # -- basic queries ------------------------------------------------
 
-    def is_root(self, coords) -> bool:
-        return tuple(coords) in self.root_index
-
     def is_positive(self, a: Root) -> bool:
         return sum(a) > 0
 

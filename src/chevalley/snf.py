@@ -1,10 +1,10 @@
 """Smith normal form over Z, and elementary divisor valuations over a DVR.
 
-Two flavours are needed: the honest integer SNF (for cokernels of
-pairing matrices), and, for lattice computations over GF(q)[t] localized
-at t, just the t-adic valuations of the elementary divisors.  The
-latter also works verbatim for Q with the p-adic valuation, which gives
-a cheap cross-check of determinant valuations.
+Two flavours are needed: the honest integer SNF (cokernels of pairing
+matrices, graded blocks of an integer Y), and, for lattice computations
+over GF(q)[t] localized at t, just the t-adic valuations of the
+elementary divisors.  The latter also works verbatim for Q with the
+p-adic valuation, a cheap cross-check of determinant valuations.
 """
 
 from __future__ import annotations
@@ -14,9 +14,11 @@ def integer_elementary_divisors(A) -> list[int]:
     """Elementary divisors d_1 | d_2 | ... of an integer matrix.
 
     Returns min(rows, cols) nonnegative integers; trailing zeros mean
-    rank deficiency.
+    rank deficiency.  A non-integral entry raises ValueError.
     """
     M = [[int(x) for x in row] for row in A]
+    if any(m != x for mrow, row in zip(M, A) for m, x in zip(mrow, row)):
+        raise ValueError("non-integral matrix entry")
     rows = len(M)
     cols = len(M[0]) if rows else 0
     size = min(rows, cols)

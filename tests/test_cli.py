@@ -32,6 +32,17 @@ def test_kernel_check_example():
     payload = json.loads(out)
     assert payload["all_injective"]
     assert payload["fields"]["F5"]["1"]["injective"]
+    # rational coefficients: the ranks over Q are those of the cleared 2Y
+    code, out, _ = run_cli("kernel-check", "--type", "A2", "--support", "a1+a2=1/2")
+    assert code == 0
+    assert json.loads(out)["fields"]["Q"]["1"] == {
+        "rows": 2, "cols": 2, "rank": 2, "injective": True, "surjective": True}
+    # a coefficient divisible by p drops out of Y mod p; the rest stays nonzero
+    code, out, _ = run_cli("kernel-check", "--type", "D4", "--support", "a1=3,a3,a4",
+                           "--prime", "3")
+    payload = json.loads(out)
+    assert code == 1 and payload["fields"]["Q"]["1"]["rank"] == 6
+    assert payload["fields"]["F3"]["1"]["rank"] == 4
 
 
 def test_counterexample_example():
@@ -120,16 +131,27 @@ def test_support_coefficient_parsing():
     assert json.loads(out)["k"] == 2
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(tmp_path):
+    bad_corpora = []
+    for n, patch in enumerate([{"coefficients": [2.5]}, {"coefficients": ["1/2"]},
+                               {"coefficients": [True]}, {"primes": [4]}]):
+        entry = {"cartan_type": "A2", "support": [[1, 1]], "coefficients": [1], **patch}
+        path = tmp_path / f"bad{n}.json"
+        path.write_text(json.dumps({"schema": 1, "primes": [2], "entries": [entry]}))
+        bad_corpora.append(["corpus", "--corpus", str(path)])
     for args in (["nonsense"],
                  ["optimal", "--type", "Z9", "--support", "a1"],
                  ["optimal", "--type", "A2", "--support", "a1+a1"],
                  ["optimal", "--type", "A2", "--support", "a9"],
                  ["optimal", "--type", "A2"],
                  ["counterexample", "--type", "A2"],
-                 ["optimal", "--type", "A2", "--support", "a1", "--unknown-flag"]):
-        code, _, err = run_cli(*args)
-        assert code == 2, (args, err)
+                 ["optimal", "--type", "A2", "--support", "a1", "--unknown-flag"],
+                 # flags the subcommand does not read
+                 ["roots", "--type", "A1", "--prime", "4", "--box-radius", "3"],
+                 ["corpus", "--type", "E8"],
+                 *bad_corpora):
+        code, out, err = run_cli(*args)
+        assert code == 2 and not out and "Traceback" not in err, (args, err)
 
 
 def test_verification_failure_exit_1():

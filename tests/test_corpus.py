@@ -3,22 +3,13 @@ from pathlib import Path
 
 import pytest
 
-from chevalley.corpus import (element_from_support, field_from_spec, run_corpus,
-                              standard_corpus, standard_instances)
-from chevalley.fields import FunctionField, PrimeField, RationalField
+from chevalley.corpus import (element_from_support, run_corpus, standard_corpus,
+                              standard_instances)
+from chevalley.fields import PrimeField
 
 
 def repo_root() -> Path:
     return Path(__file__).resolve().parent.parent
-
-
-def test_field_from_spec():
-    assert isinstance(field_from_spec({"kind": "rationals"}), RationalField)
-    assert field_from_spec({"kind": "rationals", "p": 3}).p == 3
-    assert isinstance(field_from_spec({"kind": "prime_field", "p": 5}), type(PrimeField(5)))
-    assert field_from_spec({"kind": "rational_functions", "q": 4}).residue_cardinality == 4
-    with pytest.raises(ValueError):
-        field_from_spec({"kind": "complex"})
 
 
 def test_standard_instances_families():
@@ -62,6 +53,18 @@ def test_run_corpus_small():
 def test_run_corpus_rejects_unknown_schema():
     with pytest.raises(ValueError):
         run_corpus({"schema": 99, "entries": []})
+    # malformed entries raise; no coefficient or prime is coerced
+    good = {"cartan_type": "A2", "support": [[1, 0], [0, 1]], "coefficients": [1, 1]}
+    bad_entries = [{"coefficients": [2.5, 1]}, {"coefficients": ["1/2", 1]},
+                   {"coefficients": [True, 1]}, {"coefficients": [1]},
+                   {"primes": [4]}, {"primes": [2, "3"]}]
+    for patch in bad_entries:
+        with pytest.raises(ValueError):
+            run_corpus({"schema": 1, "entries": [{**good, **patch}]})
+    for primes in ([4], [2, 1], [2.0], 3):
+        with pytest.raises(ValueError):
+            run_corpus({"schema": 1, "primes": primes, "entries": [good]})
+    assert run_corpus({"schema": 1, "primes": [11], "entries": [good]})["ok"]
 
 
 def test_element_from_support_mod_p_degeneration():

@@ -8,9 +8,12 @@ from chevalley import (AbsValue, FunctionField, PrimeField, RationalField,
                        optimal_cocharacter, phi, phi_of, root_vector,
                        structure_constants, torus_conjugate, verify_phi_inverse,
                        verify_rrao)
-from chevalley.gradedmap import GradedBlockMap
+from chevalley.corpus import element_from_support, run_instance
+from chevalley.gradedmap import (GradedBlockMap, block_divisors, block_report,
+                                 kernel_from_divisors)
 from chevalley.lie import LieElement
 from chevalley.linalg import det
+from chevalley.optimality import minimum_norm_cocharacter
 
 
 @pytest.fixture(scope="module")
@@ -352,3 +355,68 @@ def test_lattice_image_requires_integral_coefficients(sl3):
         lattice_image(rs, sc, Yok, (1, 1), 2, 5, 3)  # block index out of range
     with pytest.raises(ValueError):
         lattice_image(rs, sc, Yok, (1, 1), 2, 1, 0)  # m < 1
+
+
+def _divisor_oracle_instances():
+    """Seeded integer instances (type, isogeny, support, coefficients),
+    homogenized to their active roots so Y sits in one degree; the
+    coefficient pool has multiples of 2, 3, 5 and 7."""
+    rng = random.Random(20261018)
+    pool = [1, 1, 2, 3, 4, 5, 6, 7, 9, 10, 14, 15, 21, 35]
+    out = [("D4", "simply_connected", [(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], [1, 1, 1]),
+           ("D4", "simply_connected", [(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], [3, 1, 5])]
+    for t in ("A1", "A2", "A3", "B2", "B3", "C3", "D4", "E6", "F4", "G2"):
+        for isogeny in ("simply_connected", "adjoint"):
+            rs = build(t, isogeny)
+            for _ in range(4):
+                size = rng.randint(1, min(4, len(rs.positive_roots)))
+                supp = rng.sample(rs.positive_roots, size)
+                active = sorted(minimum_norm_cocharacter(rs, supp)[1])
+                out.append((t, isogeny, [rs.roots[ri] for ri in active],
+                            [rng.choice(pool) for _ in active]))
+    return out
+
+
+def test_block_divisors_match_field_by_field_oracle():
+    """Every verdict read off one integer Smith form per block agrees with
+    check_kernel over Q and over GF(p) on graded_ad of Y mod p, and the
+    corpus phi exponent with phi over Q_2."""
+    q, q2 = RationalField(), RationalField(2)
+    systems = {}
+    seen = {"square": 0, "degenerate": 0, "failing_p": 0}
+    for t, isogeny, support, coeffs in _divisor_oracle_instances():
+        if (t, isogeny) not in systems:
+            rs = build(t, isogeny)
+            systems[t, isogeny] = (rs, structure_constants(rs))
+        rs, sc = systems[t, isogeny]
+        Y = element_from_support(rs, q, support, coeffs)
+        cert = optimal_cocharacter(rs, Y)
+        gbm = graded_ad(rs, sc, Y, cert.lam, cert.k)
+        divisors = block_divisors(gbm)
+        assert kernel_from_divisors(gbm, divisors) == check_kernel(q, gbm)
+        entry = {"support": [list(a) for a in support], "coefficients": coeffs}
+        report = run_instance(rs, sc, entry, [2, 3, 5, 7])
+        assert report["blocks_over_Q"] == {str(i): v for i, v in check_kernel(q, gbm).items()}
+        for p in (2, 3, 5, 7):
+            fp = PrimeField(p)
+            try:
+                Yp = element_from_support(rs, fp, support, coeffs)
+            except ValueError:  # Y vanishes mod p
+                assert report["mod_p"][str(p)]["injective"] is None
+                continue
+            oracle = check_kernel(fp, graded_ad(rs, sc, Yp, cert.lam, cert.k))
+            assert kernel_from_divisors(gbm, divisors, p) == oracle
+            if set(Yp.support_roots()) != set(Y.support_roots()):
+                seen["degenerate"] += 1
+                assert report["mod_p"][str(p)]["injective"] is None
+            else:
+                inj = all(v["injective"] for v in oracle.values())
+                seen["failing_p"] += not inj
+                assert report["mod_p"][str(p)]["injective"] == inj
+        if gbm.is_square():
+            seen["square"] += 1
+            assert report["phi_over_Q_v2"] == phi(q2, gbm).to_json()
+            assert block_report(q2, gbm)["phi"] == phi(q2, gbm).to_json()
+        else:
+            assert "phi_over_Q_v2" not in report
+    assert all(seen.values()), seen

@@ -1,11 +1,24 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from chevalley import FunctionField, PrimeField, RationalField
-from chevalley.linalg import det, kernel_basis, mat_vec, rank, solve
+from chevalley.linalg import det, kernel_basis, rank, solve
 from chevalley.snf import dvr_divisor_valuations, integer_elementary_divisors
 
 from snf_oracles import int_det, integer_gcd_of_minors
+
+
+def mat_vec(A, x, zero):
+    out = []
+    for row in A:
+        acc = zero
+        for a, b in zip(row, x):
+            if a and b:
+                acc = acc + a * b
+        out.append(acc)
+    return out
 
 
 class _Q:
@@ -67,6 +80,10 @@ def test_integer_snf_examples():
     assert integer_elementary_divisors([[1, 0], [0, 1]]) == [1, 1]
     assert integer_elementary_divisors([[0, 0], [0, 0]]) == [0, 0]
     assert integer_elementary_divisors([[2, 4], [6, 8]]) == [2, 4]
+    assert integer_elementary_divisors([[Fraction(6), Fraction(0)]]) == [6]
+    # a non-integral entry is an error, not truncated to int(5/2) = 2
+    with pytest.raises(ValueError):
+        integer_elementary_divisors([[Fraction(5, 2), 1], [0, 1]])
 
 
 def test_integer_snf_against_minor_gcd_oracle():
