@@ -60,8 +60,7 @@ def regular_counterexample(rs: RootSystem, sc: StructureConstants, p: int):
     X = LieElement(field)
     for i, c in enumerate(coeffs):
         if c:
-            neg = tuple(-x for x in rs.roots[rs.simple_roots[i]])
-            X = X + root_vector(rs, field, rs.root_index[neg], c)
+            X = X + root_vector(rs, field, rs.negative(rs.simple_roots[i]), c)
     assert not X.is_zero()
     Y = regular_nilpotent(rs, field)
     assert not bracket(sc, X, Y).cartan_part(), "kernel vector fails the bracket check"

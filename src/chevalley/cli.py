@@ -153,7 +153,7 @@ def cmd_kernel_check(args):
     gbm = graded_ad(rs, structure_constants(rs), Y.scaled(D), cert.lam, cert.k)
     divisors = block_divisors(gbm)
     kerns = {"Q": kernel_from_divisors(gbm, divisors)}
-    if args.prime:
+    if args.prime is not None:
         # parsed over GF(p) too, so a bad or collapsing support exits 2; then D = 1
         fp = PrimeField(args.prime)
         element_from_support(rs, fp, roots, [_coeff_to_field(fp, c) for c in coeffs])
@@ -167,14 +167,16 @@ def cmd_kernel_check(args):
 
 @_command("phi", *_SYSTEM, "--support", "--prime")
 def cmd_phi(args):
-    rs, _, _, Y, cert = _instance(args, args.prime or 2)
+    rs, _, _, Y, cert = _instance(args, 2 if args.prime is None else args.prime)
     gbm = graded_ad(rs, structure_constants(rs), Y, cert.lam, cert.k)
     return {"certificate": cert.to_json(), **block_report(Y.field, gbm)}, 0
 
 
 @_command("rrao-check", *_SYSTEM, "--support", "--prime", "--seed", "--trials")
 def cmd_rrao_check(args):
-    rs, _, _, Y, cert = _instance(args, args.prime or 2)
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    rs, _, _, Y, cert = _instance(args, 2 if args.prime is None else args.prime)
     sc, field = structure_constants(rs), Y.field
     rng = random.Random(args.seed)
     degree_k = [ri for ri in range(len(rs.roots))
@@ -209,7 +211,7 @@ def cmd_snf(args):
     rs = build(_parse_type(args), args.isogeny)
     sc = structure_constants(rs)
     roots, coeffs = _parse_support(rs, args.support)
-    field = FunctionField(args.q or 2)
+    field = FunctionField(2 if args.q is None else args.q)
     Y = element_from_support(rs, field, roots, [_coeff_to_field(field, c) for c in coeffs])
     cert = optimal_cocharacter(rs, element_from_support(rs, RationalField(), roots))
     divisors = {}
@@ -225,7 +227,7 @@ def cmd_snf(args):
 def cmd_counterexample(args):
     rs = build(_parse_type(args), args.isogeny)
     sc = structure_constants(rs)
-    if not args.prime:
+    if args.prime is None:
         raise ValueError("--prime is required")
     payload = regular_counterexample_report(rs, sc, args.prime)
     payload["coker_divisors"] = coker_eta(rs)

@@ -173,8 +173,13 @@ def run_instance(rs: RootSystem, sc, entry: dict, primes) -> dict:
 def run_corpus(corpus: dict) -> dict:
     """Run every entry; the report carries a global ok flag covering the
     asserted facts (Q-injectivity, dim symmetry, type-A mod-p injectivity)."""
+    if not isinstance(corpus, dict):
+        raise ValueError(f"a corpus must be a JSON object, got {type(corpus).__name__}")
     if corpus.get("schema") != SCHEMA_VERSION:
         raise ValueError("unknown corpus schema version")
+    if not isinstance(corpus.get("entries"), list) or not all(
+            isinstance(entry, dict) for entry in corpus["entries"]):
+        raise ValueError("corpus entries must be a list of JSON objects")
     primes = _integers(corpus.get("primes", [2, 3, 5, 7]), "primes", prime=True)
     cache: dict[tuple, tuple] = {}
     reports = []

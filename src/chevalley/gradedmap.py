@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import linalg
 from .fields import has_valuation
 from .grading import degrees_of, delta_exponent, grade
-from .lie import LieElement, StructureConstants, bracket, root_vector
+from .lie import LieElement, StructureConstants
 from .rootsystem import RootSystem
 from .snf import dvr_divisor_valuations, integer_elementary_divisors
 
@@ -86,17 +86,19 @@ def graded_ad(rs: RootSystem, sc: StructureConstants, Y: LieElement, lam,
         raise ValueError(f"Y must be concentrated in degree k = {k}, found {deg}")
     field = Y.field
     by_degree = grade(rs, lam).weight_spaces
+    support = [(key[1], y) for key, y in Y.coeffs.items()]  # degree k >= 1: no Cartan part
     blocks, dom, cod = {}, {}, {}
     for i in range(1, k):
         src = by_degree.get(-i, [])
         dst = by_degree.get(k - i, [])
         dst_pos = {ri: r for r, ri in enumerate(dst)}
         mat = [[field.zero for _ in src] for _ in dst]
+        # column c is [Y, E_ri] = sum_a y_a N_{a,ri} E_{a+ri}; distinct a give distinct rows
         for c, ri in enumerate(src):
-            img = bracket(sc, Y, root_vector(rs, field, ri))
-            for key, val in img.coeffs.items():
-                assert key[0] == "E", "graded blocks never touch the Cartan"
-                mat[dst_pos[key[1]]][c] = val
+            for a, y in support:
+                s = sc.root_sum(a, ri)
+                if s is not None:
+                    mat[dst_pos[s]][c] = y * field.element(sc.n(a, ri))
         blocks[i] = mat
         dom[i] = src
         cod[i] = dst

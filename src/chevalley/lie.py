@@ -118,104 +118,90 @@ def coroot_element(rs: RootSystem, field, root) -> LieElement:
     return cartan_vector(rs, field, rs.coroot(a))
 
 
+def _integer(x: Fraction) -> int:
+    """x as an int; a fraction means the Chevalley relations broke."""
+    if x.denominator != 1:
+        raise RuntimeError(f"non-integral structure constant {x}")
+    return int(x)
+
+
 class StructureConstants:
-    """Integer Chevalley structure constants for one root system."""
+    """Integer Chevalley structure constants for one root system, keyed
+    by root index.  One walk over all pairs (i, j) records the index of
+    a_i + a_j and, for each sum of two positive roots, its extraspecial
+    pair: the first positive a_i, in root order, that reaches it."""
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
-        self._extraspecial = self._find_extraspecial()
+        # c(a) = sum_k a_k base**k is additive, and injective on sums of
+        # two roots once base > 4 max |a_k|
+        base = 4 * max(map(max, rs.roots)) + 1
+        codes = [sum(c * base ** k for k, c in enumerate(a)) for a in rs.roots]
+        index_of = {c: i for i, c in enumerate(codes)}
+        npos = len(rs.positive_roots)
+        self._sum: dict[tuple[int, int], int] = {}
+        self._extraspecial: dict[int, tuple[int, int]] = {}
+        for i, ci in enumerate(codes):
+            for j, cj in enumerate(codes):
+                s = index_of.get(ci + cj)
+                if s is not None:
+                    self._sum[i, j] = s
+                    if i < npos and j < npos:
+                        self._extraspecial.setdefault(s, (i, j))
         self._n: dict[tuple[int, int], int] = {}
-        roots = rs.roots
-        for i, a in enumerate(roots):
-            for j, b in enumerate(roots):
-                s = tuple(x + y for x, y in zip(a, b))
-                if s in rs.root_index:
-                    self._n[(i, j)] = self._compute(a, b)
+        for i, j in self._sum:
+            self._compute(i, j)
 
-    def _find_extraspecial(self):
-        """For each non-simple positive root g, the minimal positive a
-        (in root order) with a and g - a positive roots."""
-        rs = self.rs
-        out = {}
-        for gi in rs.positive_roots:
-            g = rs.roots[gi]
-            if rs.height(g) < 2:
-                continue
-            for ai in rs.positive_roots:
-                a = rs.roots[ai]
-                rest = tuple(x - y for x, y in zip(g, a))
-                if rest in rs.root_index and sum(rest) > 0:
-                    out[g] = (a, rest)
-                    break
-        return out
-
-    def _compute(self, a, b, _memo_key=None):
-        rs = self.rs
-        key = (rs.root_index[a], rs.root_index[b])
-        if key in self._n:
-            return self._n[key]
-        s = tuple(x + y for x, y in zip(a, b))
-        if s not in rs.root_index:
+    def _compute(self, i: int, j: int) -> int:
+        val = self._n.get((i, j))
+        if val is not None:
+            return val
+        s = self._sum.get((i, j))
+        if s is None:
             return 0
-        apos, bpos = sum(a) > 0, sum(b) > 0
-        if apos and bpos:
-            ia, ib = rs.root_index[a], rs.root_index[b]
-            if ia > ib:
-                val = -self._compute(b, a)
-            elif self._extraspecial.get(s) == (a, b):
-                val = rs.alpha_chain(a, b)[0] + 1
+        rs, neg, len_sq = self.rs, self.rs.negative, self.rs.len_sq
+        npos = len(rs.positive_roots)
+        if i < npos and j < npos:
+            if i > j:
+                val = -self._compute(j, i)
+            elif self._extraspecial[s] == (i, j):
+                val = rs.alpha_chain(rs.roots[i], rs.roots[j])[0] + 1
             else:
-                val = self._from_four_root_identity(a, b, s)
-        elif not apos and not bpos:
-            na = tuple(-x for x in a)
-            nb = tuple(-x for x in b)
-            val = -self._compute(na, nb)
+                val = self._from_four_root_identity(i, j, s)
+        elif i >= npos and j >= npos:
+            val = -self._compute(neg(i), neg(j))
         else:
             # mixed signs: rotate the triple (a, b, -(a+b)) to a positive pair
-            if not apos:
-                a2, b2 = b, a
-                swap = -1
+            a, b, sign = (i, j, 1) if i < npos else (j, i, -1)
+            if s < npos:
+                # N_{a,b} = -(s,s)/(a,a) N_{-b, s}
+                val = -len_sq[s] / len_sq[a] * self._compute(neg(b), s)
             else:
-                a2, b2 = a, b
-                swap = 1
-            if sum(s) > 0:
-                # N_{a2,b2} = -(s,s)/(a2,a2) N_{-b2, s}
-                nb2 = tuple(-x for x in b2)
-                ratio = rs.root_len_sq(s) / rs.root_len_sq(a2)
-                val = -ratio * self._compute(nb2, s)
-            else:
-                # N_{a2,b2} = (s,s)/(b2,b2) N_{-s, a2}
-                ns = tuple(-x for x in s)
-                ratio = rs.root_len_sq(s) / rs.root_len_sq(b2)
-                val = ratio * self._compute(ns, a2)
-            val = swap * val
-            val = Fraction(val)
-            assert val.denominator == 1
-            val = int(val)
-        self._n[key] = int(val)
-        return int(val)
+                # N_{a,b} = (s,s)/(b,b) N_{-s, a}
+                val = len_sq[s] / len_sq[b] * self._compute(neg(s), a)
+            val = _integer(sign * val)
+        self._n[i, j] = val
+        return val
 
-    def _from_four_root_identity(self, a, b, s):
+    def _from_four_root_identity(self, a: int, b: int, s: int) -> int:
         """Special pair via the four-root identity against the
         extraspecial pair (a1, b1) of s = a + b; all terms involve sums
         of strictly smaller height."""
-        rs = self.rs
+        neg, len_sq = self.rs.negative, self.rs.len_sq
         a1, b1 = self._extraspecial[s]
-        na = tuple(-x for x in a)
-        nb = tuple(-x for x in b)
-        n_extra = self._compute(a1, b1)
+        na, nb = neg(a), neg(b)
         total = Fraction(0)
-        t1 = tuple(x + y for x, y in zip(b1, na))  # b1 - a
-        if t1 in rs.root_index:
-            total += Fraction(self._compute(b1, na) * self._compute(a1, nb),
-                              rs.root_len_sq(t1))
-        t2 = tuple(x + y for x, y in zip(a1, na))  # a1 - a
-        if t2 in rs.root_index:
-            total += Fraction(self._compute(na, a1) * self._compute(b1, nb),
-                              rs.root_len_sq(t2))
-        val = total * rs.root_len_sq(s) / n_extra
-        assert val.denominator == 1
-        return int(val)
+        t1 = self._sum.get((b1, na))  # b1 - a
+        if t1 is not None:
+            total += Fraction(self._compute(b1, na) * self._compute(a1, nb), len_sq[t1])
+        t2 = self._sum.get((a1, na))  # a1 - a
+        if t2 is not None:
+            total += Fraction(self._compute(na, a1) * self._compute(b1, nb), len_sq[t2])
+        return _integer(total * len_sq[s] / self._compute(a1, b1))
+
+    def root_sum(self, i: int, j: int) -> int | None:
+        """Index of a_i + a_j; None when the sum is not a root."""
+        return self._sum.get((i, j))
 
     def n(self, i: int, j: int) -> int:
         """N_{a,b} for root indices i, j; 0 when the sum is not a root."""
@@ -270,16 +256,12 @@ def bracket(sc: StructureConstants, X: LieElement, Y: LieElement) -> LieElement:
                 if w:
                     add(ka, -(va * vb * field.element(w)))
             else:
-                a = rs.roots[ka[1]]
-                b = rs.roots[kb[1]]
-                s = tuple(x + y for x, y in zip(a, b))
-                if not any(s):
+                s = sc.root_sum(ka[1], kb[1])
+                if s is not None:
+                    add(("E", s), va * vb * field.element(sc.n(ka[1], kb[1])))
+                elif kb[1] == rs.negative(ka[1]):
                     c = va * vb
-                    for j, h in enumerate(rs.coroot(a)):
+                    for j, h in enumerate(rs.coroot(rs.roots[ka[1]])):
                         if h:
                             add(("H", j), c * field.element(h))
-                elif s in rs.root_index:
-                    nval = sc.n(ka[1], kb[1])
-                    if nval:
-                        add(("E", rs.root_index[s]), va * vb * field.element(nval))
     return LieElement(field, out)

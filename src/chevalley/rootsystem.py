@@ -209,8 +209,10 @@ class RootSystem:
     def is_positive(self, a: Root) -> bool:
         return sum(a) > 0
 
-    def height(self, a: Root) -> int:
-        return sum(a)
+    def negative(self, i: int) -> int:
+        """Index of -a_i: the negatives follow the positives in the same order."""
+        npos = len(self.positive_roots)
+        return i + npos if i < npos else i - npos
 
     def root_form(self, a, b) -> Fraction:
         """Invariant form (a, b) on the character space."""

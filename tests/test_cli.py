@@ -139,6 +139,13 @@ def test_usage_errors_exit_2(tmp_path):
         path = tmp_path / f"bad{n}.json"
         path.write_text(json.dumps({"schema": 1, "primes": [2], "entries": [entry]}))
         bad_corpora.append(["corpus", "--corpus", str(path)])
+    # corpora of the wrong shape: not an object, entries not a list of objects
+    for n, corpus in enumerate([[], {"schema": 1, "entries": [5]},
+                                {"schema": 1, "entries": {"a": 1}}]):
+        path = tmp_path / f"shape{n}.json"
+        path.write_text(json.dumps(corpus))
+        bad_corpora.append(["corpus", "--corpus", str(path)])
+    a2 = ("--type", "A2", "--support", "a1+a2")
     for args in (["nonsense"],
                  ["optimal", "--type", "Z9", "--support", "a1"],
                  ["optimal", "--type", "A2", "--support", "a1+a1"],
@@ -149,6 +156,14 @@ def test_usage_errors_exit_2(tmp_path):
                  # flags the subcommand does not read
                  ["roots", "--type", "A1", "--prime", "4", "--box-radius", "3"],
                  ["corpus", "--type", "E8"],
+                 # 0 is a value, not an absent flag; trials below 1 would pass vacuously
+                 ["phi", *a2, "--prime", "0"],
+                 ["rrao-check", *a2, "--prime", "0"],
+                 ["kernel-check", *a2, "--prime", "0"],
+                 ["snf", *a2, "--q", "0"],
+                 ["counterexample", "--type", "A2", "--prime", "0"],
+                 ["rrao-check", *a2, "--trials", "-3"],
+                 ["rrao-check", *a2, "--trials", "0"],
                  *bad_corpora):
         code, out, err = run_cli(*args)
         assert code == 2 and not out and "Traceback" not in err, (args, err)

@@ -53,6 +53,11 @@ def test_run_corpus_small():
 def test_run_corpus_rejects_unknown_schema():
     with pytest.raises(ValueError):
         run_corpus({"schema": 99, "entries": []})
+    # the corpus must be an object whose entries are a list of objects
+    for corpus in ([], "corpus", {"schema": 1}, {"schema": 1, "entries": {"a": 1}},
+                   {"schema": 1, "entries": [5]}, {"schema": 1, "entries": [[1, 0]]}):
+        with pytest.raises(ValueError):
+            run_corpus(corpus)
     # malformed entries raise; no coefficient or prime is coerced
     good = {"cartan_type": "A2", "support": [[1, 0], [0, 1]], "coefficients": [1, 1]}
     bad_entries = [{"coefficients": [2.5, 1]}, {"coefficients": ["1/2", 1]},

@@ -75,6 +75,12 @@ def test_prime_field_rejects_composite():
         PrimeField(4)
 
 
+@pytest.mark.parametrize("make", [RationalField, PrimeField, FunctionField])
+def test_fields_reject_zero(make):
+    with pytest.raises(ValueError):
+        make(0)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_function_field_valuation(q):
     F = FunctionField(q)

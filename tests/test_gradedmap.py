@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from chevalley import (AbsValue, FunctionField, PrimeField, RationalField,
-                       build, check_kernel, graded_ad, lattice_image,
+                       bracket, build, check_kernel, graded_ad, lattice_image,
                        optimal_cocharacter, phi, phi_of, root_vector,
                        structure_constants, torus_conjugate, verify_phi_inverse,
                        verify_rrao)
@@ -12,6 +12,7 @@ from chevalley.corpus import element_from_support, run_instance
 from chevalley.gradedmap import (GradedBlockMap, block_divisors, block_report,
                                  kernel_from_divisors)
 from chevalley.lie import LieElement
+from chevalley.fields import Polynomial, RatFunc
 from chevalley.linalg import det
 from chevalley.optimality import minimum_norm_cocharacter
 
@@ -420,3 +421,54 @@ def test_block_divisors_match_field_by_field_oracle():
         else:
             assert "phi_over_Q_v2" not in report
     assert all(seen.values()), seen
+
+
+def _oracle_coefficients(field, rng):
+    """A nonzero coefficient sampler over Q, Q_2, GF(3) or GF(4)(t); over
+    GF(4)(t) it draws (c + w t)/(1 + t) with w outside the prime field."""
+    if isinstance(field, RationalField):
+        return lambda: Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 4))
+    if isinstance(field, FunctionField):
+        base = field.base
+        w = RatFunc(Polynomial(base, [base.from_coeffs((0, 1))]), Polynomial(base, [base.one]))
+        return lambda: (field.element(rng.randint(0, 1)) + w * field.t()) / field.poly([1, 1])
+    return lambda: field.element(rng.randint(1, field.char - 1))
+
+
+@pytest.mark.parametrize("isogeny", ["simply_connected", "adjoint"])
+@pytest.mark.parametrize("t", ["A3", "B3", "C3", "D4", "G2", "F4", "E6", "A2xA1"])
+def test_graded_ad_columns_match_bracket(t, isogeny):
+    """Every column of every block is the bracket [Y, E_ri] of its
+    domain root vector, read in the codomain basis, over every field kind."""
+    rs = build(t, isogeny)
+    sc = structure_constants(rs)
+    rng = random.Random(f"{t}:{isogeny}")
+    top = (rs.positive_roots[-1],)  # the highest root: k = 2
+    instances = {top: optimal_cocharacter(rs, element_from_support(rs, RationalField(), top))}
+    for _ in range(40):
+        size = rng.randint(1, min(4, len(rs.positive_roots)))
+        support = tuple(sorted(minimum_norm_cocharacter(
+            rs, rng.sample(rs.positive_roots, size))[1]))
+        cert = optimal_cocharacter(rs, element_from_support(rs, RationalField(), support))
+        if cert.k >= 2:  # k = 1 has no blocks
+            instances.setdefault(support, cert)
+        if len(instances) == 4:
+            break
+    entries = 0
+    for support, cert in instances.items():
+        for field in (RationalField(), RationalField(2), PrimeField(3), FunctionField(4)):
+            draw = _oracle_coefficients(field, rng)
+            Y = element_from_support(rs, field, support, [draw() for _ in support])
+            gbm = graded_ad(rs, sc, Y, cert.lam, cert.k)
+            assert sorted(gbm.blocks) == list(range(1, cert.k))
+            for i, mat in gbm.blocks.items():
+                row_of = {ri: r for r, ri in enumerate(gbm.codomain_basis[i])}
+                for c, ri in enumerate(gbm.domain_basis[i]):
+                    img = bracket(sc, Y, root_vector(rs, field, ri))
+                    assert not img.cartan_part()
+                    column = [field.zero] * len(row_of)
+                    for key, val in img.coeffs.items():
+                        column[row_of[key[1]]] = val
+                    assert [row[c] for row in mat] == column, (support, i, ri)
+                    entries += sum(1 for v in column if v)
+    assert len(instances) >= 2 and entries > 0

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -222,3 +224,31 @@ def test_structure_constant_regression_snapshots(systems):
     assert g2["0,1"] == 1 and g2["0,2"] == 2 and g2["0,3"] == 3
     assert g2["2,3"] == -3 and g2["6,2"] == 3 and g2["9,6"] == 3
     assert len(g2) == 60
+
+
+# SHA-256 of the to_json() dumps below, taken before the tables were keyed
+# by root index; any changed N_{a,b} or coroot turns this red
+SC_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C3", "C4", "C5", "D4",
+            "D5", "D6", "E6", "E7", "E8", "F4", "G2", "A1xA1", "A2xA1", "B2xG2", "A3xC3"]
+SC_SHA256 = "04a7c03fb811eea50e0897b45b2d63f69dbdf7fb09e67d513e03f2447d615280"
+
+
+def test_structure_constant_tables_pinned():
+    h = hashlib.sha256()
+    for t in SC_TYPES:
+        for isogeny in ("simply_connected", "adjoint"):
+            sc = structure_constants(build(t, isogeny))
+            h.update(json.dumps(sc.to_json(), sort_keys=True).encode() + b"\n")
+    assert h.hexdigest() == SC_SHA256
+
+
+@pytest.mark.parametrize("t", ["A2", "B2", "G2", "A2xA1"])
+def test_root_sum_and_negative_indices(t):
+    rs = build(t)
+    sc = structure_constants(rs)
+    for i, a in enumerate(rs.roots):
+        assert rs.roots[rs.negative(i)] == tuple(-x for x in a)
+        for j, b in enumerate(rs.roots):
+            s = rs.root_index.get(tuple(x + y for x, y in zip(a, b)))
+            assert sc.root_sum(i, j) == s
+            assert (sc.n(i, j) != 0) == (s is not None)
