@@ -18,8 +18,9 @@ from .grading import (CocharRational, GradingReport, delta_exponent, grade,
 from .lie import (LieElement, StructureConstants, bracket, cartan_vector,
                   coroot_element, root_vector, structure_constants)
 from .optimality import (OptimalityCertificate, brute_force_verify,
-                         kirwan_ness_torus_check, minimum_norm_cocharacter,
-                         optimal_cocharacter, sl2_completion_check)
+                         certified_torus_check, kirwan_ness_torus_check,
+                         minimum_norm_cocharacter, optimal_cocharacter,
+                         sl2_completion_check)
 from .rootsystem import ADJOINT, SIMPLY_CONNECTED, RootSystem, build, parse_cartan_type
 
 __version__ = "0.1.0"
@@ -30,7 +31,8 @@ __all__ = [
     "LieElement", "OptimalityCertificate", "Polynomial", "PrimeField",
     "RatFunc", "RationalField", "RootSystem", "SIMPLY_CONNECTED",
     "StructureConstants", "bracket", "brute_force_verify", "build", "c_gamma",
-    "cartan_vector", "check_kernel", "coker_eta", "coroot_element",
+    "cartan_vector", "certified_torus_check", "check_kernel", "coker_eta",
+    "coroot_element",
     "delta_exponent", "destabilizing_certificate", "grade", "graded_ad",
     "instability_ratio_sq", "kirwan_ness_torus_check", "lattice_image", "m_of",
     "minimum_norm_cocharacter", "optimal_cocharacter", "parse_cartan_type",

@@ -61,9 +61,11 @@ def regular_counterexample(rs: RootSystem, sc: StructureConstants, p: int):
     for i, c in enumerate(coeffs):
         if c:
             X = X + root_vector(rs, field, rs.negative(rs.simple_roots[i]), c)
-    assert not X.is_zero()
+    if X.is_zero():
+        raise RuntimeError("the kernel vector gives X = 0")
     Y = regular_nilpotent(rs, field)
-    assert not bracket(sc, X, Y).cartan_part(), "kernel vector fails the bracket check"
+    if bracket(sc, X, Y).cartan_part():
+        raise RuntimeError("kernel vector fails the bracket check")
     return X
 
 
@@ -155,8 +157,10 @@ def destabilizing_certificate(rs: RootSystem, Y: LieElement, lam_tilde, alpha):
     threshold = eta_sq / (-2 * lam_eta)
     a = int(threshold) + 1
     mu = tuple(l + e / a for l, e in zip(lam_tilde, eta))
-    assert rs.norm_sq(mu) < rs.norm_sq(lam_tilde)
-    assert all(rs.pair(rs.roots[ri], mu) >= 1 for ri in supp)
+    if rs.norm_sq(mu) >= rs.norm_sq(lam_tilde):
+        raise RuntimeError("mu does not beat lam_tilde in norm")
+    if any(rs.pair(rs.roots[ri], mu) < 1 for ri in supp):
+        raise RuntimeError("mu does not dominate the support")
     return a, CocharRational.of(rs, mu)
 
 

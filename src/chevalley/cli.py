@@ -21,7 +21,7 @@ from .gradedmap import (block_divisors, block_report, graded_ad, kernel_from_div
                         lattice_image, verify_phi_inverse, verify_rrao)
 from .grading import grade
 from .lie import LieElement, root_vector, structure_constants
-from .optimality import brute_force_verify, kirwan_ness_torus_check, optimal_cocharacter
+from .optimality import brute_force_verify, certified_torus_check, optimal_cocharacter
 from .rootsystem import build
 
 USAGE_ERROR = 2
@@ -136,12 +136,12 @@ def cmd_grade(args):
 def cmd_optimal(args):
     rs, _, _, Y, cert = _instance(args)
     code = 0
-    if args.box_radius:
+    if args.box_radius is not None:
         bf = brute_force_verify(rs, Y, cert, args.box_radius)
         cert.brute_force_checked = bf
         code = 0 if bf["ok"] else VERIFY_ERROR
     payload = cert.to_json()
-    payload["torus_check"] = kirwan_ness_torus_check(rs, Y, cert.lam)
+    payload["torus_check"] = certified_torus_check(rs, Y, cert)
     return payload, code
 
 

@@ -19,7 +19,7 @@ import random
 from .fields import RationalField, is_prime
 from .gradedmap import AbsValue, block_divisors, graded_ad, kernel_from_divisors
 from .lie import LieElement, structure_constants, root_vector
-from .optimality import (kirwan_ness_torus_check, minimum_norm_cocharacter,
+from .optimality import (certified_torus_check, minimum_norm_cocharacter,
                          optimal_cocharacter, sl2_completion_check)
 from .rootsystem import RootSystem, build
 
@@ -137,7 +137,7 @@ def run_instance(rs: RootSystem, sc, entry: dict, primes) -> dict:
         "lambda": list(cert.lam),
         "k": cert.k,
         "mu": cert.mu.to_json(),
-        "torus_check": kirwan_ness_torus_check(rs, Y, cert.lam),
+        "torus_check": certified_torus_check(rs, Y, cert),
     }
     gbm = graded_ad(rs, sc, Y, cert.lam, cert.k)
     shapes = gbm.shapes()

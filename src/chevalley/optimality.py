@@ -6,18 +6,19 @@ v the point of least norm in the convex hull of the nu(a), that
 minimizer is mu = v / (v, v), and the constraints are infeasible iff
 v = 0.  Wolfe's nearest-point algorithm finds v exactly over Fractions;
 the Kirwan-Ness torus check asks the same question of the nu(a)
-projected onto lam-perp.
+projected onto lam-perp.  At the optimum itself that check is read off
+the certificate's own Wolfe run (certified_torus_check).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .fields import RationalField
 from .grading import CocharRational, degrees_of, m_of
 from .lie import LieElement
-from .linalg import rank, solve
+from .linalg import solve
 from .rootsystem import RootSystem
 
 
@@ -32,6 +33,10 @@ class OptimalityCertificate:
     active_constraints: list[int]  # root indices with <a, mu> = 1
     support: list[int]
     brute_force_checked: dict | None = None
+    # Wolfe's weights x on the deduplicated support, keyed by root index,
+    # and vv = x^T K x, so that mu = sum x_i nu(a_i) / vv; not in to_json
+    weights: dict[int, Fraction] = field(default_factory=dict, repr=False)
+    vv: Fraction | None = field(default=None, repr=False)
 
     def to_json(self) -> dict:
         out = {
@@ -53,9 +58,10 @@ def support_of(rs: RootSystem, Y: LieElement) -> list[int]:
     return supp
 
 
-def _min_norm_weights(K) -> list[Fraction]:
+def _min_norm_weights(K) -> tuple[list[Fraction], Fraction]:
     """Convex weights x of the point v = sum x_i P_i of least norm in
-    conv{P_i}, from the Gram matrix K[i][j] = (P_i, P_j) alone.
+    conv{P_i}, and (v, v) = x^T K x, from the Gram matrix
+    K[i][j] = (P_i, P_j) alone.
 
     Wolfe's algorithm (Math. Programming 11, 1976) in exact arithmetic:
     the corral S stays affinely independent, so each affine minimizer
@@ -67,8 +73,9 @@ def _min_norm_weights(K) -> list[Fraction]:
     while True:
         g = [sum(w * K[j][i] for i, w in x.items()) for j in range(m)]
         j = min(range(m), key=g.__getitem__)
-        if g[j] >= sum(w * g[i] for i, w in x.items()):
-            return [x.get(i, QQ.zero) for i in range(m)]
+        vv = sum(w * g[i] for i, w in x.items())
+        if g[j] >= vv:
+            return [x.get(i, QQ.zero) for i in range(m)], vv
         x[j] = QQ.zero
         while True:
             S = list(x)
@@ -84,16 +91,37 @@ def _min_norm_weights(K) -> list[Fraction]:
 
 
 def _support_gram(rs: RootSystem, support):
-    """nu images of the support, one per distinct pairing row, as pairs
-    (h, coroot(a)) with nu(a) = h * coroot(a), h = (a, a)/2, and their
-    Gram K[i][j] = <a_i, nu(a_j)> = (nu(a_i), nu(a_j)), built from the
-    integers <a_i, coroot(a_j)>."""
+    """The support deduplicated by pairing row (root indices), the nu
+    images of those roots as pairs (h, coroot(a)) with nu(a) = h * coroot(a),
+    h = (a, a)/2, and their Gram K[i][j] = <a_i, nu(a_j)> = (nu(a_i), nu(a_j)),
+    built from the integers <a_i, coroot(a_j)>."""
     first = {}
     for ri in support:
         first.setdefault(rs.pairing_rows[ri], ri)
-    nus = [(rs.len_sq[ri] / 2, rs.coroot(rs.roots[ri])) for ri in first.values()]
+    reps = list(first.values())
+    nus = [(rs.len_sq[ri] / 2, rs.coroot(rs.roots[ri])) for ri in reps]
     K = [[h * sum(p * c for p, c in zip(row, co)) for h, co in nus] for row in first]
-    return nus, K
+    return reps, nus, K
+
+
+def _min_norm(rs: RootSystem, support):
+    """One Wolfe run on the support: (mu, active roots, weights, vv).
+
+    mu = v / (v, v) with v = sum x_i nu(a_i) the min-norm point, so
+    (mu, mu) = 1 / vv exactly; the weights x are keyed by the root
+    indices of the deduplicated support."""
+    if not support:
+        raise ValueError("empty support")
+    reps, nus, K = _support_gram(rs, support)
+    x, vv = _min_norm_weights(K)
+    if not vv:
+        raise RuntimeError("the min-norm point of the support is zero: "
+                           "its constraints are infeasible")
+    v = [sum(w * h * co[c] for w, (h, co) in zip(x, nus) if w) for c in range(rs.rank)]
+    mu = CocharRational(tuple(c / vv for c in v), 1 / vv)
+    active = [ri for ri in support
+              if sum(c * m for c, m in zip(rs.pairing_rows[ri], mu.coords)) == 1]
+    return mu, active, dict(zip(reps, x)), vv
 
 
 def minimum_norm_cocharacter(rs: RootSystem, support: list[int]) -> tuple[CocharRational, list[int]]:
@@ -102,19 +130,7 @@ def minimum_norm_cocharacter(rs: RootSystem, support: list[int]) -> tuple[Cochar
     Returns the minimizer mu = v / (v, v), v the min-norm point of the
     support's nu images, and the root indices with <a, mu> = 1.
     """
-    if not support:
-        raise ValueError("empty support")
-    nus, K = _support_gram(rs, support)
-    x = _min_norm_weights(K)
-    v = [sum(w * h * co[c] for w, (h, co) in zip(x, nus) if w) for c in range(rs.rank)]
-    vv = rs.norm_sq(v)
-    if not vv:
-        raise RuntimeError("the min-norm point of the support is zero: "
-                           "its constraints are infeasible")
-    mu = CocharRational.of(rs, [c / vv for c in v])
-    active = [ri for ri in support
-              if sum(c * m for c, m in zip(rs.pairing_rows[ri], mu.coords)) == 1]
-    return mu, active
+    return _min_norm(rs, support)[:2]
 
 
 def optimal_cocharacter(rs: RootSystem, Y: LieElement) -> OptimalityCertificate:
@@ -122,7 +138,7 @@ def optimal_cocharacter(rs: RootSystem, Y: LieElement) -> OptimalityCertificate:
     supp = support_of(rs, Y)
     if any(not rs.is_positive(rs.roots[ri]) for ri in supp):
         raise ValueError("support must consist of positive roots (standard position)")
-    mu, active = minimum_norm_cocharacter(rs, supp)
+    mu, active, weights, vv = _min_norm(rs, supp)
     # normalization m_Y(mu) = 1: the least support pairing is exactly 1
     if min(sum(c * m for c, m in zip(rs.pairing_rows[ri], mu.coords)) for ri in supp) != 1:
         raise RuntimeError("optimal mu violates the normalization m_Y(mu) = 1")
@@ -130,12 +146,19 @@ def optimal_cocharacter(rs: RootSystem, Y: LieElement) -> OptimalityCertificate:
     k = m_of(rs, Y, lam)
     if any(l != k * c for l, c in zip(lam, mu.coords)):
         raise RuntimeError("lambda is not k * mu")
-    # KKT: mu in the span of the active coroots
-    nus = [list(rs.nu(rs.roots[ri])) for ri in active]
-    if rank(QQ, nus + [list(mu.coords)]) != rank(QQ, nus):
-        raise RuntimeError("KKT span condition violated")
-    return OptimalityCertificate(mu=mu, lam=lam, k=k,
-                                 active_constraints=active, support=supp)
+    cert = OptimalityCertificate(mu=mu, lam=lam, k=k, active_constraints=active,
+                                 support=supp, weights=weights, vv=vv)
+    _check_kkt(cert)
+    return cert
+
+
+def _check_kkt(cert: OptimalityCertificate) -> None:
+    """KKT read off Wolfe's weights: mu = sum x_i nu(a_i) / vv with x >= 0
+    is a nonnegative combination of the active nu exactly when every
+    weighted root is active."""
+    active = set(cert.active_constraints)
+    if any(w and ri not in active for ri, w in cert.weights.items()):
+        raise RuntimeError("KKT violated: a weighted support root is not active")
 
 
 def brute_force_verify(rs: RootSystem, Y: LieElement, cert: OptimalityCertificate,
@@ -193,7 +216,7 @@ def kirwan_ness_torus_check(rs: RootSystem, Y: LieElement, lam) -> bool:
     degs = set(degrees_of(rs, Y, lam))
     if len(degs) != 1:
         raise ValueError("Y must be concentrated in a single degree")
-    _, K = _support_gram(rs, Y.support_roots())
+    _, _, K = _support_gram(rs, Y.support_roots())
     if not K:
         return False  # no constraint: mu = 0 already qualifies
     # <a, mu> = (nu(a), mu), and some mu in lam-perp has them all >= 1 iff
@@ -201,11 +224,29 @@ def kirwan_ness_torus_check(rs: RootSystem, Y: LieElement, lam) -> bool:
     # Every <a, lam> is the one degree d, so on convex weights the
     # projected Gram is K - d^2/(lam, lam): a constant shift of K, with
     # the same min-norm weights.
-    x = _min_norm_weights(K)
-    vv = sum(xi * xj * Kij for xi, row in zip(x, K) for xj, Kij in zip(x, row))
+    _, vv = _min_norm_weights(K)
     lam_sq = rs.norm_sq(lam)
     d = degs.pop()
     return vv == (d * d / lam_sq if lam_sq else 0)
+
+
+def certified_torus_check(rs: RootSystem, Y: LieElement,
+                          cert: OptimalityCertificate) -> bool:
+    """kirwan_ness_torus_check(rs, Y, cert.lam) for Y's own certificate,
+    without a second Wolfe run.
+
+    At lam = k mu the min-norm point v is parallel to lam, so the
+    projected min-norm point is 0 and the check holds once Y is
+    concentrated in one degree; the certificate's invariants are
+    re-checked and raise RuntimeError if they fail.
+    """
+    if len(set(degrees_of(rs, Y, cert.lam))) != 1:
+        raise ValueError("Y must be concentrated in a single degree")
+    _check_kkt(cert)
+    # lam = k mu and (mu, mu) = 1 / vv
+    if cert.vv != cert.k * cert.k / rs.norm_sq(cert.lam):
+        raise RuntimeError("Wolfe's vv is not k^2 / (lam, lam)")
+    return True
 
 
 def sl2_completion_check(rs: RootSystem, sc, Y: LieElement,

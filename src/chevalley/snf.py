@@ -14,62 +14,73 @@ def integer_elementary_divisors(A) -> list[int]:
     """Elementary divisors d_1 | d_2 | ... of an integer matrix.
 
     Returns min(rows, cols) nonnegative integers; trailing zeros mean
-    rank deficiency.  A non-integral entry raises ValueError.
+    rank deficiency.  Entries are ints or integral Fractions; a
+    non-integral entry raises ValueError.  Graded blocks are sparse and
+    rich in units, so the pivot search stops at the first +-1, row and
+    column operations touch only the pivot row's and column's nonzero
+    entries, and a unit pivot skips the divisibility scan.
     """
-    M = [[int(x) for x in row] for row in A]
-    if any(m != x for mrow, row in zip(M, A) for m, x in zip(mrow, row)):
+    if any(x.denominator != 1 for row in A for x in row):
         raise ValueError("non-integral matrix entry")
+    M = [[x.numerator for x in row] for row in A]
     rows = len(M)
     cols = len(M[0]) if rows else 0
     size = min(rows, cols)
     divisors = []
     top = 0
     while top < size:
-        # locate the nonzero entry of least absolute value
-        best = None
+        # locate a nonzero entry of least absolute value, stopping at a unit
+        best, least = None, 0
         for i in range(top, rows):
+            row = M[i]
             for j in range(top, cols):
-                if M[i][j] and (best is None or abs(M[i][j]) < abs(M[best[0]][best[1]])):
-                    best = (i, j)
+                x = row[j]
+                if x and (best is None or abs(x) < least):
+                    best, least = (i, j), abs(x)
+                    if least == 1:
+                        break
+            if least == 1:
+                break
         if best is None:
             break
         bi, bj = best
         M[top], M[bi] = M[bi], M[top]
-        for row in M:
-            row[top], row[bj] = row[bj], row[top]
-        p = M[top][top]
+        if bj != top:
+            for row in M[top:]:
+                row[top], row[bj] = row[bj], row[top]
+        prow = M[top]
+        p = prow[top]
         # reduce row and column by the pivot; restart if a remainder survives
+        support = [j for j in range(top + 1, cols) if prow[j]]
         dirty = False
         for i in range(top + 1, rows):
-            q, r = divmod(M[i][top], p)
+            row = M[i]
+            if row[top]:
+                q, row[top] = divmod(row[top], p)
+                if q:
+                    for j in support:
+                        row[j] -= q * prow[j]
+                if row[top]:
+                    dirty = True
+        column = [row for row in M[top:] if row[top]]
+        for j in support:
+            q = prow[j] // p
             if q:
-                for j in range(top, cols):
-                    M[i][j] -= q * M[top][j]
-            if M[i][top]:
-                dirty = True
-        for j in range(top + 1, cols):
-            q = M[top][j] // p
-            if q:
-                for i in range(top, rows):
-                    M[i][j] -= q * M[i][top]
-            if M[top][j]:
+                for row in column:
+                    row[j] -= q * row[top]
+            if prow[j]:
                 dirty = True
         if dirty:
             continue
-        # pivot must also divide the remaining block
-        offender = None
-        for i in range(top + 1, rows):
-            for j in range(top + 1, cols):
-                if M[i][j] % p:
-                    offender = i
-                    break
+        # a non-unit pivot must also divide the remaining block
+        if least != 1:
+            offender = next((row for row in M[top + 1:]
+                             if any(x % p for x in row[top + 1:])), None)
             if offender is not None:
-                break
-        if offender is not None:
-            for j in range(top, cols):
-                M[top][j] += M[offender][j]
-            continue
-        divisors.append(abs(p))
+                for j in range(top, cols):
+                    prow[j] += offender[j]
+                continue
+        divisors.append(least)
         top += 1
     divisors += [0] * (size - len(divisors))
     return divisors

@@ -153,6 +153,9 @@ def test_usage_errors_exit_2(tmp_path):
                  ["optimal", "--type", "A2"],
                  ["counterexample", "--type", "A2"],
                  ["optimal", "--type", "A2", "--support", "a1", "--unknown-flag"],
+                 # 0 is a radius too small for any optimum, as -1 is
+                 ["optimal", "--type", "A2", "--support", "a1,a2", "--box-radius", "0"],
+                 ["optimal", "--type", "A2", "--support", "a1,a2", "--box-radius", "-1"],
                  # flags the subcommand does not read
                  ["roots", "--type", "A1", "--prime", "4", "--box-radius", "3"],
                  ["corpus", "--type", "E8"],
@@ -167,6 +170,13 @@ def test_usage_errors_exit_2(tmp_path):
                  *bad_corpora):
         code, out, err = run_cli(*args)
         assert code == 2 and not out and "Traceback" not in err, (args, err)
+
+
+def test_optimal_inhomogeneous_support_exits_2():
+    # a1 + a2 has degree 2 under lam = (1, 1), where a1 and a2 have degree 1
+    code, out, err = run_cli("optimal", "--type", "A2", "--support", "a1,a2,a1+a2")
+    assert code == 2 and not out
+    assert err.splitlines()[0] == "error: Y must be concentrated in a single degree"
 
 
 def test_verification_failure_exit_1():

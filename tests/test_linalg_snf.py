@@ -104,6 +104,48 @@ def test_integer_snf_against_minor_gcd_oracle():
                 assert divs[i] == 0
 
 
+def _assert_minor_gcds(A, divs):
+    prod = 1
+    for k, d in enumerate(divs, start=1):
+        prod *= d
+        assert prod == integer_gcd_of_minors([[int(x) for x in row] for row in A], k), A
+
+
+def test_integer_snf_sparse_rectangular_against_oracle():
+    # the pivot search stops at a unit and the updates skip zeros, so
+    # pin the shapes that exercise those paths against the minor gcds
+    cases = [
+        [[0, 0, 0], [0, -1, 0], [0, 0, 0]],         # zero rows and columns, unit pivot
+        [[0, 0], [0, 0], [0, 5]],                   # one nonzero entry, tall
+        [[-4, 0, 6], [0, -6, 0]],                   # negative pivots
+        [[2, 0], [0, 3]],                           # 2 does not divide 3: restart
+        [[4, 6, 0], [6, 9, 0], [0, 0, 10]],         # remainders in row and column
+        [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 4, 3]],  # unit found after non-units
+        [[Fraction(-3), Fraction(0)], [Fraction(6, 2), Fraction(9)]],
+    ]
+    rng = random.Random(20261018)
+    for _ in range(300):
+        m, n = rng.randint(1, 5), rng.randint(1, 6)
+        density = rng.choice([0.15, 0.35, 0.6])
+        hi = rng.choice([1, 3, 12])
+        A = [[rng.randint(-hi, hi) if rng.random() < density else 0 for _ in range(n)]
+             for _ in range(m)]
+        if rng.random() < 0.3:
+            A = [[Fraction(x * 4, 4) for x in row] for row in A]
+        cases.append(A)
+    for A in cases:
+        divs = integer_elementary_divisors(A)
+        assert len(divs) == min(len(A), len(A[0]))
+        assert all(type(d) is int and d >= 0 for d in divs)
+        _assert_minor_gcds(A, divs)
+        for i in range(1, len(divs)):
+            assert divs[i] % divs[i - 1] == 0 if divs[i - 1] else divs[i] == 0
+    assert integer_elementary_divisors([[2, 0], [0, 3]]) == [1, 6]
+    assert integer_elementary_divisors([[0, -1, 0], [0, 0, 0]]) == [1, 0]
+    with pytest.raises(ValueError):
+        integer_elementary_divisors([[1, 0], [0, Fraction(1, 2)]])
+
+
 def test_dvr_divisors_padic():
     q2 = RationalField(2)
     A = [[Fraction(4), Fraction(2)], [Fraction(2), Fraction(3)]]

@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 from chevalley import (RationalField, bracket, brute_force_verify, build,
-                       kirwan_ness_torus_check, m_of, optimal_cocharacter,
-                       root_vector, sl2_completion_check, structure_constants)
+                       certified_torus_check, kirwan_ness_torus_check, m_of,
+                       optimal_cocharacter, root_vector, sl2_completion_check,
+                       structure_constants)
+from chevalley.corpus import element_from_support, run_instance, standard_instances
 from chevalley.grading import CocharRational
 from chevalley.lie import LieElement
 from chevalley.linalg import rank
@@ -127,6 +129,50 @@ def test_normalization_and_kkt_every_instance():
             aug = nus + [list(cert.mu.coords)]
             r1 = rank(type("F", (), {"zero": Fraction(0), "one": Fraction(1)}), aug)
             assert r0 == r1
+
+
+@pytest.mark.parametrize("isogeny", ["simply_connected", "adjoint"])
+def test_one_wolfe_run_certificate_matches_torus_check(isogeny):
+    # run_instance reads torus_check off the certificate's Wolfe run; the
+    # general check at cert.lam must agree, and the weights must rebuild mu
+    rng = random.Random(f"one-wolfe:{isogeny}")
+    q = RationalField()
+    for t in ["A3", "B3", "C3", "D4", "E6", "F4", "G2"]:
+        rs = build(t, isogeny)
+        sc = structure_constants(rs)
+        entries = standard_instances(t, random_draws=2)
+        for entry in rng.sample(entries, min(8, len(entries))):
+            report = run_instance(rs, sc, entry, [2])
+            Y = element_from_support(rs, q, entry["support"], entry["coefficients"])
+            cert = optimal_cocharacter(rs, Y)
+            assert report["torus_check"] is kirwan_ness_torus_check(rs, Y, cert.lam) is True
+            assert cert.mu.norm_sq == rs.norm_sq(cert.mu.coords) == 1 / cert.vv
+            weighted = [ri for ri, w in cert.weights.items() if w]
+            assert weighted and set(weighted) <= set(cert.active_constraints)
+            assert sum(cert.weights.values()) == 1
+            v = [sum(w * c for w, c in zip(cert.weights.values(), col))
+                 for col in zip(*(rs.nu(rs.roots[ri]) for ri in cert.weights))]
+            assert tuple(c / cert.vv for c in v) == cert.mu.coords
+
+
+def test_certified_torus_check_rejects_tampered_certificates():
+    q = RationalField()
+    rs = build("A2")
+    a1, a2 = rs.simple_roots
+    Y = root_vector(rs, q, a1) + root_vector(rs, q, a2)
+    cert = optimal_cocharacter(rs, Y)
+    assert certified_torus_check(rs, Y, cert) is True
+    cert.vv = cert.vv * 2
+    with pytest.raises(RuntimeError, match="vv"):
+        certified_torus_check(rs, Y, cert)
+    cert = optimal_cocharacter(rs, Y)
+    cert.weights[rs.root_index[(1, 1)]] = Fraction(1, 3)  # a1 + a2 is not active
+    with pytest.raises(RuntimeError, match="KKT"):
+        certified_torus_check(rs, Y, cert)
+    # the single-degree precondition is kept, as a ValueError
+    Y3 = Y + root_vector(rs, q, rs.root_index[(1, 1)])
+    with pytest.raises(ValueError, match="single degree"):
+        certified_torus_check(rs, Y3, optimal_cocharacter(rs, Y3))
 
 
 def test_brute_force_verify_examples():
