@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import PrimeField, RationalField
+from .fields import QQ, PrimeField
 from .grading import CocharRational
-from .lie import LieElement, StructureConstants, bracket, root_vector
+from .lie import LieElement, StructureConstants, bracket, element_from_support
 from .linalg import kernel_basis
 from .optimality import optimal_cocharacter
 from .rootsystem import RootSystem
@@ -30,15 +30,12 @@ def coker_eta(rs: RootSystem) -> list[int]:
     cocharacter basis: the Cartan matrix for adjoint type, the identity
     for simply connected.
     """
-    mat = [list(rs.coroot(rs.roots[si])) for si in rs.simple_roots]
+    mat = [list(rs.coroots[si]) for si in rs.simple_roots]
     return integer_elementary_divisors(mat)
 
 
 def regular_nilpotent(rs: RootSystem, field) -> LieElement:
-    Y = LieElement(field)
-    for si in rs.simple_roots:
-        Y = Y + root_vector(rs, field, si)
-    return Y
+    return element_from_support(rs, field, rs.simple_roots)
 
 
 def regular_counterexample(rs: RootSystem, sc: StructureConstants, p: int):
@@ -51,16 +48,11 @@ def regular_counterexample(rs: RootSystem, sc: StructureConstants, p: int):
     field = PrimeField(p)
     n = rs.rank
     # columns: coroots of the simple roots, reduced mod p
-    mat = [[field.element(rs.coroot(rs.roots[rs.simple_roots[i]])[j]) for i in range(n)]
-           for j in range(n)]
+    mat = [[field.element(rs.coroots[si][j]) for si in rs.simple_roots] for j in range(n)]
     kern = kernel_basis(field, mat)
     if not kern:
         return None
-    coeffs = kern[0]
-    X = LieElement(field)
-    for i, c in enumerate(coeffs):
-        if c:
-            X = X + root_vector(rs, field, rs.negative(rs.simple_roots[i]), c)
+    X = LieElement(field, {("E", rs.negative(si)): c for si, c in zip(rs.simple_roots, kern[0])})
     if X.is_zero():
         raise RuntimeError("the kernel vector gives X = 0")
     Y = regular_nilpotent(rs, field)
@@ -71,7 +63,7 @@ def regular_counterexample(rs: RootSystem, sc: StructureConstants, p: int):
 
 def regular_counterexample_report(rs: RootSystem, sc: StructureConstants, p: int) -> dict:
     """JSON transcript of the degeneracy search at the prime p."""
-    cert = optimal_cocharacter(rs, regular_nilpotent(rs, RationalField()))
+    cert = optimal_cocharacter(rs, regular_nilpotent(rs, QQ))
     X = regular_counterexample(rs, sc, p)
     out = {
         "type": rs.type_string(),

@@ -14,13 +14,13 @@ import random
 import re
 import sys
 
-from .badprimes import coker_eta, regular_counterexample_report
-from .corpus import element_from_support, run_corpus, standard_corpus
-from .fields import FunctionField, PrimeField, RationalField
+from .badprimes import regular_counterexample_report
+from .corpus import run_corpus, standard_corpus
+from .fields import QQ, FunctionField, PrimeField, RationalField
 from .gradedmap import (block_divisors, block_report, graded_ad, kernel_from_divisors,
                         lattice_image, verify_phi_inverse, verify_rrao)
 from .grading import grade
-from .lie import LieElement, root_vector, structure_constants
+from .lie import LieElement, element_from_support, root_vector, structure_constants
 from .optimality import brute_force_verify, certified_torus_check, optimal_cocharacter
 from .rootsystem import build
 
@@ -29,13 +29,6 @@ VERIFY_ERROR = 1
 INTERNAL_ERROR = 3
 
 _COEFF_RE = re.compile(r"^(-?\d+)?(?:\*?t(?:\^(\d+))?)?$")
-
-
-def _parse_type(args) -> str:
-    t = args.type
-    if args.rank is not None:
-        t = f"{t}{args.rank}"
-    return t
 
 
 def _parse_support(rs, text: str):
@@ -84,7 +77,7 @@ def _coeff_to_field(field, coeff: str):
 
 def _instance(args, p=None):
     """Root system, support, Y over Q (p-adic when p is given), Y's certificate."""
-    rs = build(_parse_type(args), args.isogeny)
+    rs = build(args.type, args.isogeny)
     roots, coeffs = _parse_support(rs, args.support)
     Y = element_from_support(rs, RationalField(p), roots, coeffs)
     return rs, roots, coeffs, Y, optimal_cocharacter(rs, Y)
@@ -100,7 +93,7 @@ def _emit(payload: dict, out_path: str | None) -> None:
 
 COMMANDS: dict = {}   # name -> handler(args) returning (payload, exit code)
 OPTIONS: dict = {}    # name -> the flags its handler reads, besides --out
-_SYSTEM = ("--type", "--rank", "--isogeny")
+_SYSTEM = ("--type", "--isogeny")
 
 
 def _command(name: str, *flags: str):
@@ -112,13 +105,13 @@ def _command(name: str, *flags: str):
 
 @_command("roots", *_SYSTEM)
 def cmd_roots(args):
-    rs = build(_parse_type(args), args.isogeny)
+    rs = build(args.type, args.isogeny)
     return rs.to_json(), 0
 
 
 @_command("constants", *_SYSTEM)
 def cmd_constants(args):
-    rs = build(_parse_type(args), args.isogeny)
+    rs = build(args.type, args.isogeny)
     sc = structure_constants(rs)
     payload = sc.to_json()
     payload["max_abs_n"] = sc.max_abs_n()
@@ -208,12 +201,12 @@ def cmd_snf(args):
     m = 4 if args.trunc_m is None else args.trunc_m
     if m < 1:
         raise ValueError(f"truncation level --trunc-m must be >= 1, got {m}")
-    rs = build(_parse_type(args), args.isogeny)
+    rs = build(args.type, args.isogeny)
     sc = structure_constants(rs)
     roots, coeffs = _parse_support(rs, args.support)
     field = FunctionField(2 if args.q is None else args.q)
     Y = element_from_support(rs, field, roots, [_coeff_to_field(field, c) for c in coeffs])
-    cert = optimal_cocharacter(rs, element_from_support(rs, RationalField(), roots))
+    cert = optimal_cocharacter(rs, element_from_support(rs, QQ, roots))
     divisors = {}
     for i in range(1, cert.k):
         vals = lattice_image(rs, sc, Y, cert.lam, cert.k, i, m)
@@ -225,13 +218,11 @@ def cmd_snf(args):
 
 @_command("counterexample", *_SYSTEM, "--prime")
 def cmd_counterexample(args):
-    rs = build(_parse_type(args), args.isogeny)
+    rs = build(args.type, args.isogeny)
     sc = structure_constants(rs)
     if args.prime is None:
         raise ValueError("--prime is required")
-    payload = regular_counterexample_report(rs, sc, args.prime)
-    payload["coker_divisors"] = coker_eta(rs)
-    return payload, 0
+    return regular_counterexample_report(rs, sc, args.prime), 0
 
 
 @_command("corpus", "--corpus")
@@ -247,7 +238,6 @@ def cmd_corpus(args):
 
 _OPTION_SPECS = {
     "--type": dict(required=True, help="Cartan type, e.g. A2 or A2xA1"),
-    "--rank": dict(type=int, help="rank, when --type is a bare series letter"),
     "--isogeny": dict(choices=["simply_connected", "adjoint"], default="simply_connected"),
     "--support": dict(required=True, help="e.g. a1,a2 or a1+a2=3"),
     "--prime": dict(type=int, help="prime for mod-p / p-adic computations"),

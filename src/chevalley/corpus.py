@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import random
 
-from .fields import RationalField, is_prime
+from .fields import QQ, RationalField, is_prime
 from .gradedmap import AbsValue, block_divisors, graded_ad, kernel_from_divisors
-from .lie import LieElement, structure_constants, root_vector
+from .lie import element_from_support, structure_constants
 from .optimality import (certified_torus_check, minimum_norm_cocharacter,
                          optimal_cocharacter, sl2_completion_check)
 from .rootsystem import RootSystem, build
@@ -26,19 +26,6 @@ from .rootsystem import RootSystem, build
 SCHEMA_VERSION = 1
 
 ADE = {"A", "D", "E"}
-
-
-def element_from_support(rs: RootSystem, field, support, coefficients=None) -> LieElement:
-    """Sum of root vectors; support entries are coordinate lists or indices.
-    Coefficients that are integers, strings or Fractions go through
-    field.element, and elements of the field pass as they are."""
-    Y = LieElement(field)
-    coefficients = coefficients or [1] * len(support)
-    for root, c in zip(support, coefficients):
-        Y = Y + root_vector(rs, field, root if isinstance(root, int) else tuple(root), c)
-    if Y.is_zero():
-        raise ValueError("support collapsed to zero over the chosen field")
-    return Y
 
 
 def is_ade(rs: RootSystem) -> bool:
@@ -59,7 +46,6 @@ def standard_instances(rs_type: str, seed: int = 20260808, random_draws: int = 5
     pass the characteristic-0 optimality filter."""
     rs = build(rs_type)
     sc = structure_constants(rs)
-    q = RationalField()
     entries = []
     for ri in rs.positive_roots:
         entries.append({"support": [list(rs.roots[ri])], "coefficients": [1],
@@ -85,7 +71,7 @@ def standard_instances(rs_type: str, seed: int = 20260808, random_draws: int = 5
             continue
         # homogenize to the active constraints: same mu by KKT
         coeffs = [rng.randint(1, 9) for _ in active]
-        Y = element_from_support(rs, q, active, coeffs)
+        Y = element_from_support(rs, QQ, active, coeffs)
         cert = optimal_cocharacter(rs, Y)
         if not sl2_completion_check(rs, sc, Y, cert):
             continue
@@ -126,8 +112,7 @@ def run_instance(rs: RootSystem, sc, entry: dict, primes) -> dict:
     coefficients = _integers(entry.get("coefficients", [1] * len(support)), "coefficients")
     if len(coefficients) != len(support):
         raise ValueError(f"{len(coefficients)} coefficients for {len(support)} support roots")
-    q = RationalField()
-    Y = element_from_support(rs, q, support, coefficients)
+    Y = element_from_support(rs, QQ, support, coefficients)
     cert = optimal_cocharacter(rs, Y)
     report = {
         "cartan_type": rs.type_string(),

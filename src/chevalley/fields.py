@@ -16,6 +16,7 @@ mod p, or normalized polynomial quotients.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 
 def is_prime(n: int) -> bool:
@@ -97,6 +98,9 @@ class RationalField:
 
     def __repr__(self):
         return "Q" if self.p is None else f"Q(v_{self.p})"
+
+
+QQ = RationalField()  # the rationals without a valuation
 
 
 class FFElement:
@@ -193,19 +197,14 @@ class FiniteField:
             return a
 
         def monics(d):
-            count = p ** d
-            for code in range(count):
-                coeffs = []
-                c = code
-                for _ in range(d):
-                    coeffs.append(c % p)
-                    c //= p
-                yield coeffs + [1]
+            # constant coefficient varying fastest
+            for coeffs in product(range(p), repeat=d):
+                yield coeffs[::-1] + (1,)
 
         for cand in monics(n):
             if all(poly_mod(cand, div) for d in range(1, n // 2 + 1) for div in monics(d)):
-                return tuple(cand)
-        raise AssertionError("no irreducible polynomial found")
+                return cand
+        raise RuntimeError(f"no irreducible polynomial of degree {n} over F_{p}")
 
     def element(self, x: int) -> FFElement:
         """Embed an integer via reduction mod p (the prime subfield)."""
@@ -218,14 +217,9 @@ class FiniteField:
         return FFElement(self, coeffs)
 
     def elements(self):
-        p, n = self.char, self.degree
-        for code in range(self.order):
-            coeffs = []
-            c = code
-            for _ in range(n):
-                coeffs.append(c % p)
-                c //= p
-            yield FFElement(self, tuple(coeffs))
+        # first coefficient varying fastest
+        for coeffs in product(range(self.char), repeat=self.degree):
+            yield FFElement(self, coeffs[::-1])
 
     def _mul(self, a: FFElement, b: FFElement) -> FFElement:
         p, n = self.char, self.degree
@@ -341,10 +335,8 @@ class Polynomial:
         """Index of the lowest nonzero coefficient; undefined on 0."""
         if not self:
             raise ZeroDivisionError("t-valuation of 0 is undefined")
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        raise AssertionError
+        # the leading coefficient is nonzero, so some coefficient is
+        return next(i for i, c in enumerate(self.coeffs) if c)
 
     def monic(self) -> "Polynomial":
         if not self:

@@ -244,20 +244,24 @@ def lattice_image(rs: RootSystem, sc: StructureConstants, Y: LieElement, lam,
 
 
 def block_report(field, gbm: GradedBlockMap) -> dict:
-    """Per-instance JSON payload of the given blocks: dims, ranks, det
-    valuations, and phi as their sum."""
-    kern = check_kernel(field, gbm)
-    valued = has_valuation(field)
+    """Per-instance JSON payload of the given blocks over a valued field:
+    dims, ranks, det valuations, and phi as their sum.  One elimination
+    per block gives its elementary divisor valuations: the rank is the
+    number of finite ones, the det valuation their sum ("inf" when one
+    is infinite)."""
+    if not has_valuation(field):
+        raise ValueError("phi needs a field with a valuation")
     per_i, vals = {}, []
-    for i in sorted(gbm.blocks):
-        entry = kern[i]
-        if valued and entry["rows"] == entry["cols"] > 0:
-            d = linalg.det(field, gbm.blocks[i])
-            entry["det_valuation"] = field.valuation(d) if d else "inf"
+    for i, mat in sorted(gbm.blocks.items()):
+        divisors = dvr_divisor_valuations(field, mat)
+        finite = [v for v in divisors if v is not None]
+        entry = _kernel_entry(gbm, i, len(finite))
+        if entry["rows"] == entry["cols"] > 0:
+            entry["det_valuation"] = sum(finite) if len(finite) == len(divisors) else "inf"
             vals.append(entry["det_valuation"])
         per_i[str(i)] = entry
     out = {"k": gbm.k, "blocks": per_i}
-    if valued and gbm.is_square():
+    if gbm.is_square():
         e = None if "inf" in vals else sum(vals)
         out["phi"] = AbsValue(field.residue_cardinality, e).to_json()
     return out

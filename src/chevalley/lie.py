@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .rootsystem import RootSystem
+from .rootsystem import RootSystem, integer
 
 # basis keys: ("E", root index) and ("H", cocharacter basis index)
 
@@ -53,15 +53,7 @@ class LieElement:
         self._check(other)
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            w = out.get(k)
-            if w is None:
-                out[k] = v
-            else:
-                s = w + v
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
+            out[k] = out[k] + v if k in out else v
         return LieElement(self.field, out)
 
     def __neg__(self):
@@ -96,33 +88,43 @@ class LieElement:
         return " + ".join(f"({v!r})*{k[0]}{k[1]}" for k, v in sorted(self.coeffs.items()))
 
 
+def _coerce(field, c):
+    """Integers, strings and Fractions go through field.element; elements
+    of the field pass as they are."""
+    return field.element(c) if isinstance(c, (int, str, Fraction)) else c
+
+
+def _root_key(rs: RootSystem, root):
+    return ("E", root if isinstance(root, int) else rs.root_index[tuple(root)])
+
+
 def root_vector(rs: RootSystem, field, root, coeff=1) -> LieElement:
     """c * E_root; root given by index or coordinate tuple."""
-    idx = root if isinstance(root, int) else rs.root_index[tuple(root)]
-    c = coeff if not isinstance(coeff, (int, str, Fraction)) else field.element(coeff)
-    return LieElement(field, {("E", idx): c})
+    return LieElement(field, {_root_key(rs, root): _coerce(field, coeff)})
+
+
+def element_from_support(rs: RootSystem, field, support, coefficients=None) -> LieElement:
+    """Sum of root vectors; support entries are coordinate lists or indices,
+    and a repeated root adds up its coefficients.  A sum that is zero over
+    the field raises ValueError."""
+    out: dict = {}
+    for root, c in zip(support, coefficients or [1] * len(support)):
+        key, c = _root_key(rs, root), _coerce(field, c)
+        out[key] = out[key] + c if key in out else c
+    Y = LieElement(field, out)
+    if Y.is_zero():
+        raise ValueError("support collapsed to zero over the chosen field")
+    return Y
+
 
 def cartan_vector(rs: RootSystem, field, coords) -> LieElement:
     """Cartan element with the given cocharacter-basis coordinates."""
-    out = {}
-    for j, c in enumerate(coords):
-        ce = c if not isinstance(c, (int, str, Fraction)) else field.element(c)
-        if ce:
-            out[("H", j)] = ce
-    return LieElement(field, out)
+    return LieElement(field, {("H", j): _coerce(field, c) for j, c in enumerate(coords)})
 
 
 def coroot_element(rs: RootSystem, field, root) -> LieElement:
     """H_a = the coroot of a, reduced into the cocharacter lattice basis."""
-    a = rs.roots[root] if isinstance(root, int) else tuple(root)
-    return cartan_vector(rs, field, rs.coroot(a))
-
-
-def _integer(x: Fraction) -> int:
-    """x as an int; a fraction means the Chevalley relations broke."""
-    if x.denominator != 1:
-        raise RuntimeError(f"non-integral structure constant {x}")
-    return int(x)
+    return cartan_vector(rs, field, rs.coroots[_root_key(rs, root)[1]])
 
 
 class StructureConstants:
@@ -179,7 +181,7 @@ class StructureConstants:
             else:
                 # N_{a,b} = (s,s)/(b,b) N_{-s, a}
                 val = len_sq[s] / len_sq[b] * self._compute(neg(s), a)
-            val = _integer(sign * val)
+            val = integer(sign * val, "structure constant")
         self._n[i, j] = val
         return val
 
@@ -197,7 +199,7 @@ class StructureConstants:
         t2 = self._sum.get((a1, na))  # a1 - a
         if t2 is not None:
             total += Fraction(self._compute(na, a1) * self._compute(b1, nb), len_sq[t2])
-        return _integer(total * len_sq[s] / self._compute(a1, b1))
+        return integer(total * len_sq[s] / self._compute(a1, b1), "structure constant")
 
     def root_sum(self, i: int, j: int) -> int | None:
         """Index of a_i + a_j; None when the sum is not a root."""
@@ -215,7 +217,7 @@ class StructureConstants:
             "type": self.rs.type_string(),
             "isogeny": self.rs.isogeny,
             "n": {f"{i},{j}": v for (i, j), v in sorted(self._n.items())},
-            "coroots": {str(i): list(self.rs.coroot(a)) for i, a in enumerate(self.rs.roots)},
+            "coroots": {str(i): list(c) for i, c in enumerate(self.rs.coroots)},
         }
 
 
@@ -231,17 +233,7 @@ def bracket(sc: StructureConstants, X: LieElement, Y: LieElement) -> LieElement:
     out: dict = {}
 
     def add(key, val):
-        if not val:
-            return
-        cur = out.get(key)
-        if cur is None:
-            out[key] = val
-        else:
-            s = cur + val
-            if s:
-                out[key] = s
-            else:
-                del out[key]
+        out[key] = out[key] + val if key in out else val
 
     for ka, va in X.coeffs.items():
         for kb, vb in Y.coeffs.items():
@@ -261,7 +253,7 @@ def bracket(sc: StructureConstants, X: LieElement, Y: LieElement) -> LieElement:
                     add(("E", s), va * vb * field.element(sc.n(ka[1], kb[1])))
                 elif kb[1] == rs.negative(ka[1]):
                     c = va * vb
-                    for j, h in enumerate(rs.coroot(rs.roots[ka[1]])):
+                    for j, h in enumerate(rs.coroots[ka[1]]):
                         if h:
                             add(("H", j), c * field.element(h))
     return LieElement(field, out)

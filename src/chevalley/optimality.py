@@ -14,15 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
-from .fields import RationalField
+from .fields import QQ
 from .grading import CocharRational, degrees_of, m_of
 from .lie import LieElement
 from .linalg import solve
 from .rootsystem import RootSystem
-
-
-QQ = RationalField()
 
 
 @dataclass
@@ -99,7 +97,7 @@ def _support_gram(rs: RootSystem, support):
     for ri in support:
         first.setdefault(rs.pairing_rows[ri], ri)
     reps = list(first.values())
-    nus = [(rs.len_sq[ri] / 2, rs.coroot(rs.roots[ri])) for ri in reps]
+    nus = [(rs.len_sq[ri] / 2, rs.coroots[ri]) for ri in reps]
     K = [[h * sum(p * c for p, c in zip(row, co)) for h, co in nus] for row in first]
     return reps, nus, K
 
@@ -172,29 +170,21 @@ def brute_force_verify(rs: RootSystem, Y: LieElement, cert: OptimalityCertificat
         raise ValueError("box must contain the certified optimum")
     supp_vecs = [rs.pairing_rows[ri] for ri in cert.support]
     cert_ratio = Fraction(cert.k * cert.k) / rs.norm_sq(cert.lam)
-    n = rs.rank
     violations = []
     checked = 0
     best_seen = Fraction(0)
-    lam = [-box_radius] * n
-    while True:
-        lt = tuple(lam)
+    # first coordinate varying fastest
+    for lam in product(range(-box_radius, box_radius + 1), repeat=rs.rank):
+        lam = lam[::-1]
         if any(lam):
-            degs = [sum(f[c] * lam[c] for c in range(n)) for f in supp_vecs]
-            if min(degs) >= 1:
+            k = min(sum(f * l for f, l in zip(row, lam)) for row in supp_vecs)
+            if k >= 1:
                 checked += 1
-                ratio = Fraction(min(degs) ** 2) / rs.norm_sq(lt)
+                ratio = Fraction(k * k) / rs.norm_sq(lam)
                 if ratio > best_seen:
                     best_seen = ratio
                 if ratio > cert_ratio:
-                    violations.append({"lambda": list(lt), "ratio_sq": str(ratio)})
-        i = 0
-        while i < n and lam[i] == box_radius:
-            lam[i] = -box_radius
-            i += 1
-        if i == n:
-            break
-        lam[i] += 1
+                    violations.append({"lambda": list(lam), "ratio_sq": str(ratio)})
     return {
         "box_radius": box_radius,
         "candidates_checked": checked,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import RationalField
+from .fields import QQ
 from .linalg import identity, rref
 
 Root = tuple[int, ...]
@@ -30,6 +30,14 @@ ROOT_COUNTS = {
     "F": lambda n: 48,
     "G": lambda n: 12,
 }
+
+
+def integer(x, what: str) -> int:
+    """x as an int; a fraction means an integrality invariant of the
+    root data broke."""
+    if x.denominator != 1:
+        raise RuntimeError(f"non-integral {what} {x}")
+    return int(x)
 
 
 def _validate(series: str, rank: int):
@@ -120,10 +128,6 @@ class RootSystem:
         self.scale = tuple(scale)
 
         n = self.rank
-        self.factor_of = []  # simple-root index -> factor index
-        for f, (_, r) in enumerate(cartan_type):
-            self.factor_of += [f] * r
-
         # symmetric form on the character space, long roots squared length 2,
         # then scaled per factor
         form = [[Fraction(0)] * n for _ in range(n)]
@@ -142,9 +146,7 @@ class RootSystem:
         self.char_form = form
         for i in range(n):
             for j in range(n):
-                c = 2 * form[i][j] / form[i][i]
-                assert c.denominator == 1
-                self.cartan[i][j] = int(c)
+                self.cartan[i][j] = integer(2 * form[i][j] / form[i][i], "Cartan entry")
 
         # roots, factor by factor, positives first sorted by (height, coords)
         all_roots = []
@@ -159,7 +161,8 @@ class RootSystem:
         # matching the usual extraspecial-pair convention)
         positives = sorted((a for a in all_roots if sum(a) > 0),
                            key=lambda a: (sum(a), tuple(-c for c in a)))
-        assert all(all(c >= 0 for c in a) for a in positives)
+        if any(c < 0 for a in positives for c in a):
+            raise RuntimeError("a positive root has a negative coordinate")
         self.roots = positives + [tuple(-c for c in a) for a in positives]
         self.root_index = {a: i for i, a in enumerate(self.roots)}
         self.positive_roots = list(range(len(positives)))
@@ -167,7 +170,7 @@ class RootSystem:
                              for i in range(n)]
         expected = sum(ROOT_COUNTS[s](r) for s, r in cartan_type)
         if len(self.roots) != expected:
-            raise AssertionError(f"root count {len(self.roots)} != classical {expected}")
+            raise RuntimeError(f"root count {len(self.roots)} != classical {expected}")
 
         # pairing of roots against the cocharacter lattice basis
         if isogeny == SIMPLY_CONNECTED:
@@ -176,22 +179,22 @@ class RootSystem:
             self.basis_pairing = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
         # per root, by root index: squared length, pairing row <a, basis_j>,
-        # and the coroot expanded over the simple coroots
+        # and the coroot in the cocharacter basis
         self.len_sq = []
         self.pairing_rows = []
-        self._coroot_simple = {}
+        self.coroots = []
         for a in self.roots:
             # <a, simple coroot j>, and from it (a, a) = sum_j a_j (a, alpha_j)
             on_coroots = tuple(sum(x * c for x, c in zip(a, row)) for row in self.cartan)
             la = sum(x * c * form[j][j] for j, (x, c) in enumerate(zip(a, on_coroots)) if x) / 2
-            ks = []
-            for i in range(n):
-                k = a[i] * form[i][i] / la
-                assert k.denominator == 1
-                ks.append(int(k))
+            # over the simple coroots a^v = sum_i a_i (alpha_i, alpha_i)/(a, a) alpha_i^v,
+            # and alpha_i^v is row i of the Cartan matrix over the fundamental coweights
+            ks = [integer(x * form[i][i] / la, "coroot coordinate") for i, x in enumerate(a)]
+            if isogeny == ADJOINT:
+                ks = [sum(k * row[j] for k, row in zip(ks, self.cartan)) for j in range(n)]
             self.len_sq.append(la)
             self.pairing_rows.append(on_coroots if isogeny == SIMPLY_CONNECTED else a)
-            self._coroot_simple[a] = tuple(ks)
+            self.coroots.append(tuple(ks))
 
         # Gram matrix of the cocharacter basis for the dual invariant form
         if isogeny == SIMPLY_CONNECTED:
@@ -200,8 +203,7 @@ class RootSystem:
         else:
             # the fundamental coweights are the dual basis of the nu(simple
             # roots), whose Gram is char_form, so theirs is its inverse
-            q = RationalField()
-            reduced, _ = rref(q, [row + ident for row, ident in zip(form, identity(q, n))])
+            reduced, _ = rref(QQ, [row + ident for row, ident in zip(form, identity(QQ, n))])
             self.gram = [row[n:] for row in reduced]
 
     # -- basic queries ------------------------------------------------
@@ -238,11 +240,7 @@ class RootSystem:
 
     def coroot(self, a) -> tuple[int, ...]:
         """Coordinates of the coroot of a in the cocharacter basis."""
-        ks = self._coroot_simple[tuple(a)]
-        n = self.rank
-        if self.isogeny == SIMPLY_CONNECTED:
-            return ks
-        return tuple(sum(ks[i] * self.cartan[i][j] for i in range(n)) for j in range(n))
+        return self.coroots[self.root_index[tuple(a)]]
 
     def cochar_form(self, x, y) -> Fraction:
         """Invariant form (x, y) on the cocharacter space."""
@@ -251,7 +249,7 @@ class RootSystem:
             if xi:
                 for j, yj in enumerate(y):
                     if yj:
-                        acc += Fraction(xi) * Fraction(yj) * self.gram[i][j]
+                        acc += xi * yj * self.gram[i][j]
         return acc
 
     def norm_sq(self, lam) -> Fraction:
@@ -261,21 +259,20 @@ class RootSystem:
         """Image of the root a under the pairing-induced map into
         cocharacter space: <b, nu(a)> = (b, a) and (lam, nu(a)) = <a, lam>.
         In closed form nu(a) = (a, a)/2 * coroot(a)."""
-        half = self.root_len_sq(a) / 2
-        return tuple(half * c for c in self.coroot(a))
+        i = self.root_index[tuple(a)]
+        half = self.len_sq[i] / 2
+        return tuple(half * c for c in self.coroots[i])
 
     def reflect(self, a, b) -> Root:
-        """s_a(b) = b - <b, coroot(a)> a."""
-        c = 2 * self.root_form(a, b) / self.root_len_sq(a)
-        assert c.denominator == 1
-        return tuple(bi - int(c) * ai for ai, bi in zip(a, b))
+        """s_a(b) = b - <b, coroot(a)> a for roots a and b."""
+        c = self.pair(b, self.coroot(a))
+        return tuple(bi - c * ai for ai, bi in zip(a, b))
 
     def reflect_cochar(self, i: int, lam):
         """Simple reflection s_i acting on a cocharacter coordinate vector."""
-        alpha = self.roots[self.simple_roots[i]]
-        p = self.pair(alpha, lam)
-        cor = self.coroot(alpha)
-        return tuple(l - p * c for l, c in zip(lam, cor))
+        si = self.simple_roots[i]
+        p = self.pair(self.roots[si], lam)
+        return tuple(l - p * c for l, c in zip(lam, self.coroots[si]))
 
     def alpha_chain(self, a, b) -> tuple[int, int]:
         """Largest q, r >= 0 with {j a + b : j in [-q, r]} inside the roots."""
@@ -309,7 +306,7 @@ class RootSystem:
             "positive_roots": self.positive_roots,
             "cartan_matrix": self.cartan,
             "pairing_matrix": [[str(x) for x in row] for row in self.gram],
-            "coroots": {str(i): list(self.coroot(a)) for i, a in enumerate(self.roots)},
+            "coroots": {str(i): list(c) for i, c in enumerate(self.coroots)},
         }
 
 

@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -124,9 +127,8 @@ def test_support_coefficient_parsing():
     assert code == 0
     payload = json.loads(out)
     assert len(payload["support"]) == 2
-    # rational coefficients and the bare-series --rank spelling
-    code, out, _ = run_cli("optimal", "--type", "A", "--rank", "2",
-                           "--support", "a1+a2=1/2")
+    # rational coefficients
+    code, out, _ = run_cli("optimal", "--type", "A2", "--support", "a1+a2=1/2")
     assert code == 0
     assert json.loads(out)["k"] == 2
 
@@ -159,6 +161,8 @@ def test_usage_errors_exit_2(tmp_path):
                  # flags the subcommand does not read
                  ["roots", "--type", "A1", "--prime", "4", "--box-radius", "3"],
                  ["corpus", "--type", "E8"],
+                 # --type A2 is the one spelling of a type; there is no --rank
+                 ["roots", "--type", "A", "--rank", "2"],
                  # 0 is a value, not an absent flag; trials below 1 would pass vacuously
                  ["phi", *a2, "--prime", "0"],
                  ["rrao-check", *a2, "--prime", "0"],
@@ -212,3 +216,59 @@ def test_corpus_cli_deterministic_bytes():
     assert code1 == code2 == 0
     assert out1 == out2
     assert json.loads(out1)["ok"]
+
+
+def _pinned_argv():
+    argv = []
+    for t in ("A2", "B3", "C3", "G2", "F4", "D4", "A2xA1"):
+        for iso in ("simply_connected", "adjoint"):
+            argv += [["roots", "--type", t, "--isogeny", iso],
+                     ["constants", "--type", t, "--isogeny", iso]]
+    argv += [
+        ["grade", "--type", "A2", "--support", "a1,a2"],
+        ["grade", "--type", "B3", "--support", "a1+a2+a3"],
+        ["grade", "--type", "G2", "--support", "a2", "--isogeny", "adjoint"],
+        ["optimal", "--type", "A2", "--support", "a1,a2", "--box-radius", "2"],
+        ["optimal", "--type", "B2", "--support", "a1+a2=3,a2", "--box-radius", "3"],
+        ["optimal", "--type", "B2", "--isogeny", "adjoint", "--support", "a1",
+         "--box-radius", "2"],
+        ["optimal", "--type", "A3", "--support", "a1+a2,a2+a3", "--box-radius", "2"],
+        ["kernel-check", "--type", "A2", "--support", "a1+a2", "--prime", "5"],
+        ["kernel-check", "--type", "A2", "--support", "a1+a2=1/2"],
+        ["kernel-check", "--type", "D4", "--support", "a1,a3,a4", "--prime", "2"],
+        ["kernel-check", "--type", "D4", "--support", "a1=3,a3,a4", "--prime", "3"],
+        ["kernel-check", "--type", "G2", "--support", "a1+a2"],
+        ["phi", "--type", "A2", "--support", "a1+a2", "--prime", "3"],
+        ["phi", "--type", "A2", "--support", "a1+a2=1/2"],
+        ["phi", "--type", "D4", "--support", "a1,a3,a4"],
+        ["phi", "--type", "B3", "--support", "a2+a3", "--prime", "5"],
+        ["phi", "--type", "C3", "--support", "a1+a2+a3=3", "--prime", "3"],
+        ["phi", "--type", "G2", "--support", "a1+a2", "--isogeny", "adjoint"],
+        ["phi", "--type", "A2", "--support", "a1,a2"],
+        ["snf", "--type", "A2", "--support", "a1+a2=t", "--q", "2"],
+        ["snf", "--type", "A2", "--support", "a1+a2=t", "--q", "4", "--trunc-m", "3"],
+        ["snf", "--type", "B3", "--support", "a2+a3=t^2", "--q", "9"],
+        ["counterexample", "--type", "A2", "--isogeny", "adjoint", "--prime", "3"],
+        ["counterexample", "--type", "A2", "--isogeny", "adjoint", "--prime", "2"],
+        ["counterexample", "--type", "A3", "--isogeny", "adjoint", "--prime", "2"],
+        ["counterexample", "--type", "B3", "--prime", "2"],
+        ["rrao-check", "--type", "A2", "--support", "a1+a2", "--prime", "2", "--trials", "5"],
+        ["rrao-check", "--type", "B2", "--support", "a1+a2", "--prime", "3", "--seed", "7",
+         "--trials", "4"],
+        ["optimal", "--type", "Z9", "--support", "a1"],
+        ["optimal", "--type", "A2", "--support", "a9"],
+    ]
+    return argv
+
+
+def test_cli_outputs_pinned():
+    """Every byte of these invocations (exit code, stdout, stderr) is pinned
+    by one digest; a refactor that changes any output fails here."""
+    digest = hashlib.sha256()
+    for argv in _pinned_argv():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        digest.update(json.dumps([argv, code, out.getvalue(), err.getvalue()]).encode())
+    assert digest.hexdigest() == (
+        "5abd79c3162a7ebd6fadca3739e0d241291d6d94b308d41d165d217032d6f9e9")

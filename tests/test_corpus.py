@@ -5,7 +5,7 @@ import pytest
 
 from chevalley.corpus import (element_from_support, run_corpus, standard_corpus,
                               standard_instances)
-from chevalley.fields import PrimeField
+from chevalley.fields import PrimeField, RationalField
 
 
 def repo_root() -> Path:
@@ -79,6 +79,15 @@ def test_element_from_support_mod_p_degeneration():
     f7 = PrimeField(7)
     with pytest.raises(ValueError):
         element_from_support(rs, f7, [[1, 0]], [7])
+    # a repeated root adds its coefficients, by coordinates or by index
+    Y = element_from_support(rs, f7, [[1, 0], [0, 1], rs.root_index[(1, 0)]], [2, 1, 3])
+    assert Y.coeffs == {("E", rs.root_index[(1, 0)]): f7.element(5),
+                        ("E", rs.root_index[(0, 1)]): f7.element(1)}
+    # cancelling coefficients leave nothing
+    with pytest.raises(ValueError, match="support collapsed to zero"):
+        element_from_support(rs, f7, [[1, 1], [1, 1]], [3, 4])
+    with pytest.raises(ValueError, match="support collapsed to zero"):
+        element_from_support(rs, RationalField(), [[1, 1], [1, 1]], [2, -2])
 
 
 def test_shipped_corpus_runs_green_and_flags_the_d4_finding():

@@ -423,6 +423,54 @@ def test_block_divisors_match_field_by_field_oracle():
     assert all(seen.values()), seen
 
 
+def test_block_report_matches_rank_and_det_oracle():
+    """block_report's ranks and det valuations, read off one DVR
+    elimination per block, agree with check_kernel's row reduction and
+    with the valuation of linalg.det, on square and non-square blocks,
+    singular ones included; a field without a valuation is refused."""
+    rng = random.Random(8)
+    fields = (RationalField(2), RationalField(3), FunctionField(2), FunctionField(4))
+    seen = {"inf": 0, "positive": 0, "non_square": 0}
+    for t in ("A3", "B3", "D4", "G2"):
+        rs = build(t)
+        sc = structure_constants(rs)
+        for _ in range(12):
+            lam = tuple(rng.randint(-1, 2) for _ in range(rs.rank))
+            by_k = {}
+            for ri in rs.positive_roots:
+                d = rs.pair(rs.roots[ri], lam)
+                if 2 <= d <= 4:
+                    by_k.setdefault(d, []).append(ri)
+            for k, roots in sorted(by_k.items()):
+                support = rng.sample(roots, min(3, len(roots)))
+                for field in fields:
+                    pi = field.uniformizer()
+                    coeffs = [field.element(rng.choice([1, -1])) for _ in support]
+                    for j in range(len(coeffs)):
+                        for _ in range(rng.randint(0, 2)):
+                            coeffs[j] = coeffs[j] * pi
+                    Y = element_from_support(rs, field, support, coeffs)
+                    gbm = graded_ad(rs, sc, Y, lam, k)
+                    report = block_report(field, gbm)
+                    kern = check_kernel(field, gbm)
+                    for i, mat in gbm.blocks.items():
+                        entry = dict(report["blocks"][str(i)])
+                        if "det_valuation" in entry:
+                            d = det(field, mat)
+                            expected = field.valuation(d) if d else "inf"
+                            assert entry.pop("det_valuation") == expected
+                            seen["inf"] += expected == "inf"
+                            seen["positive"] += expected not in ("inf", 0)
+                        assert entry == kern[i]
+                    seen["non_square"] += not gbm.is_square()
+                    assert ("phi" in report) == gbm.is_square()
+                    if gbm.is_square():
+                        assert report["phi"] == phi(field, gbm).to_json()
+    assert all(seen.values()), seen
+    with pytest.raises(ValueError, match="valuation"):
+        block_report(RationalField(), gbm)
+
+
 def _oracle_coefficients(field, rng):
     """A nonzero coefficient sampler over Q, Q_2, GF(3) or GF(4)(t); over
     GF(4)(t) it draws (c + w t)/(1 + t) with w outside the prime field."""

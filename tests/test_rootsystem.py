@@ -189,3 +189,12 @@ def test_json_dump_shape():
     assert len(d["roots"]) == 8
     assert len(d["pairing_matrix"]) == 2
     assert set(d["coroots"]) == {str(i) for i in range(8)}
+
+
+def test_integrality_guard_raises_under_O():
+    # the root-data invariants raise RuntimeError, which `python -O` keeps
+    from chevalley.rootsystem import integer
+
+    assert integer(Fraction(6, 3), "Cartan entry") == 2
+    with pytest.raises(RuntimeError, match="non-integral coroot coordinate 1/2"):
+        integer(Fraction(1, 2), "coroot coordinate")
