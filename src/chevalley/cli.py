@@ -45,7 +45,7 @@ def _parse_support(rs, text: str):
         total = [0] * rs.rank
         for name in root_part.split("+"):
             name = name.strip()
-            if not name.startswith("a"):
+            if not (name.startswith("a") and name[1:].isdecimal()):
                 raise ValueError(f"bad simple-root name {name!r}")
             i = int(name[1:])
             if not 1 <= i <= rs.rank:
@@ -84,11 +84,13 @@ def _instance(args, p=None):
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
+    """Write the --out file first, so that a path that cannot be written
+    leaves stdout empty."""
     text = json.dumps(payload, sort_keys=True, indent=2)
-    print(text)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+    print(text)
 
 
 COMMANDS: dict = {}   # name -> handler(args) returning (payload, exit code)
@@ -271,7 +273,7 @@ def main(argv=None) -> int:
     try:
         payload, code = COMMANDS[args.command](args)
         _emit(payload, args.out)
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return USAGE_ERROR

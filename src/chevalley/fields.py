@@ -68,7 +68,10 @@ class RationalField:
         return self.p
 
     def element(self, x) -> Fraction:
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"{x!r} has a zero denominator") from None
 
     def valuation(self, x) -> int:
         """p-adic valuation; undefined (raises) on 0."""

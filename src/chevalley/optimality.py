@@ -4,10 +4,13 @@ The normalized optimal cocharacter of Y is the unique minimizer of
 (mu, mu) subject to <a, mu> >= 1 for every support root a of Y.  With
 v the point of least norm in the convex hull of the nu(a), that
 minimizer is mu = v / (v, v), and the constraints are infeasible iff
-v = 0.  Wolfe's nearest-point algorithm finds v exactly over Fractions;
-the Kirwan-Ness torus check asks the same question of the nu(a)
-projected onto lam-perp.  At the optimum itself that check is read off
-the certificate's own Wolfe run (certified_torus_check).
+v = 0.  Wolfe's nearest-point algorithm finds v exactly on integers,
+with one final division: the Gram of the nu(a) is scaled to integers,
+the weights stay integers over one common denominator, each corral is
+solved fraction-free, and one Fraction is built per output value.  The
+Kirwan-Ness torus check asks the same question of the nu(a) projected
+onto lam-perp.  At the optimum itself that check is read off the
+certificate's own Wolfe run (certified_torus_check).
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
+from operator import mul
 
 from .fields import QQ
 from .grading import CocharRational, degrees_of, m_of
@@ -56,50 +61,105 @@ def support_of(rs: RootSystem, Y: LieElement) -> list[int]:
     return supp
 
 
-def _min_norm_weights(K) -> tuple[list[Fraction], Fraction]:
-    """Convex weights x of the point v = sum x_i P_i of least norm in
-    conv{P_i}, and (v, v) = x^T K x, from the Gram matrix
-    K[i][j] = (P_i, P_j) alone.
+def _affine_minimizer(K, S) -> tuple[list[int], int]:
+    """The point of least norm in the affine hull of the corral S, as
+    integer weights y over a common denominator d > 0 (sum y = d).
 
-    Wolfe's algorithm (Math. Programming 11, 1976) in exact arithmetic:
-    the corral S stays affinely independent, so each affine minimizer
-    solves the nonsingular bordered system [K_S 1; 1^T 0].  v is optimal
-    once min_j (P_j, v) >= (v, v), with no tolerance.
+    Fraction-free (Bareiss, Math. Comp. 22, 1968) elimination of the
+    bordered system [K_S 1; 1^T 0] [y; lambda] = [0; 1], whose last pivot
+    is +-det, then Cramer back substitution: det * y is an integer vector,
+    so every division there is exact.
+    """
+    n = len(S) + 1
+    A = [[K[i][l] for l in S] + [1, 0] for i in S] + [[1] * len(S) + [0, 1]]
+    prev = 1
+    for k in range(n):
+        if not A[k][k]:
+            r = next((r for r in range(k + 1, n) if A[r][k]), None)
+            if r is None:
+                raise RuntimeError("singular corral: its points are affinely dependent")
+            A[k], A[r] = A[r], A[k]
+        rk, p = A[k], A[k][k]
+        for row in A[k + 1:]:
+            c = row[k]
+            row[k] = 0
+            for j in range(k + 1, n + 1):
+                row[j] = (row[j] * p - c * rk[j]) // prev
+        prev = p
+    z = [0] * n
+    for k in range(n - 1, -1, -1):
+        row = A[k]
+        t = prev * row[n] - sum(row[j] * z[j] for j in range(k + 1, n))
+        z[k], rem = divmod(t, row[k])
+        if rem:
+            raise RuntimeError("inexact division in the corral's back substitution")
+    y = z[:-1]
+    return ([-c for c in y], -prev) if prev < 0 else (y, prev)
+
+
+def _reduced(x: dict) -> dict:
+    """Integer weights divided by their gcd, zeros dropped."""
+    g = gcd(*x.values())
+    return {i: w // g for i, w in x.items() if w}
+
+
+def _min_norm_weights(K) -> tuple[list[int], int]:
+    """Integer weights x >= 0 of the point v = sum x_i P_i / sum(x) of
+    least norm in conv{P_i}, and x^T K x, so that (v, v) = x^T K x / sum(x)^2,
+    from the integer Gram matrix K[i][j] = (P_i, P_j) alone.
+
+    Wolfe's algorithm (Math. Programming 11, 1976) on integers: the
+    weights stay one integer vector over their sum, and the corral S stays
+    affinely independent, so each affine minimizer solves a nonsingular
+    bordered system.  v is optimal once min_j (P_j, v) >= (v, v), with no
+    tolerance.
     """
     m = len(K)
-    x = {min(range(m), key=lambda i: K[i][i]): QQ.one}
+    x = {min(range(m), key=lambda i: K[i][i]): 1}
     while True:
-        g = [sum(w * K[j][i] for i, w in x.items()) for j in range(m)]
+        g = [0] * m
+        for i, w in x.items():
+            g = [a + w * b for a, b in zip(g, K[i])]
         j = min(range(m), key=g.__getitem__)
         vv = sum(w * g[i] for i, w in x.items())
-        if g[j] >= vv:
-            return [x.get(i, QQ.zero) for i in range(m)], vv
-        x[j] = QQ.zero
+        if g[j] * sum(x.values()) >= vv:
+            return [x.get(i, 0) for i in range(m)], vv
+        x[j] = 0
         while True:
             S = list(x)
-            A = [[K[i][l] for l in S] + [QQ.one] for i in S] + [[QQ.one] * len(S) + [QQ.zero]]
-            y = solve(QQ, A, [QQ.zero] * len(S) + [QQ.one])[:-1]
+            y, d = _affine_minimizer(K, S)
             if all(c > 0 for c in y):
-                x = dict(zip(S, y))
+                x = _reduced(dict(zip(S, y)))
                 break
-            # walk from x towards y until the first weight reaches 0
-            theta = min(x[i] / (x[i] - c) for i, c in zip(S, y) if c <= 0)
-            x = {i: x[i] + theta * (c - x[i]) for i, c in zip(S, y)}
-            x = {i: w for i, w in x.items() if w > 0}
+            # walk from x towards y until the first weight reaches 0.  Over
+            # the common denominator x_i = P_i and y_i = Q_i; the step
+            # theta = P_k / (P_k - Q_k) is least over the Q_k <= 0 (it
+            # starts at 1 = 1 / (1 - 0)), and x + theta (y - x) is then
+            # proportional to P_k Q - Q_k P
+            den = sum(x.values())
+            P = [x[i] * d for i in S]
+            Q = [c * den for c in y]
+            pk, qk = 1, 0
+            for p, q in zip(P, Q):
+                if q <= 0 and p * (pk - qk) < pk * (p - q):
+                    pk, qk = p, q
+            x = _reduced({i: pk * q - qk * p for i, p, q in zip(S, P, Q)})
 
 
 def _support_gram(rs: RootSystem, support):
-    """The support deduplicated by pairing row (root indices), the nu
-    images of those roots as pairs (h, coroot(a)) with nu(a) = h * coroot(a),
-    h = (a, a)/2, and their Gram K[i][j] = <a_i, nu(a_j)> = (nu(a_i), nu(a_j)),
-    built from the integers <a_i, coroot(a_j)>."""
+    """(reps, [D h_j], D, K): the support deduplicated by pairing row (root
+    indices), and the Gram of the nu(a_j) = h_j coroot(a_j), h_j = (a_j, a_j)/2,
+    scaled to integers by D, the lcm of the denominators of the h_j:
+    K[i][j] = D <a_i, nu(a_j)> = D h_j <a_i, coroot(a_j)>."""
     first = {}
     for ri in support:
         first.setdefault(rs.pairing_rows[ri], ri)
     reps = list(first.values())
-    nus = [(rs.len_sq[ri] / 2, rs.coroots[ri]) for ri in reps]
-    K = [[h * sum(p * c for p, c in zip(row, co)) for h, co in nus] for row in first]
-    return reps, nus, K
+    halves = [rs.len_sq[ri] / 2 for ri in reps]
+    D = lcm(*(h.denominator for h in halves))
+    hs = [h.numerator * (D // h.denominator) for h in halves]
+    K = [[h * sum(map(mul, row, rs.coroots[ri])) for h, ri in zip(hs, reps)] for row in first]
+    return reps, hs, D, K
 
 
 def _min_norm(rs: RootSystem, support):
@@ -107,19 +167,30 @@ def _min_norm(rs: RootSystem, support):
 
     mu = v / (v, v) with v = sum x_i nu(a_i) the min-norm point, so
     (mu, mu) = 1 / vv exactly; the weights x are keyed by the root
-    indices of the deduplicated support."""
+    indices of the deduplicated support.  Everything up to the output
+    Fractions is on integers, and m_Y(mu) = 1 is checked here."""
     if not support:
         raise ValueError("empty support")
-    reps, nus, K = _support_gram(rs, support)
+    reps, hs, D, K = _support_gram(rs, support)
     x, vv = _min_norm_weights(K)
     if not vv:
         raise RuntimeError("the min-norm point of the support is zero: "
                            "its constraints are infeasible")
-    v = [sum(w * h * co[c] for w, (h, co) in zip(x, nus) if w) for c in range(rs.rank)]
-    mu = CocharRational(tuple(c / vv for c in v), 1 / vv)
-    active = [ri for ri in support
-              if sum(c * m for c, m in zip(rs.pairing_rows[ri], mu.coords)) == 1]
-    return mu, active, dict(zip(reps, x)), vv
+    den = sum(x)
+    # v = V / (den D) and (v, v) = vv / (den^2 D), so mu = V den / vv
+    V = [0] * rs.rank
+    for w, h, ri in zip(x, hs, reps):
+        if w:
+            for c, co in enumerate(rs.coroots[ri]):
+                V[c] += w * h * co
+    pairings = [sum(p * c for p, c in zip(rs.pairing_rows[ri], V)) * den for ri in support]
+    # normalization m_Y(mu) = 1: the least support pairing is exactly 1
+    if min(pairings) != vv:
+        raise RuntimeError("optimal mu violates the normalization m_Y(mu) = 1")
+    active = [ri for ri, p in zip(support, pairings) if p == vv]
+    mu = CocharRational(tuple(Fraction(c * den, vv) for c in V), Fraction(den * den * D, vv))
+    weights = {ri: Fraction(w, den) for ri, w in zip(reps, x)}
+    return mu, active, weights, Fraction(vv, den * den * D)
 
 
 def minimum_norm_cocharacter(rs: RootSystem, support: list[int]) -> tuple[CocharRational, list[int]]:
@@ -137,9 +208,6 @@ def optimal_cocharacter(rs: RootSystem, Y: LieElement) -> OptimalityCertificate:
     if any(not rs.is_positive(rs.roots[ri]) for ri in supp):
         raise ValueError("support must consist of positive roots (standard position)")
     mu, active, weights, vv = _min_norm(rs, supp)
-    # normalization m_Y(mu) = 1: the least support pairing is exactly 1
-    if min(sum(c * m for c, m in zip(rs.pairing_rows[ri], mu.coords)) for ri in supp) != 1:
-        raise RuntimeError("optimal mu violates the normalization m_Y(mu) = 1")
     lam, _ = mu.primitive_multiple()
     k = m_of(rs, Y, lam)
     if any(l != k * c for l, c in zip(lam, mu.coords)):
@@ -206,7 +274,7 @@ def kirwan_ness_torus_check(rs: RootSystem, Y: LieElement, lam) -> bool:
     degs = set(degrees_of(rs, Y, lam))
     if len(degs) != 1:
         raise ValueError("Y must be concentrated in a single degree")
-    _, _, K = _support_gram(rs, Y.support_roots())
+    _, _, D, K = _support_gram(rs, Y.support_roots())
     if not K:
         return False  # no constraint: mu = 0 already qualifies
     # <a, mu> = (nu(a), mu), and some mu in lam-perp has them all >= 1 iff
@@ -214,10 +282,10 @@ def kirwan_ness_torus_check(rs: RootSystem, Y: LieElement, lam) -> bool:
     # Every <a, lam> is the one degree d, so on convex weights the
     # projected Gram is K - d^2/(lam, lam): a constant shift of K, with
     # the same min-norm weights.
-    _, vv = _min_norm_weights(K)
+    x, vv = _min_norm_weights(K)
     lam_sq = rs.norm_sq(lam)
     d = degs.pop()
-    return vv == (d * d / lam_sq if lam_sq else 0)
+    return Fraction(vv, sum(x) ** 2 * D) == (d * d / lam_sq if lam_sq else 0)
 
 
 def certified_torus_check(rs: RootSystem, Y: LieElement,

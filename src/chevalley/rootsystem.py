@@ -12,6 +12,7 @@ exposes the norm-independence tests.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .fields import QQ
 from .linalg import identity, rref
@@ -205,6 +206,10 @@ class RootSystem:
             # roots), whose Gram is char_form, so theirs is its inverse
             reduced, _ = rref(QQ, [row + ident for row, ident in zip(form, identity(QQ, n))])
             self.gram = [row[n:] for row in reduced]
+        # the same Gram as integers over one denominator, for cochar_form
+        self.gram_den = lcm(*(g.denominator for row in self.gram for g in row))
+        self.gram_num = [[g.numerator * (self.gram_den // g.denominator) for g in row]
+                         for row in self.gram]
 
     # -- basic queries ------------------------------------------------
 
@@ -243,14 +248,13 @@ class RootSystem:
         return self.coroots[self.root_index[tuple(a)]]
 
     def cochar_form(self, x, y) -> Fraction:
-        """Invariant form (x, y) on the cocharacter space."""
-        acc = Fraction(0)
-        for i, xi in enumerate(x):
+        """Invariant form (x, y) on the cocharacter space: summed against
+        the integer Gram, with one division by its denominator."""
+        acc = 0
+        for xi, row in zip(x, self.gram_num):
             if xi:
-                for j, yj in enumerate(y):
-                    if yj:
-                        acc += xi * yj * self.gram[i][j]
-        return acc
+                acc += xi * sum(yj * g for yj, g in zip(y, row) if yj)
+        return Fraction(acc, self.gram_den)
 
     def norm_sq(self, lam) -> Fraction:
         return self.cochar_form(lam, lam)

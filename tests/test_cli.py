@@ -174,6 +174,18 @@ def test_usage_errors_exit_2(tmp_path):
                  *bad_corpora):
         code, out, err = run_cli(*args)
         assert code == 2 and not out and "Traceback" not in err, (args, err)
+    # malformed supports: one error line that names the fault
+    for args, message in [
+            (["optimal", "--type", "A2", "--support", "a1=1/0"], "'1/0' has a zero denominator"),
+            (["grade", "--type", "A2", "--support", "a1=1/0"], "'1/0' has a zero denominator"),
+            (["kernel-check", "--type", "A2", "--support", "a1=1/0"],
+             "'1/0' has a zero denominator"),
+            (["optimal", "--type", "A2", "--support", "a"], "bad simple-root name 'a'"),
+            (["optimal", "--type", "A2", "--support", "a1,ax2"], "bad simple-root name 'ax2'")]:
+        code, out, err = run_cli(*args)
+        assert code == 2 and not out, (args, err)
+        errors = [line for line in err.splitlines() if "error" in line]
+        assert errors == [f"error: {message}"], (args, err)
 
 
 def test_optimal_inhomogeneous_support_exits_2():
@@ -198,9 +210,14 @@ def test_out_flag_writes_file(tmp_path):
     code, out, _ = run_cli("roots", "--type", "A1", "--out", str(target))
     assert code == 0
     assert json.loads(target.read_text()) == json.loads(out)
-    # an --out path in a missing directory is a usage error, not a traceback
-    code, _, err = run_cli("roots", "--type", "A1", "--out", str(tmp_path / "no" / "r.json"))
-    assert code == 2 and "Traceback" not in err
+    code, plain, _ = run_cli("roots", "--type", "A1")
+    assert code == 0 and out == plain
+    # an --out path that cannot be written (a missing directory, a directory)
+    # is a usage error, reported before anything reaches stdout
+    for path in (tmp_path / "no" / "r.json", tmp_path):
+        code, out, err = run_cli("roots", "--type", "A1", "--out", str(path))
+        assert code == 2 and not out and "Traceback" not in err, err
+        assert err.startswith("error: [Errno ")
 
 
 def test_main_entry_direct(capsys):

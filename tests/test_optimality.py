@@ -1,5 +1,9 @@
+import hashlib
 import itertools
+import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,7 +16,8 @@ from chevalley.corpus import element_from_support, run_instance, standard_instan
 from chevalley.grading import CocharRational
 from chevalley.lie import LieElement
 from chevalley.linalg import rank
-from chevalley.optimality import OptimalityCertificate, minimum_norm_cocharacter
+from chevalley.optimality import (OptimalityCertificate, _affine_minimizer,
+                                  minimum_norm_cocharacter)
 from qp_oracles import active_set_min_norm, fourier_motzkin_torus_check
 
 
@@ -365,6 +370,83 @@ def test_solver_matches_active_set_and_fourier_motzkin_oracles():
     zero = [v for lam, v in verdicts if not any(lam)]
     assert zero and not any(zero)  # lam = 0: the positive support is destabilizing
     assert {True, False} <= {v for lam, v in verdicts if any(lam)}
+
+
+def _sum_of(rs, field, roots, coeffs=None):
+    Y = LieElement(field)
+    for ri, c in zip(roots, coeffs or [1] * len(roots)):
+        Y = Y + root_vector(rs, field, ri, field.element(c))
+    return Y
+
+
+@pytest.mark.parametrize("t, iso, scale", [
+    ("E7", "simply_connected", None), ("E7", "adjoint", None), ("E8", "simply_connected", None),
+    ("G2", "simply_connected", [Fraction(2, 5)]), ("G2", "adjoint", [Fraction(2, 5)]),
+    ("A2xG2", "simply_connected", [Fraction(1, 3), Fraction(7, 2)]),
+    ("A2xG2", "adjoint", [Fraction(1, 3), Fraction(7, 2)])])
+def test_solver_matches_oracles_on_large_and_scaled_types(t, iso, scale):
+    # Wolfe runs on the Gram scaled by the lcm of the denominators of
+    # (a, a)/2; fractional lengths and the big E7/E8 corrals must give the
+    # oracles' mu and active set, and on the scaled types their torus verdicts
+    rng = random.Random(f"min-norm-scaled:{t}:{iso}")
+    rs = build(t, iso, scale=scale)
+    q = RationalField()
+    for _ in range(4):
+        m = rng.randint(min(4, rs.rank), min(8, len(rs.positive_roots)))
+        supp = rng.sample(rs.positive_roots, m)
+        mu, active = minimum_norm_cocharacter(rs, supp)
+        assert (mu, active) == active_set_min_norm(rs, supp), supp
+        if scale is None:
+            continue
+        lam = tuple(rng.randint(-3, 3) for _ in range(rs.rank))
+        classes = {}
+        for ri in supp:
+            classes.setdefault(rs.pair(rs.roots[ri], lam), []).append(ri)
+        for roots, at in [(active, optimal_cocharacter(rs, _sum_of(rs, q, active)).lam),
+                          (max(classes.values(), key=len), lam)]:
+            assert (kirwan_ness_torus_check(rs, _sum_of(rs, q, roots), at)
+                    == fourier_motzkin_torus_check(rs, roots, at)), (roots, at)
+
+
+def test_e8_certificates_pinned():
+    """Certificates (to_json, Wolfe's weights and vv) and torus verdicts on
+    a seeded pool of E8 supports with 8 to 10 roots, pinned by one digest
+    taken while Wolfe still ran on Fractions."""
+    rs = build("E8")
+    q = RationalField()
+    rng = random.Random("e8-certificates")
+    digest = hashlib.sha256()
+    for _ in range(40):
+        supp = sorted(rng.sample(rs.positive_roots, rng.randint(8, 10)))
+        cert = optimal_cocharacter(rs, _sum_of(rs, q, supp, [rng.randint(1, 9) for _ in supp]))
+        torus = kirwan_ness_torus_check(rs, _sum_of(rs, q, cert.active_constraints), cert.lam)
+        lam = tuple(rng.randint(-2, 2) for _ in range(rs.rank))
+        classes = {}
+        for ri in supp:
+            classes.setdefault(rs.pair(rs.roots[ri], lam), []).append(ri)
+        part = max(classes.values(), key=len)
+        record = [cert.to_json(), {str(ri): str(w) for ri, w in cert.weights.items()},
+                  str(cert.vv), torus, kirwan_ness_torus_check(rs, _sum_of(rs, q, part), lam)]
+        digest.update(json.dumps(record, sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "b5759ea84df69d5bfeff5df9b7b2570734b32dd5464f09da88c82ca30e6b29c4")
+
+
+def test_singular_corral_raises_under_O():
+    # two copies of one point are affinely dependent: their bordered system
+    # [K_S 1; 1^T 0] is singular, and the fraction-free solve must say so
+    # with a RuntimeError that `python -O` keeps
+    code = ("from chevalley.optimality import _affine_minimizer\n"
+            "try:\n"
+            "    _affine_minimizer([[2, 2], [2, 2]], [0, 1])\n"
+            "except RuntimeError as exc:\n"
+            "    print(exc)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("singular corral")
+    # a nonsingular corral: the midpoint of two points of norm 2 at angle 2pi/3
+    y, d = _affine_minimizer([[2, -1], [-1, 2]], [0, 1])
+    assert [Fraction(c, d) for c in y] == [Fraction(1, 2)] * 2
 
 
 def test_errors_on_bad_support():
