@@ -20,7 +20,7 @@ from .fields import QQ, FunctionField, PrimeField, RationalField
 from .gradedmap import (block_divisors, block_report, graded_ad, kernel_from_divisors,
                         lattice_image, verify_phi_inverse, verify_rrao)
 from .grading import grade
-from .lie import LieElement, element_from_support, root_vector, structure_constants
+from .lie import element_from_support, structure_constants
 from .optimality import brute_force_verify, certified_torus_check, optimal_cocharacter
 from .rootsystem import build
 
@@ -174,19 +174,16 @@ def cmd_rrao_check(args):
     rs, _, _, Y, cert = _instance(args, 2 if args.prime is None else args.prime)
     sc, field = structure_constants(rs), Y.field
     rng = random.Random(args.seed)
-    degree_k = [ri for ri in range(len(rs.roots))
-                if rs.pair(rs.roots[ri], cert.lam) == cert.k]
+    degree_k = grade(rs, cert.lam).weight_spaces[cert.k]
     p = field.residue_cardinality
     trials, failures = [], 0
     for t in range(args.trials):
-        X = LieElement(field)
-        for ri in degree_k:
-            if rng.random() < 0.8:
-                c = field.element(rng.randint(1, 9)) * field.element(p) ** rng.randint(0, 2)
-                X = X + root_vector(rs, field, ri, c)
+        terms = [(ri, rng.randint(1, 9) * p ** rng.randint(0, 2))
+                 for ri in degree_k if rng.random() < 0.8]
         v = tuple(rng.randint(-3, 3) for _ in range(rs.rank))
-        if X.is_zero():
+        if not terms:
             continue
+        X = element_from_support(rs, field, *zip(*terms))
         ok_rrao = verify_rrao(rs, sc, X, cert.lam, cert.k, v)
         ok_inv = verify_phi_inverse(rs, sc, X, cert.lam, cert.k)
         if not (ok_rrao and ok_inv):

@@ -5,8 +5,9 @@ runner attaches the exact optimal cocharacter, builds the graded blocks
 once over Q and takes one Smith normal form over Z of each.  Those
 elementary divisors give the kernel theorem over Q and over every
 requested prime field, and the 2-adic phi exponent; the runner emits a
-JSON-able report.  Coefficients that are not JSON integers and primes
-that are not primes raise ValueError.  Mod-p outcomes are asserted for
+JSON-able report.  Support coordinates and coefficients that are not
+JSON integers, unknown roots, primes that are not primes and names that
+are not strings raise ValueError.  Mod-p outcomes are asserted for
 type A only; for every other type (B/C/D/E/F/G) they are reported as
 data, never asserted, and a non-injective A/D/E outcome is flagged
 `counterexample_to_expected`.
@@ -109,6 +110,11 @@ def run_instance(rs: RootSystem, sc, entry: dict, primes) -> dict:
     the 2-adic valuation of its determinant."""
     primes = _integers(entry.get("primes", primes), "primes", prime=True)  # per-entry override
     support = entry["support"]
+    if not isinstance(support, list):
+        raise ValueError(f"support must be a list of roots, got {support!r}")
+    for root in support:
+        if tuple(_integers(root, "a support root")) not in rs.root_index:
+            raise ValueError(f"{root!r} is not a root of {rs.type_string()}")
     coefficients = _integers(entry.get("coefficients", [1] * len(support)), "coefficients")
     if len(coefficients) != len(support):
         raise ValueError(f"{len(coefficients)} coefficients for {len(support)} support roots")
@@ -171,6 +177,8 @@ def run_corpus(corpus: dict) -> dict:
     ok = True
     for entry in corpus["entries"]:
         key = (entry["cartan_type"], entry.get("isogeny", "simply_connected"))
+        if not all(isinstance(name, str) for name in key):
+            raise ValueError(f"cartan_type and isogeny must be strings, got {list(key)!r}")
         if key not in cache:
             rs = build(key[0], key[1])
             cache[key] = (rs, structure_constants(rs))

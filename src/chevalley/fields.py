@@ -76,15 +76,13 @@ class RationalField:
     def valuation(self, x) -> int:
         """p-adic valuation; undefined (raises) on 0."""
         p = self.residue_cardinality
-        x = Fraction(x)
-        if x == 0:
+        if not x:
             raise ZeroDivisionError("valuation of 0 is undefined")
         v = 0
-        n = x.numerator
+        n, d = x.numerator, x.denominator
         while n % p == 0:
             n //= p
             v += 1
-        d = x.denominator
         while d % p == 0:
             d //= p
             v -= 1
@@ -431,13 +429,13 @@ class FunctionField:
         return self.base.order
 
     def element(self, x: int) -> RatFunc:
-        return RatFunc(Polynomial(self.base, [self.base.element(x)]),
-                       Polynomial(self.base, [self.base.one]))
+        return self.poly([x])
 
     def poly(self, int_coeffs) -> RatFunc:
-        """Polynomial with integer coefficients, reduced into GF(q)."""
+        """Polynomial with integer coefficients, reduced into GF(q); over
+        the denominator 1 it is already in lowest terms."""
         num = Polynomial(self.base, [self.base.element(c) for c in int_coeffs])
-        return RatFunc(num, Polynomial(self.base, [self.base.one]))
+        return RatFunc(num, self.one.den, normalized=True)
 
     def t(self) -> RatFunc:
         return self.poly([0, 1])

@@ -7,7 +7,9 @@ blocks, kept symbolic as q**(-e/2) with an integer half-exponent e;
 the kernel theorem makes the blocks square and invertible on optimal
 instances, and the functional equations of phi are exact identities on
 these exponents.  For an integer Y, one Smith form over Z per block
-(`block_divisors`) gives its rank over Q and modulo every prime.
+(`block_divisors`) gives its rank over Q and modulo every prime; over
+a valued field, one DVR pass per block feeds phi, `block_report` and
+`lattice_image` (which caps it at the truncation level).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .fields import has_valuation
 from .grading import degrees_of, delta_exponent, grade
 from .lie import LieElement, StructureConstants
 from .rootsystem import RootSystem
-from .snf import dvr_divisor_valuations, integer_elementary_divisors
+from .snf import INF, dvr_divisor_valuations, integer_elementary_divisors
 
 
 @dataclass(frozen=True)
@@ -136,9 +138,10 @@ def kernel_from_divisors(gbm: GradedBlockMap, divisors: dict[int, list[int]],
 def phi(field, gbm: GradedBlockMap) -> AbsValue:
     """Product over the blocks of |det|^(1/2) as a symbolic q-power.
 
-    The half-exponent is the sum of the determinant valuations; a zero
-    determinant gives the distinguished infinite exponent.  The empty
-    product (k = 1, or no roots in range) is the value 1.
+    The half-exponent sums the blocks' elementary divisor valuations;
+    an infinite one (a zero determinant) gives the distinguished
+    infinite exponent.  The empty product (k = 1, or no roots in range)
+    is the value 1.
     """
     if not has_valuation(field):
         raise ValueError("phi needs a field with a valuation")
@@ -146,13 +149,11 @@ def phi(field, gbm: GradedBlockMap) -> AbsValue:
     if not gbm.is_square():
         raise ValueError(f"blocks are not square: {gbm.shapes()}")
     e = 0
-    for i, mat in gbm.blocks.items():
-        if not mat:
-            continue
-        d = linalg.det(field, mat)
-        if not d:
+    for mat in gbm.blocks.values():
+        divisors = dvr_divisor_valuations(field, mat)
+        if INF in divisors:
             return AbsValue(q, None)
-        e += field.valuation(d)
+        e += sum(divisors)
     return AbsValue(q, e)
 
 
@@ -240,7 +241,7 @@ def lattice_image(rs: RootSystem, sc: StructureConstants, Y: LieElement, lam,
     gbm = graded_ad(rs, sc, Y, lam, k)
     if i not in gbm.blocks:
         raise ValueError(f"block index i = {i} outside 1..{k - 1}")
-    return dvr_divisor_valuations(field, gbm.blocks[i], m_cap=m)
+    return [v if v is INF else min(v, m) for v in dvr_divisor_valuations(field, gbm.blocks[i])]
 
 
 def block_report(field, gbm: GradedBlockMap) -> dict:

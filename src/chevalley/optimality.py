@@ -22,7 +22,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .fields import QQ
-from .grading import CocharRational, degrees_of, m_of
+from .grading import CocharRational, degrees_of, grade, m_of
 from .lie import LieElement
 from .linalg import solve
 from .rootsystem import RootSystem
@@ -323,8 +323,7 @@ def sl2_completion_check(rs: RootSystem, sc, Y: LieElement,
     h_coords = [2 * c for c in cert.mu.coords]
     if any(c.denominator != 1 for c in h_coords):
         return False
-    targets = [ri for ri in range(len(rs.roots))
-               if rs.pair(rs.roots[ri], cert.lam) == -cert.k]
+    targets = grade(rs, cert.lam).weight_spaces.get(-cert.k)
     if not targets:
         return False
     keyset = set()

@@ -1,10 +1,10 @@
 """Smith normal form over Z, and elementary divisor valuations over a DVR.
 
 Two flavours are needed: the honest integer SNF (cokernels of pairing
-matrices, graded blocks of an integer Y), and, for lattice computations
-over GF(q)[t] localized at t, just the t-adic valuations of the
-elementary divisors.  The latter also works verbatim for Q with the
-p-adic valuation, a cheap cross-check of determinant valuations.
+matrices, graded blocks of an integer Y), and, over a discrete
+valuation ring (Z localized at p inside Q_p, GF(q)[t] localized at t),
+just the valuations of the elementary divisors: the one factorization
+behind phi, `block_report` and the GF(q)(t) lattice divisors.
 """
 
 from __future__ import annotations
@@ -89,15 +89,16 @@ def integer_elementary_divisors(A) -> list[int]:
 INF = None  # marker for an infinite valuation (zero elementary divisor)
 
 
-def dvr_divisor_valuations(field, A, m_cap: int | None = None):
+def dvr_divisor_valuations(field, A):
     """Valuations of the elementary divisors of A over the valuation ring.
 
     `field` must expose valuation(); entries of A are field elements.
     Returns a list of length min(rows, cols), nondecreasing, with INF
-    (None) entries for the rank deficiency over the fraction field.
-    With m_cap given, finite valuations are capped at m_cap (the image
-    of the lattice computation truncated at uniformizer**m_cap); INF
-    stays INF since the computation is exact.
+    (None) entries for the rank deficiency over the fraction field.  The
+    pivot is the first entry of least valuation.  Multipliers are
+    integral, so the previous pivot's valuation bounds the rest of the
+    block and the search stops at the first entry that meets it; row
+    updates touch only the pivot row's nonzero columns.
     """
     M = [list(row) for row in A]
     rows = len(M)
@@ -106,32 +107,36 @@ def dvr_divisor_valuations(field, A, m_cap: int | None = None):
     vals: list[int | None] = []
     top = 0
     while top < size:
-        best = None
-        best_v = None
+        floor = vals[-1] if vals else None
+        best = least = None
         for i in range(top, rows):
+            row = M[i]
             for j in range(top, cols):
-                if M[i][j]:
-                    v = field.valuation(M[i][j])
-                    if best_v is None or v < best_v:
-                        best, best_v = (i, j), v
+                if row[j]:
+                    v = field.valuation(row[j])
+                    if best is None or v < least:
+                        best, least = (i, j), v
+                        if v == floor:
+                            break
+            if best and least == floor:
+                break
         if best is None:
             break
         bi, bj = best
         M[top], M[bi] = M[bi], M[top]
-        for row in M:
-            row[top], row[bj] = row[bj], row[top]
-        vals.append(best_v)
-        pivot = M[top][top]
-        # multipliers have valuation >= 0, so the operations are integral
-        for i in range(top + 1, rows):
-            if M[i][top]:
-                f = M[i][top] / pivot
-                for j in range(top, cols):
-                    if M[top][j]:
-                        M[i][j] = M[i][j] - f * M[top][j]
+        if bj != top:
+            for row in M[top:]:
+                row[top], row[bj] = row[bj], row[top]
+        vals.append(least)
+        prow = M[top]
+        pivot = prow[top]
+        support = [j for j in range(top + 1, cols) if prow[j]]
+        # column top is never read again, so it is left as it is
+        for row in M[top + 1:]:
+            if row[top]:
+                f = row[top] / pivot
+                for j in support:
+                    row[j] = row[j] - f * prow[j]
         top += 1
     vals += [INF] * (size - len(vals))
-    if m_cap is not None:
-        vals = [v if v is None else min(v, m_cap) for v in vals]
     return vals
-

@@ -1,7 +1,9 @@
-"""Brute-force integer oracles for the Smith-normal-form tests."""
+"""Brute-force oracles for the Smith-normal-form tests."""
 
 from itertools import combinations
 from math import gcd
+
+from chevalley.linalg import det
 
 
 def integer_gcd_of_minors(A, k: int) -> int:
@@ -30,3 +32,18 @@ def int_det(M) -> int:
             total += sign * M[0][j] * int_det(minor)
         sign = -sign
     return total
+
+
+def dvr_minor_valuations(field, A, k: int):
+    """Least valuation among the k x k minors of A, each taken with
+    linalg.det; None when all of them are 0.  Over a DVR this is
+    v(d_1) + ... + v(d_k) for the elementary divisors d_i of A."""
+    rows = len(A)
+    cols = len(A[0]) if rows else 0
+    least = None
+    for rsel in combinations(range(rows), k):
+        for csel in combinations(range(cols), k):
+            d = det(field, [[A[i][j] for j in csel] for i in rsel])
+            if d and (least is None or field.valuation(d) < least):
+                least = field.valuation(d)
+    return least

@@ -136,7 +136,14 @@ def test_support_coefficient_parsing():
 def test_usage_errors_exit_2(tmp_path):
     bad_corpora = []
     for n, patch in enumerate([{"coefficients": [2.5]}, {"coefficients": ["1/2"]},
-                               {"coefficients": [True]}, {"primes": [4]}]):
+                               {"coefficients": [True]}, {"primes": [4]},
+                               # names that are not strings
+                               {"cartan_type": 5}, {"cartan_type": ["A", 2]},
+                               {"cartan_type": []}, {"isogeny": 5}, {"isogeny": []},
+                               # support roots that are not lists of integers
+                               {"support": [1]}, {"support": [None]},
+                               {"support": [[True, 1]]}, {"support": [[1.0, 1]]},
+                               {"support": 5}]):
         entry = {"cartan_type": "A2", "support": [[1, 1]], "coefficients": [1], **patch}
         path = tmp_path / f"bad{n}.json"
         path.write_text(json.dumps({"schema": 1, "primes": [2], "entries": [entry]}))
@@ -174,8 +181,12 @@ def test_usage_errors_exit_2(tmp_path):
                  *bad_corpora):
         code, out, err = run_cli(*args)
         assert code == 2 and not out and "Traceback" not in err, (args, err)
+    unknown_root = tmp_path / "unknown_root.json"
+    unknown_root.write_text(json.dumps({"schema": 1, "entries": [
+        {"cartan_type": "A2", "support": [[1, 5]]}]}))
     # malformed supports: one error line that names the fault
     for args, message in [
+            (["corpus", "--corpus", str(unknown_root)], "[1, 5] is not a root of A2"),
             (["optimal", "--type", "A2", "--support", "a1=1/0"], "'1/0' has a zero denominator"),
             (["grade", "--type", "A2", "--support", "a1=1/0"], "'1/0' has a zero denominator"),
             (["kernel-check", "--type", "A2", "--support", "a1=1/0"],

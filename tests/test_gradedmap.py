@@ -466,6 +466,11 @@ def test_block_report_matches_rank_and_det_oracle():
                     assert ("phi" in report) == gbm.is_square()
                     if gbm.is_square():
                         assert report["phi"] == phi(field, gbm).to_json()
+                        # phi and block_report share the DVR pass; det is the reference
+                        dets = [det(field, mat) for mat in gbm.blocks.values() if mat]
+                        half = (sum(field.valuation(d) for d in dets) if all(dets)
+                                else "inf")
+                        assert phi(field, gbm).to_json()["half_exponent"] == half
     assert all(seen.values()), seen
     with pytest.raises(ValueError, match="valuation"):
         block_report(RationalField(), gbm)

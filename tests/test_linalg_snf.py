@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from chevalley import FunctionField, PrimeField, RationalField
+from chevalley.fields import Polynomial, RatFunc
 from chevalley.linalg import det, kernel_basis, rank, solve
-from chevalley.snf import dvr_divisor_valuations, integer_elementary_divisors
+from chevalley.snf import INF, dvr_divisor_valuations, integer_elementary_divisors
 
-from snf_oracles import int_det, integer_gcd_of_minors
+from snf_oracles import dvr_minor_valuations, int_det, integer_gcd_of_minors
 
 
 def mat_vec(A, x, zero):
@@ -183,8 +184,6 @@ def test_dvr_divisors_function_field():
         exps = sorted(rng.randint(0, 4) for _ in range(rng.randint(1, 3)))
         A = scaled_unimodular(exps)
         assert dvr_divisor_valuations(F, A) == exps
-        cap = 2
-        assert dvr_divisor_valuations(F, A, m_cap=cap) == [min(e, cap) for e in exps]
 
 
 def test_dvr_divisors_rank_deficient():
@@ -192,3 +191,66 @@ def test_dvr_divisors_rank_deficient():
     t = F.t()
     A = [[t, t], [t, t]]
     assert dvr_divisor_valuations(F, A) == [1, None]
+
+
+def _valued_unit(field, rng):
+    """A random unit of the valuation ring: over Q_p a signed a/b with
+    p dividing neither; over GF(q)(t) (c0 + c1 t) / (1 + c2 t), c0 != 0."""
+    if isinstance(field, RationalField):
+        a, b = (rng.choice([x for x in range(1, 8) if x % field.p]) for _ in range(2))
+        return Fraction(rng.choice([1, -1]) * a, b)
+    elems = list(field.base.elements())  # elems[0] is 0
+    num = Polynomial(field.base, [rng.choice(elems[1:]), rng.choice(elems)])
+    return RatFunc(num, Polynomial(field.base, [field.base.one, rng.choice(elems)]))
+
+
+def _valued_scalar(field, rng, lo, hi):
+    """A unit times the uniformizer to a random power in lo..hi."""
+    x, pi = _valued_unit(field, rng), field.uniformizer()
+    e = rng.randint(lo, hi)
+    for _ in range(abs(e)):
+        x = x * pi if e > 0 else x / pi
+    return x
+
+
+@pytest.mark.parametrize("field", [RationalField(2), RationalField(3), FunctionField(2),
+                                   FunctionField(4)], ids=repr)
+def test_dvr_divisors_match_minor_oracle(field):
+    """The partial sums of dvr_divisor_valuations are the least valuations
+    of the k x k minors, on sparse rectangular matrices with entries of
+    negative valuation, zero rows and columns and dependent rows."""
+    rng = random.Random(f"dvr:{field!r}")
+    seen = {"negative": 0, "zero_line": 0, "deficient": 0, "gap": 0}
+    for _ in range(30):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+        A = [[_valued_scalar(field, rng, -2, 2) if rng.random() < 0.6 else field.zero
+              for _ in range(cols)] for _ in range(rows)]
+        if rows > 1 and rng.random() < 0.4:
+            # a row that depends on the others, with multipliers of any valuation
+            r = rng.randrange(rows)
+            A[r] = [field.zero] * cols
+            for s in range(rows):
+                if s != r:
+                    c = _valued_scalar(field, rng, -1, 1)
+                    A[r] = [x + c * y for x, y in zip(A[r], A[s])]
+        if rng.random() < 0.3:
+            if rng.random() < 0.5:
+                A[rng.randrange(rows)] = [field.zero] * cols
+            else:
+                j = rng.randrange(cols)
+                for row in A:
+                    row[j] = field.zero
+        vals = dvr_divisor_valuations(field, A)
+        size = min(rows, cols)
+        finite = [v for v in vals if v is not INF]
+        assert len(vals) == size and vals == finite + [INF] * (size - len(finite))
+        assert finite == sorted(finite)
+        for k in range(1, size + 1):
+            expected = sum(vals[:k]) if k <= len(finite) else None
+            assert dvr_minor_valuations(field, A, k) == expected, (A, vals, k)
+        seen["negative"] += any(v < 0 for v in finite)
+        seen["zero_line"] += any(not any(row) for row in A) or any(
+            not any(row[j] for row in A) for j in range(cols))
+        seen["deficient"] += len(finite) < size
+        seen["gap"] += any(b - a > 1 for a, b in zip(finite, finite[1:]))
+    assert all(seen.values()), seen
