@@ -155,8 +155,8 @@ def run_instance(rs: RootSystem, sc, entry: dict, primes) -> dict:
         mod_p[str(p)] = entry_p
     report["mod_p"] = mod_p
     if gbm.is_square():
-        ds = [d for block in divisors.values() for d in block]
-        e = None if 0 in ds else sum(RationalField(2).valuation(d) for d in ds)
+        ds = [d for block in divisors.values() for d in block if d != 1]
+        e = None if 0 in ds else sum(map(RationalField(2).valuation, ds))
         report["phi_over_Q_v2"] = AbsValue(2, e).to_json()
     return report
 

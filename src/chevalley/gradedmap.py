@@ -7,9 +7,9 @@ blocks, kept symbolic as q**(-e/2) with an integer half-exponent e;
 the kernel theorem makes the blocks square and invertible on optimal
 instances, and the functional equations of phi are exact identities on
 these exponents.  For an integer Y, one Smith form over Z per block
-(`block_divisors`) gives its rank over Q and modulo every prime; over
-a valued field, one DVR pass per block feeds phi, `block_report` and
-`lattice_image` (which caps it at the truncation level).
+(`block_divisors`: diagonalize, then gcd/lcm; Cohen GTM 138, 2.4) gives
+its rank over Q and mod every prime; over a valued field, one DVR pass
+per block feeds phi, `block_report` and `lattice_image` (capped at m).
 """
 
 from __future__ import annotations

@@ -9,16 +9,19 @@ behind phi, `block_report` and the GF(q)(t) lattice divisors.
 
 from __future__ import annotations
 
+from math import gcd
+
 
 def integer_elementary_divisors(A) -> list[int]:
     """Elementary divisors d_1 | d_2 | ... of an integer matrix.
 
     Returns min(rows, cols) nonnegative integers; trailing zeros mean
     rank deficiency.  Entries are ints or integral Fractions; a
-    non-integral entry raises ValueError.  Graded blocks are sparse and
-    rich in units, so the pivot search stops at the first +-1, row and
-    column operations touch only the pivot row's and column's nonzero
-    entries, and a unit pivot skips the divisibility scan.
+    non-integral entry raises ValueError.  Diagonalize, then normalize
+    (Cohen, GTM 138, section 2.4): a pivot clears its row and column,
+    restarting on a surviving remainder, and (gcd, lcm) steps over the
+    non-unit diagonal give the chain.  The pivot search stops at the first
+    +-1; updates touch only the pivot row's and column's nonzero entries.
     """
     if any(x.denominator != 1 for row in A for x in row):
         raise ValueError("non-integral matrix entry")
@@ -72,18 +75,15 @@ def integer_elementary_divisors(A) -> list[int]:
                 dirty = True
         if dirty:
             continue
-        # a non-unit pivot must also divide the remaining block
-        if least != 1:
-            offender = next((row for row in M[top + 1:]
-                             if any(x % p for x in row[top + 1:])), None)
-            if offender is not None:
-                for j in range(top, cols):
-                    prow[j] += offender[j]
-                continue
         divisors.append(least)
         top += 1
-    divisors += [0] * (size - len(divisors))
-    return divisors
+    # the block is now diagonal; (gcd, lcm) steps make the non-units a chain
+    rest = [d for d in divisors if d != 1]
+    for i in range(len(rest)):
+        for j in range(i + 1, len(rest)):
+            g = gcd(rest[i], rest[j])
+            rest[i], rest[j] = g, rest[i] // g * rest[j]
+    return [1] * (len(divisors) - len(rest)) + rest + [0] * (size - len(divisors))
 
 
 INF = None  # marker for an infinite valuation (zero elementary divisor)

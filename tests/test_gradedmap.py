@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -8,11 +10,11 @@ from chevalley import (AbsValue, FunctionField, PrimeField, RationalField,
                        optimal_cocharacter, phi, phi_of, root_vector,
                        structure_constants, torus_conjugate, verify_phi_inverse,
                        verify_rrao)
-from chevalley.corpus import element_from_support, run_instance
+from chevalley.corpus import element_from_support, run_instance, standard_instances
 from chevalley.gradedmap import (GradedBlockMap, block_divisors, block_report,
                                  kernel_from_divisors)
 from chevalley.lie import LieElement
-from chevalley.fields import Polynomial, RatFunc
+from chevalley.fields import QQ, Polynomial, RatFunc
 from chevalley.linalg import det
 from chevalley.optimality import minimum_norm_cocharacter
 
@@ -421,6 +423,23 @@ def test_block_divisors_match_field_by_field_oracle():
         else:
             assert "phi_over_Q_v2" not in report
     assert all(seen.values()), seen
+
+
+def test_e8_block_divisors_pinned():
+    """The elementary divisors of every graded block of the 380 E8
+    standard instances (343 blocks), pinned by digest: a change to the
+    integer Smith form must leave each of them as it is."""
+    rs = build("E8")
+    sc = structure_constants(rs)
+    pinned = []
+    for entry in standard_instances("E8"):
+        Y = element_from_support(rs, QQ, entry["support"], entry["coefficients"])
+        cert = optimal_cocharacter(rs, Y)
+        gbm = graded_ad(rs, sc, Y, cert.lam, cert.k)
+        pinned.append({str(i): divs for i, divs in block_divisors(gbm).items()})
+    assert (len(pinned), sum(map(len, pinned))) == (380, 343)
+    digest = hashlib.sha256(json.dumps(pinned, sort_keys=True).encode()).hexdigest()
+    assert digest == "29e04c8eb97fd69cb01aee57cb81173108451b758984b8746eccf427a7c2e8a0"
 
 
 def test_block_report_matches_rank_and_det_oracle():

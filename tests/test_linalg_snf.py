@@ -119,7 +119,7 @@ def test_integer_snf_sparse_rectangular_against_oracle():
         [[0, 0, 0], [0, -1, 0], [0, 0, 0]],         # zero rows and columns, unit pivot
         [[0, 0], [0, 0], [0, 5]],                   # one nonzero entry, tall
         [[-4, 0, 6], [0, -6, 0]],                   # negative pivots
-        [[2, 0], [0, 3]],                           # 2 does not divide 3: restart
+        [[2, 0], [0, 3]],                           # 2 does not divide 3: a gcd/lcm step
         [[4, 6, 0], [6, 9, 0], [0, 0, 10]],         # remainders in row and column
         [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 4, 3]],  # unit found after non-units
         [[Fraction(-3), Fraction(0)], [Fraction(6, 2), Fraction(9)]],
@@ -145,6 +145,20 @@ def test_integer_snf_sparse_rectangular_against_oracle():
     assert integer_elementary_divisors([[0, -1, 0], [0, 0, 0]]) == [1, 0]
     with pytest.raises(ValueError):
         integer_elementary_divisors([[1, 0], [0, Fraction(1, 2)]])
+
+
+def test_integer_snf_diagonal_needs_gcd_lcm_steps():
+    # already diagonal, so the pivot loop only reorders; the chain comes
+    # from more than one (gcd, lcm) step over the non-unit entries
+    cases = [
+        ([[4, 0, 0], [0, 6, 0], [0, 0, 9]], [1, 6, 36]),
+        ([[6, 0, 0], [0, 10, 0], [0, 0, 15]], [1, 30, 30]),
+        ([[12, 0, 0], [0, 18, 0], [0, 0, 8]], [2, 12, 72]),
+        ([[0, 6, 0, 0], [4, 0, 0, 0], [0, 0, 0, 0]], [2, 12, 0]),  # a zero divisor
+    ]
+    for A, expected in cases:
+        _assert_minor_gcds(A, expected)
+        assert integer_elementary_divisors(A) == expected
 
 
 def test_dvr_divisors_padic():
