@@ -10,7 +10,8 @@ Three kinds of field feed the Lie-algebra machinery:
   sub-model of the Laurent series field GF(q)((t))).
 
 No floating point anywhere: elements are Fractions, coefficient tuples
-mod p, or normalized polynomial quotients.
+mod p, or polynomial quotients in normal form (gcd 1, monic
+denominator; see RatFunc for when the gcd is skipped).
 """
 
 from __future__ import annotations
@@ -362,7 +363,13 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 class RatFunc:
-    """Element of GF(q)(t): num/den with gcd 1 and monic denominator."""
+    """Element of GF(q)(t) in normal form: num/den with gcd(num, den) = 1
+    and den monic, so 0 is 0/1 and equal functions have equal (num, den).
+
+    The constructor divides out the gcd only when den has degree >= 1 (a
+    gcd with a nonzero constant is 1), and rescales only when den is not
+    already monic; a constant denominator, the common case of products
+    of polynomials, costs no Euclid run."""
 
     __slots__ = ("num", "den")
 
@@ -370,17 +377,20 @@ class RatFunc:
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not normalized:
+            base = den.base
             if not num:
-                den = Polynomial(den.base, [den.base.one])
+                den = Polynomial(base, [base.one])
             else:
-                g = poly_gcd(num, den)
-                if g.degree > 0:
-                    num = num // g
-                    den = den // g
-                lead_inv = den.coeffs[-1].inverse()
-                scale = Polynomial(den.base, [lead_inv])
-                num = num * scale
-                den = den * scale
+                if den.degree > 0:
+                    g = poly_gcd(num, den)
+                    if g.degree > 0:
+                        num = num // g
+                        den = den // g
+                lead = den.coeffs[-1]
+                if lead.coeffs != base.one.coeffs:
+                    lead_inv = lead.inverse()
+                    num = Polynomial(base, [c * lead_inv for c in num.coeffs])
+                    den = Polynomial(base, [c * lead_inv for c in den.coeffs])
         self.num = num
         self.den = den
 

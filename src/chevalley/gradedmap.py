@@ -15,10 +15,11 @@ per block feeds phi, `block_report` and `lattice_image` (capped at m).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from . import linalg
 from .fields import has_valuation
-from .grading import degrees_of, delta_exponent, grade
+from .grading import degrees_of, delta_exponent, grade, integral_coords
 from .lie import LieElement, StructureConstants
 from .rootsystem import RootSystem
 from .snf import INF, dvr_divisor_valuations, integer_elementary_divisors
@@ -88,7 +89,9 @@ def graded_ad(rs: RootSystem, sc: StructureConstants, Y: LieElement, lam,
         raise ValueError(f"Y must be concentrated in degree k = {k}, found {deg}")
     field = Y.field
     by_degree = grade(rs, lam).weight_spaces
-    support = [(key[1], y) for key, y in Y.coeffs.items()]  # degree k >= 1: no Cartan part
+    # degree k >= 1: no Cartan part.  Each root's entries y_a N are made once
+    # per distinct N (|N| <= 3) and shared, which is safe as entries are immutable.
+    support = [(key[1], y, {}) for key, y in Y.coeffs.items()]
     blocks, dom, cod = {}, {}, {}
     for i in range(1, k):
         src = by_degree.get(-i, [])
@@ -97,10 +100,14 @@ def graded_ad(rs: RootSystem, sc: StructureConstants, Y: LieElement, lam,
         mat = [[field.zero for _ in src] for _ in dst]
         # column c is [Y, E_ri] = sum_a y_a N_{a,ri} E_{a+ri}; distinct a give distinct rows
         for c, ri in enumerate(src):
-            for a, y in support:
+            for a, y, y_times in support:
                 s = sc.root_sum(a, ri)
                 if s is not None:
-                    mat[dst_pos[s]][c] = y * field.element(sc.n(a, ri))
+                    n = sc.n(a, ri)
+                    entry = y_times.get(n)
+                    if entry is None:
+                        entry = y_times[n] = y * field.element(n)
+                    mat[dst_pos[s]][c] = entry
         blocks[i] = mat
         dom[i] = src
         cod[i] = dst
@@ -184,7 +191,8 @@ def verify_phi_inverse(rs: RootSystem, sc: StructureConstants, X: LieElement,
 
 def torus_conjugate(rs: RootSystem, X: LieElement, v) -> LieElement:
     """Ad of the torus point with valuation vector v: the coefficient of
-    E_a is scaled by uniformizer**<a, v>."""
+    E_a is scaled by uniformizer**<a, v>.  v must be integral."""
+    v = integral_coords(v, "the valuation vector v must be integral")
     field = X.field
     pi = field.uniformizer()
     out = {}
@@ -192,15 +200,14 @@ def torus_conjugate(rs: RootSystem, X: LieElement, v) -> LieElement:
         if key[0] == "H":
             out[key] = val
             continue
-        e = int(rs.pair(rs.roots[key[1]], v))
-        c = val
-        if e >= 0:
-            for _ in range(e):
-                c = c * pi
-        else:
-            for _ in range(-e):
-                c = c / pi
-        out[key] = c
+        e = sum(map(mul, rs.pairing_rows[key[1]], v))
+        if e:
+            # one product or quotient by pi**|e|: a single normalization
+            power = pi
+            for _ in range(abs(e) - 1):
+                power = power * pi
+            val = val * power if e > 0 else val / power
+        out[key] = val
     return LieElement(field, out)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .lie import LieElement
 from .rootsystem import RootSystem
@@ -79,16 +80,23 @@ class GradingReport:
         }
 
 
+def integral_coords(xs, message: str) -> tuple[int, ...]:
+    """xs as a tuple of ints; ValueError(message) if a coordinate is not
+    an integer, which a truncating int() would hide."""
+    xs = tuple(xs)
+    if any(Fraction(c).denominator != 1 for c in xs):
+        raise ValueError(message)
+    return tuple(int(c) for c in xs)
+
+
 def grade(rs: RootSystem, lam) -> GradingReport:
-    """Assign every root to its degree <a, lam>; lam must be integral."""
-    lam = tuple(lam)
-    if any(Fraction(c).denominator != 1 for c in lam):
-        raise ValueError("grading requires an integral cocharacter")
+    """Assign every root to its degree <a, lam>; lam must be integral.
+    Each degree's root indices come out increasing, as roots are visited
+    in index order."""
+    lam = integral_coords(lam, "grading requires an integral cocharacter")
     spaces: dict[int, list[int]] = {}
-    for i, a in enumerate(rs.roots):
-        d = int(rs.pair(a, lam))
-        spaces.setdefault(d, []).append(i)
-    spaces = {d: sorted(v) for d, v in spaces.items()}
+    for i, row in enumerate(rs.pairing_rows):
+        spaces.setdefault(sum(map(mul, row, lam)), []).append(i)
     return GradingReport(spaces, {d: len(v) for d, v in spaces.items()}, rs.rank)
 
 
@@ -99,7 +107,7 @@ def degrees_of(rs: RootSystem, Y: LieElement, lam) -> list:
         if key[0] == "H":
             degs.append(0)
         else:
-            degs.append(rs.pair(rs.roots[key[1]], lam))
+            degs.append(sum(map(mul, rs.pairing_rows[key[1]], lam)))
     return degs
 
 
@@ -127,14 +135,15 @@ def instability_ratio_sq(rs: RootSystem, Y: LieElement, lam) -> Fraction:
 def delta_exponent(rs: RootSystem, lam, s: int, t: int | None, v) -> int:
     """Exponent e with delta_{lam,s} (or delta_{lam,(s,t)}) = q**(-e) on
     the torus element of valuation v: the sum of <a, v> over roots with
-    s <= <a, lam> (< t when t is given)."""
+    s <= <a, lam> (< t when t is given).  v must be integral."""
     if s < 1:
         raise ValueError("the filtration slice starts at s >= 1")
     if t is not None and t <= s:
         raise ValueError("need t > s")
+    v = integral_coords(v, "the valuation vector v must be integral")
     e = 0
-    for a in rs.roots:
-        d = rs.pair(a, lam)
+    for row in rs.pairing_rows:
+        d = sum(map(mul, row, lam))
         if d >= s and (t is None or d < t):
-            e += int(rs.pair(a, v))
+            e += sum(map(mul, row, v))
     return e

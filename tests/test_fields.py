@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from chevalley.fields import (FiniteField, FunctionField, PrimeField,
-                              RationalField, factor_prime_power, has_valuation)
+from chevalley.fields import (FiniteField, FunctionField, Polynomial, PrimeField,
+                              RatFunc, RationalField, factor_prime_power, has_valuation)
 
 
 def test_factor_prime_power():
@@ -120,6 +120,64 @@ def test_rational_function_normal_form():
     x = a / b
     assert x == t + F.one
     assert x.den.degree == 0
+
+
+def _normal_form_oracle(num, den):
+    """Always-gcd normalizer: num/den divided by a gcd found by Euclid's
+    algorithm, whatever the degrees, then rescaled so the denominator is
+    monic; the result as coefficient tuples of (num, den)."""
+    base = den.base
+    if not num:
+        return (), (base.one.coeffs,)
+    g, r = num, den
+    while r:
+        g, r = r, g % r
+    num, den = num // g, den // g
+    inv = den.coeffs[-1].inverse()
+    return (tuple((c * inv).coeffs for c in num.coeffs),
+            tuple((c * inv).coeffs for c in den.coeffs))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_ratfunc_constructor_matches_always_gcd_oracle(q):
+    """RatFunc skips the gcd for a constant denominator and the rescale
+    for a monic one; it must still give the oracle's normal form, with a
+    monic denominator prime to the numerator, on every kind of input."""
+    F = FiniteField(q)
+    rng = random.Random(f"ratfunc-{q}")
+    elements = list(F.elements())
+    nonzero = [x for x in elements if x]
+
+    def poly(deg):
+        if deg < 0:
+            return Polynomial(F, [])
+        return Polynomial(F, [rng.choice(elements) for _ in range(deg)] + [rng.choice(nonzero)])
+
+    # GF(2) has no non-monic constant
+    kinds = ["zero_num", "const_monic", "shared_factor", "any"] + ["const_non_monic"] * (q > 2)
+    seen = dict.fromkeys(kinds, 0)
+    for _ in range(400):
+        kind = rng.choice(kinds)
+        seen[kind] += 1
+        num = poly(-1) if kind == "zero_num" else poly(rng.randint(0, 4))
+        if kind == "const_monic":
+            den = Polynomial(F, [F.one])
+        elif kind == "const_non_monic":
+            den = Polynomial(F, [rng.choice([x for x in nonzero if x != F.one])])
+        else:
+            den = poly(rng.randint(0, 3))
+        if kind == "shared_factor":
+            f = poly(rng.randint(1, 2))
+            num, den = num * f, den * f * Polynomial(F, [rng.choice(nonzero)])
+        x = RatFunc(num, den)
+        assert (tuple(c.coeffs for c in x.num.coeffs),
+                tuple(c.coeffs for c in x.den.coeffs)) == _normal_form_oracle(num, den)
+        assert x.den.coeffs[-1] == F.one
+        g, r = x.num, x.den
+        while r:
+            g, r = r, g % r
+        assert g.degree == 0  # gcd(num, den) = 1
+    assert all(seen.values()), seen
 
 
 def test_has_valuation():

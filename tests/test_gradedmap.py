@@ -183,6 +183,13 @@ def test_rrao_examples(sl3):
     from chevalley import delta_exponent
 
     assert after.half_exponent - before.half_exponent == 2 * delta_exponent(rs, lam, 1, k, v)
+    # v = (1/2, 1/3) is no torus point: refused as grade refuses a
+    # non-integral lam, where a truncating int() used to report True
+    with pytest.raises(ValueError):
+        torus_conjugate(rs, Y, (Fraction(1, 2), Fraction(1, 3)))
+    with pytest.raises(ValueError):
+        verify_rrao(rs, sc, Y, lam, k, (Fraction(1, 2), Fraction(1, 3)))
+    assert verify_rrao(rs, sc, Y, lam, k, (Fraction(2), Fraction(-1)))
 
 
 def test_phi_homogeneity_random():
@@ -544,3 +551,63 @@ def test_graded_ad_columns_match_bracket(t, isogeny):
                     assert [row[c] for row in mat] == column, (support, i, ri)
                     entries += sum(1 for v in column if v)
     assert len(instances) >= 2 and entries > 0
+
+
+def _pinned_coefficient(field, rng):
+    """A coefficient integral at the uniformizer: c * pi**j, or, one time in
+    three, c/5 over Q_p and (c + w t)/(1 + t) over GF(q)(t), w the generator
+    of GF(q) over GF(p) (so GF(q)(t) divides out nontrivial gcds)."""
+    pi = field.uniformizer()
+    c = field.element(rng.choice([-3, -2, -1, 1, 2, 3, 5, 7]))
+    if rng.random() < 1 / 3:
+        if isinstance(field, RationalField):
+            return c / 5
+        base = field.base
+        w = base.from_coeffs((0, 1)) if base.degree > 1 else base.one
+        wt = RatFunc(Polynomial(base, [base.zero, w]), Polynomial(base, [base.one]))
+        return (c + wt) / field.poly([1, 1])
+    for _ in range(rng.randint(0, 2)):
+        c = c * pi
+    return c
+
+
+def test_valued_field_outputs_pinned():
+    """phi_of (of X, -X and a torus conjugate of X), verify_phi_inverse,
+    verify_rrao and lattice_image on a seeded square-graded C3/F4/E6 pool
+    over Q_2, Q_3, GF(2)(t) and GF(4)(t), pinned by one digest: a change
+    to the valued-field path must leave every exponent and verdict as it is."""
+    rng = random.Random("valued-field-outputs")
+    digest = hashlib.sha256()
+    records = 0
+    for t in ("C3", "F4", "E6"):
+        rs = build(t)
+        sc = structure_constants(rs)
+        for field in (RationalField(2), RationalField(3), FunctionField(2), FunctionField(4)):
+            made = 0
+            while made < 6:
+                lam, k, degs = _random_square_instance(rs, rng)
+                X = LieElement(field)
+                for ri in degs[k]:
+                    if rng.random() < 0.85:
+                        X = X + root_vector(rs, field, ri, _pinned_coefficient(field, rng))
+                if X.is_zero():
+                    continue
+                made += 1
+                v = tuple(rng.randint(-3, 3) for _ in range(rs.rank))
+                record = {
+                    "type": t, "field": repr(field), "lam": list(lam), "k": k, "v": list(v),
+                    "phi": phi_of(rs, sc, X, lam, k).to_json(),
+                    "phi_neg": phi_of(rs, sc, -X, lam, k, field).to_json(),
+                    "phi_conj": phi_of(rs, sc, torus_conjugate(rs, X, v), lam, k).to_json(),
+                    "inverse": verify_phi_inverse(rs, sc, X, lam, k, field),
+                    "rrao": verify_rrao(rs, sc, X, lam, k, v, field),
+                    "lattice": {str(i): [["inf" if d is None else d
+                                          for d in lattice_image(rs, sc, X, lam, k, i, m)]
+                                         for m in (2, 64)]
+                                for i in range(1, k)},
+                }
+                digest.update(json.dumps(record, sort_keys=True).encode())
+                records += 1
+    assert records == 72
+    assert digest.hexdigest() == (
+        "294e6d0780e90fd8cec4c6297209b775677af390102b60f53b40b4aabb70b964")

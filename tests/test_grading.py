@@ -98,6 +98,10 @@ def test_delta_exponent_examples():
         delta_exponent(sl3, (1, 1), 0, None, (1, 0))
     with pytest.raises(ValueError):
         delta_exponent(sl3, (1, 1), 2, 2, (1, 0))
+    # v = (1/2, 1/3) is no torus point: refused, not truncated to 0
+    with pytest.raises(ValueError):
+        delta_exponent(sl3, (1, 1), 1, 2, (Fraction(1, 2), Fraction(1, 3)))
+    assert delta_exponent(sl3, (1, 1), 1, 2, (Fraction(1), 0)) == 1
 
 
 def test_delta_telescoping_identity():
@@ -124,3 +128,30 @@ def test_cochar_rational_primitivity():
     assert CocharRational.of(rs, lam).is_primitive()
     assert not CocharRational.of(rs, (2, 2)).is_primitive()
     assert mu.norm_sq == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("isogeny", ["simply_connected", "adjoint"])
+@pytest.mark.parametrize("t", ["A3", "B3", "C3", "G2", "F4", "E6", "A2xA1"])
+def test_grade_and_delta_match_pair_oracle(t, isogeny):
+    """grade and delta_exponent, read off the pairing rows, agree with
+    rs.pair on every root, for lam and v given as ints or as integral
+    Fractions; every weight-space list is sorted."""
+    rs = build(t, isogeny)
+    rng = random.Random(f"grade-oracle-{t}-{isogeny}")
+    for trial in range(20):
+        lam = tuple(rng.randint(-3, 3) for _ in range(rs.rank))
+        v = tuple(rng.randint(-3, 3) for _ in range(rs.rank))
+        if trial % 2:
+            lam, v = tuple(map(Fraction, lam)), tuple(map(Fraction, v))
+        degree = [rs.pair(a, lam) for a in rs.roots]
+        expected = {}
+        for ri, d in enumerate(degree):
+            expected.setdefault(d, []).append(ri)
+        spaces = grade(rs, lam).weight_spaces
+        assert spaces == expected
+        assert all(type(d) is int for d in spaces)
+        assert all(ri == sorted(ri) for ri in spaces.values())
+        for s, stop in ((1, None), (1, 3), (2, 4)):
+            e = sum(rs.pair(a, v) for a, d in zip(rs.roots, degree)
+                    if d >= s and (stop is None or d < stop))
+            assert delta_exponent(rs, lam, s, stop, v) == e
