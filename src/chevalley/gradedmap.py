@@ -6,15 +6,21 @@ the root-vector bases.  phi is the product of |det|^(1/2) over the
 blocks, kept symbolic as q**(-e/2) with an integer half-exponent e;
 the kernel theorem makes the blocks square and invertible on optimal
 instances, and the functional equations of phi are exact identities on
-these exponents.  For an integer Y, one Smith form over Z per block
-(`block_divisors`: diagonalize, then gcd/lcm; Cohen GTM 138, 2.4) gives
-its rank over Q and mod every prime; over a valued field, one DVR pass
-per block feeds phi, `block_report` and `lattice_image` (capped at m).
+these exponents.  Each block is stored as sparse rows, one
+{column: entry} dict per codomain row holding its nonzero entries only
+(a few percent of a block), and every factorization runs on that form;
+`GradedBlockMap.blocks` is a dense view, built on first use, for the
+oracles (`check_kernel`, `linalg.det`).  For an integer Y, one Smith
+form over Z per block (`block_divisors`: diagonalize, then gcd/lcm;
+Cohen GTM 138, 2.4) gives its rank over Q and mod every prime; over a
+valued field, one DVR pass per block feeds phi, `block_report` and
+`lattice_image` (capped at m).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import mul
 
 from . import linalg
@@ -54,16 +60,29 @@ class AbsValue:
 
 @dataclass
 class GradedBlockMap:
-    """Matrices of [Y, .] : g(-i) -> g(k-i) in fixed root-vector bases."""
+    """Matrices of [Y, .] : g(-i) -> g(k-i) in fixed root-vector bases, as
+    sparse rows: block i has one {column: entry} dict per root of g(k-i),
+    holding its nonzero entries only."""
 
     k: int
-    blocks: dict[int, list[list]]          # i -> matrix, shape d_{k-i} x d_{-i}
+    rows: dict[int, list[dict]]            # i -> d_{k-i} sparse rows over d_{-i} columns
     domain_basis: dict[int, list[int]]     # i -> root indices of g(-i)
     codomain_basis: dict[int, list[int]]   # i -> root indices of g(k-i)
+    zero: object                           # the field's zero, for the dense view
+
+    def sparse_blocks(self) -> list[tuple[int, list[dict], int]]:
+        """(i, sparse rows, column count) of every block, in order of i."""
+        return [(i, self.rows[i], len(self.domain_basis[i])) for i in sorted(self.rows)]
+
+    @cached_property
+    def blocks(self) -> dict[int, list[list]]:
+        """Dense view of the blocks, shape d_{k-i} x d_{-i}, for the oracles."""
+        return {i: [[row.get(j, self.zero) for j in range(cols)] for row in rows]
+                for i, rows, cols in self.sparse_blocks()}
 
     def shapes(self) -> dict[int, tuple[int, int]]:
-        return {i: (len(self.codomain_basis[i]), len(self.domain_basis[i]))
-                for i in self.blocks}
+        return {i: (len(self.codomain_basis[i]), len(dom))
+                for i, dom in self.domain_basis.items()}
 
     def is_square(self) -> bool:
         return all(r == c for r, c in self.shapes().values())
@@ -92,12 +111,12 @@ def graded_ad(rs: RootSystem, sc: StructureConstants, Y: LieElement, lam,
     # degree k >= 1: no Cartan part.  Each root's entries y_a N are made once
     # per distinct N (|N| <= 3) and shared, which is safe as entries are immutable.
     support = [(key[1], y, {}) for key, y in Y.coeffs.items()]
-    blocks, dom, cod = {}, {}, {}
+    rows, dom, cod = {}, {}, {}
     for i in range(1, k):
         src = by_degree.get(-i, [])
         dst = by_degree.get(k - i, [])
         dst_pos = {ri: r for r, ri in enumerate(dst)}
-        mat = [[field.zero for _ in src] for _ in dst]
+        block = [{} for _ in dst]
         # column c is [Y, E_ri] = sum_a y_a N_{a,ri} E_{a+ri}; distinct a give distinct rows
         for c, ri in enumerate(src):
             for a, y, y_times in support:
@@ -107,11 +126,13 @@ def graded_ad(rs: RootSystem, sc: StructureConstants, Y: LieElement, lam,
                     entry = y_times.get(n)
                     if entry is None:
                         entry = y_times[n] = y * field.element(n)
-                    mat[dst_pos[s]][c] = entry
-        blocks[i] = mat
+                    if entry:  # y N vanishes in characteristic p dividing N
+                        block[dst_pos[s]][c] = entry
+        rows[i] = block
         dom[i] = src
         cod[i] = dst
-    return GradedBlockMap(k=k, blocks=blocks, domain_basis=dom, codomain_basis=cod)
+    return GradedBlockMap(k=k, rows=rows, domain_basis=dom, codomain_basis=cod,
+                          zero=field.zero)
 
 
 def _kernel_entry(gbm: GradedBlockMap, i: int, rank: int) -> dict:
@@ -131,7 +152,7 @@ def block_divisors(gbm: GradedBlockMap) -> dict[int, list[int]]:
     transforms are unimodular, so they survive reduction mod any p: a block's
     divisors d give its rank over Q (#{d != 0}), over GF(p) for Y mod p
     (#{d : p does not divide d}), and |det| = prod d."""
-    return {i: integer_elementary_divisors(mat) for i, mat in sorted(gbm.blocks.items())}
+    return {i: integer_elementary_divisors(rows, cols) for i, rows, cols in gbm.sparse_blocks()}
 
 
 def kernel_from_divisors(gbm: GradedBlockMap, divisors: dict[int, list[int]],
@@ -156,8 +177,8 @@ def phi(field, gbm: GradedBlockMap) -> AbsValue:
     if not gbm.is_square():
         raise ValueError(f"blocks are not square: {gbm.shapes()}")
     e = 0
-    for mat in gbm.blocks.values():
-        divisors = dvr_divisor_valuations(field, mat)
+    for _, rows, cols in gbm.sparse_blocks():
+        divisors = dvr_divisor_valuations(field, rows, cols)
         if INF in divisors:
             return AbsValue(q, None)
         e += sum(divisors)
@@ -246,9 +267,10 @@ def lattice_image(rs: RootSystem, sc: StructureConstants, Y: LieElement, lam,
         if field.valuation(val) < 0:
             raise ValueError("Y must be integral at the uniformizer")
     gbm = graded_ad(rs, sc, Y, lam, k)
-    if i not in gbm.blocks:
+    if i not in gbm.rows:
         raise ValueError(f"block index i = {i} outside 1..{k - 1}")
-    return [v if v is INF else min(v, m) for v in dvr_divisor_valuations(field, gbm.blocks[i])]
+    divisors = dvr_divisor_valuations(field, gbm.rows[i], len(gbm.domain_basis[i]))
+    return [v if v is INF else min(v, m) for v in divisors]
 
 
 def block_report(field, gbm: GradedBlockMap) -> dict:
@@ -260,8 +282,8 @@ def block_report(field, gbm: GradedBlockMap) -> dict:
     if not has_valuation(field):
         raise ValueError("phi needs a field with a valuation")
     per_i, vals = {}, []
-    for i, mat in sorted(gbm.blocks.items()):
-        divisors = dvr_divisor_valuations(field, mat)
+    for i, rows, cols in gbm.sparse_blocks():
+        divisors = dvr_divisor_valuations(field, rows, cols)
         finite = [v for v in divisors if v is not None]
         entry = _kernel_entry(gbm, i, len(finite))
         if entry["rows"] == entry["cols"] > 0:

@@ -91,12 +91,17 @@ def integral_coords(xs, message: str) -> tuple[int, ...]:
 
 def grade(rs: RootSystem, lam) -> GradingReport:
     """Assign every root to its degree <a, lam>; lam must be integral.
-    Each degree's root indices come out increasing, as roots are visited
-    in index order."""
+    Only the positive roots are paired with lam: -a has degree -<a, lam>.
+    Each degree's root indices come out increasing, as the positives are
+    visited in index order and the negatives follow them in the same order."""
     lam = integral_coords(lam, "grading requires an integral cocharacter")
+    rows = rs.pairing_rows
+    degrees = [sum(map(mul, rows[i], lam)) for i in rs.positive_roots]
     spaces: dict[int, list[int]] = {}
-    for i, row in enumerate(rs.pairing_rows):
-        spaces.setdefault(sum(map(mul, row, lam)), []).append(i)
+    for i, d in enumerate(degrees):
+        spaces.setdefault(d, []).append(i)
+    for i, d in enumerate(degrees, start=rs.negative(0)):
+        spaces.setdefault(-d, []).append(i)
     return GradingReport(spaces, {d: len(v) for d, v in spaces.items()}, rs.rank)
 
 

@@ -5,6 +5,12 @@ matrices, graded blocks of an integer Y), and, over a discrete
 valuation ring (Z localized at p inside Q_p, GF(q)[t] localized at t),
 just the valuations of the elementary divisors: the one factorization
 behind phi, `block_report` and the GF(q)(t) lattice divisors.
+
+Both eliminations run on sparse rows, one {column: entry} dict per row
+holding the nonzero entries only, which is how `graded_ad` stores its
+blocks; a dense matrix enters through `sparse_rows`.  Every update
+deletes the entries it zeroes and every emptied row is dropped, so a
+pivot search only ever meets nonzero entries.
 """
 
 from __future__ import annotations
@@ -12,71 +18,70 @@ from __future__ import annotations
 from math import gcd
 
 
-def integer_elementary_divisors(A) -> list[int]:
+def sparse_rows(A) -> list[dict]:
+    """The nonzero entries of a dense matrix, one {column: entry} dict per row."""
+    return [{j: x for j, x in enumerate(row) if x} for row in A]
+
+
+def _subtract(row: dict, f, entries) -> None:
+    """row -= f * entries, in place; an entry that becomes 0 is deleted."""
+    for j, y in entries:
+        z = row.get(j)
+        if z is None:
+            row[j] = -(f * y)
+        else:
+            z = z - f * y
+            if z:
+                row[j] = z
+            else:
+                del row[j]
+
+
+def integer_elementary_divisors(A, cols: int | None = None) -> list[int]:
     """Elementary divisors d_1 | d_2 | ... of an integer matrix.
 
-    Returns min(rows, cols) nonnegative integers; trailing zeros mean
-    rank deficiency.  Entries are ints or integral Fractions; a
+    A is a dense matrix, or, with `cols` given, sparse rows over that many
+    columns.  Returns min(rows, cols) nonnegative integers; trailing zeros
+    mean rank deficiency.  Entries are ints or integral Fractions; a
     non-integral entry raises ValueError.  Diagonalize, then normalize
     (Cohen, GTM 138, section 2.4): a pivot clears its row and column,
     restarting on a surviving remainder, and (gcd, lcm) steps over the
     non-unit diagonal give the chain.  The pivot search stops at the first
     +-1; updates touch only the pivot row's and column's nonzero entries.
     """
-    if any(x.denominator != 1 for row in A for x in row):
+    if cols is None:
+        A, cols = sparse_rows(A), len(A[0]) if A else 0
+    if any(x.denominator != 1 for row in A for x in row.values()):
         raise ValueError("non-integral matrix entry")
-    M = [[x.numerator for x in row] for row in A]
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    size = min(rows, cols)
+    size = min(len(A), cols)
+    rows = [{j: x.numerator for j, x in row.items()} for row in A if row]
     divisors = []
-    top = 0
-    while top < size:
+    while rows:
         # locate a nonzero entry of least absolute value, stopping at a unit
-        best, least = None, 0
-        for i in range(top, rows):
-            row = M[i]
-            for j in range(top, cols):
-                x = row[j]
-                if x and (best is None or abs(x) < least):
-                    best, least = (i, j), abs(x)
+        least = None
+        for row in rows:
+            for j, x in row.items():
+                if least is None or abs(x) < least:
+                    prow, pj, least = row, j, abs(x)
                     if least == 1:
                         break
             if least == 1:
                 break
-        if best is None:
-            break
-        bi, bj = best
-        M[top], M[bi] = M[bi], M[top]
-        if bj != top:
-            for row in M[top:]:
-                row[top], row[bj] = row[bj], row[top]
-        prow = M[top]
-        p = prow[top]
-        # reduce row and column by the pivot; restart if a remainder survives
-        support = [j for j in range(top + 1, cols) if prow[j]]
-        dirty = False
-        for i in range(top + 1, rows):
-            row = M[i]
-            if row[top]:
-                q, row[top] = divmod(row[top], p)
-                if q:
-                    for j in support:
-                        row[j] -= q * prow[j]
-                if row[top]:
-                    dirty = True
-        column = [row for row in M[top:] if row[top]]
-        for j in support:
-            q = prow[j] // p
-            if q:
-                for row in column:
-                    row[j] -= q * row[top]
-            if prow[j]:
-                dirty = True
-        if dirty:
-            continue
-        divisors.append(least)
-        top += 1
+        # row operations leave remainders in column pj, then column operations
+        # leave remainders in the pivot row; a surviving remainder restarts
+        p = prow[pj]
+        pivot_row = list(prow.items())
+        for row in rows:
+            if row is not prow and pj in row:
+                _subtract(row, row[pj] // p, pivot_row)
+        column = [row for row in rows if pj in row]
+        quotients = [(j, x // p) for j, x in pivot_row if j != pj]
+        for row in column:
+            _subtract(row, row[pj], quotients)
+        if len(column) == 1 and len(prow) == 1:
+            divisors.append(least)
+            prow.clear()
+        rows = [row for row in rows if row]
     # the block is now diagonal; (gcd, lcm) steps make the non-units a chain
     rest = [d for d in divisors if d != 1]
     for i in range(len(rest)):
@@ -89,54 +94,48 @@ def integer_elementary_divisors(A) -> list[int]:
 INF = None  # marker for an infinite valuation (zero elementary divisor)
 
 
-def dvr_divisor_valuations(field, A):
+def dvr_divisor_valuations(field, A, cols: int | None = None):
     """Valuations of the elementary divisors of A over the valuation ring.
 
-    `field` must expose valuation(); entries of A are field elements.
+    `field` must expose valuation(); A is a dense matrix of field
+    elements, or, with `cols` given, sparse rows over that many columns.
     Returns a list of length min(rows, cols), nondecreasing, with INF
     (None) entries for the rank deficiency over the fraction field.  The
     pivot is the first entry of least valuation.  Multipliers are
     integral, so the previous pivot's valuation bounds the rest of the
     block and the search stops at the first entry that meets it; row
-    updates touch only the pivot row's nonzero columns.
+    updates touch only the pivot row's nonzero entries.
     """
-    M = [list(row) for row in A]
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    size = min(rows, cols)
+    if cols is None:
+        A, cols = sparse_rows(A), len(A[0]) if A else 0
+    size = min(len(A), cols)
+    rows = [dict(row) for row in A if row]
+    valuation = field.valuation
     vals: list[int | None] = []
-    top = 0
-    while top < size:
+    while rows:
         floor = vals[-1] if vals else None
-        best = least = None
-        for i in range(top, rows):
-            row = M[i]
-            for j in range(top, cols):
-                if row[j]:
-                    v = field.valuation(row[j])
-                    if best is None or v < least:
-                        best, least = (i, j), v
-                        if v == floor:
-                            break
-            if best and least == floor:
+        least = None
+        for row in rows:
+            for j, x in row.items():
+                v = valuation(x)
+                if least is None or v < least:
+                    prow, pj, least = row, j, v
+                    if v == floor:
+                        break
+            if least == floor:
                 break
-        if best is None:
-            break
-        bi, bj = best
-        M[top], M[bi] = M[bi], M[top]
-        if bj != top:
-            for row in M[top:]:
-                row[top], row[bj] = row[bj], row[top]
         vals.append(least)
-        prow = M[top]
-        pivot = prow[top]
-        support = [j for j in range(top + 1, cols) if prow[j]]
-        # column top is never read again, so it is left as it is
-        for row in M[top + 1:]:
-            if row[top]:
-                f = row[top] / pivot
-                for j in support:
-                    row[j] = row[j] - f * prow[j]
-        top += 1
+        # the pivot row and column are never read again, so they are dropped
+        pivot = prow.pop(pj)
+        pivot_row = list(prow.items())
+        kept = []
+        for row in rows:
+            if row is not prow:
+                x = row.pop(pj, None)
+                if x is not None:
+                    _subtract(row, x / pivot, pivot_row)
+                if row:
+                    kept.append(row)
+        rows = kept
     vals += [INF] * (size - len(vals))
     return vals

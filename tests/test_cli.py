@@ -19,6 +19,17 @@ def run_cli(*args):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def run_main(*args):
+    """run_cli in-process through main; argparse's own exit is caught."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 def test_optimal_example():
     code, out, _ = run_cli("optimal", "--type", "A2", "--support", "a1,a2")
     assert code == 0
@@ -179,6 +190,10 @@ def test_usage_errors_exit_2(tmp_path):
                  ["rrao-check", *a2, "--trials", "-3"],
                  ["rrao-check", *a2, "--trials", "0"],
                  *bad_corpora):
+        code, out, err = run_main(*args)
+        assert code == 2 and not out and "Traceback" not in err, (args, err)
+    # exit status 2 from a real process too: argparse's exit, and main's return value
+    for args in (["nonsense"], ["phi", *a2, "--prime", "0"]):
         code, out, err = run_cli(*args)
         assert code == 2 and not out and "Traceback" not in err, (args, err)
     unknown_root = tmp_path / "unknown_root.json"
@@ -193,7 +208,7 @@ def test_usage_errors_exit_2(tmp_path):
              "'1/0' has a zero denominator"),
             (["optimal", "--type", "A2", "--support", "a"], "bad simple-root name 'a'"),
             (["optimal", "--type", "A2", "--support", "a1,ax2"], "bad simple-root name 'ax2'")]:
-        code, out, err = run_cli(*args)
+        code, out, err = run_main(*args)
         assert code == 2 and not out, (args, err)
         errors = [line for line in err.splitlines() if "error" in line]
         assert errors == [f"error: {message}"], (args, err)

@@ -17,6 +17,7 @@ from chevalley.lie import LieElement
 from chevalley.fields import QQ, Polynomial, RatFunc
 from chevalley.linalg import det
 from chevalley.optimality import minimum_norm_cocharacter
+from chevalley.snf import sparse_rows
 
 
 @pytest.fixture(scope="module")
@@ -83,9 +84,10 @@ def test_graded_ad_scaling_linearity(sl3):
 
 
 def test_zero_matrix_block_not_injective():
-    gbm = GradedBlockMap(k=2, blocks={1: [[Fraction(0), Fraction(0)],
-                                          [Fraction(0), Fraction(0)]]},
-                         domain_basis={1: [0, 1]}, codomain_basis={1: [2, 3]})
+    gbm = GradedBlockMap(k=2, rows={1: sparse_rows([[Fraction(0), Fraction(0)],
+                                                    [Fraction(0), Fraction(0)]])},
+                         domain_basis={1: [0, 1]}, codomain_basis={1: [2, 3]},
+                         zero=Fraction(0))
 
     class _Q:
         zero = Fraction(0)
@@ -244,8 +246,8 @@ def test_unimodular_base_change_leaves_exponent(sl3):
     M[0] = [a + 2 * b for a, b in zip(M[0], M[1])]  # integral shear
     for c in range(2):                              # column operation
         M[1][c] = M[1][c] - M[0][c]
-    changed = GradedBlockMap(k=2, blocks={1: M}, domain_basis=gbm.domain_basis,
-                             codomain_basis=gbm.codomain_basis)
+    changed = GradedBlockMap(k=2, rows={1: sparse_rows(M)}, domain_basis=gbm.domain_basis,
+                             codomain_basis=gbm.codomain_basis, zero=gbm.zero)
     assert phi(q3, changed).half_exponent == e0
 
 
@@ -275,11 +277,12 @@ def test_resigned_chevalley_basis_leaves_exponent():
             gbm = graded_ad(rs, sc, Xs, lam, k)
             resigned = GradedBlockMap(
                 k=k,
-                blocks={i: [[(v if eps[gbm.domain_basis[i][c]] == 1 else -v)
-                             for c, v in enumerate(row)]
-                            for row in gbm.blocks[i]]
-                        for i in gbm.blocks},
-                domain_basis=gbm.domain_basis, codomain_basis=gbm.codomain_basis)
+                rows={i: sparse_rows([[(v if eps[gbm.domain_basis[i][c]] == 1 else -v)
+                                       for c, v in enumerate(row)]
+                                      for row in gbm.blocks[i]])
+                      for i in gbm.blocks},
+                domain_basis=gbm.domain_basis, codomain_basis=gbm.codomain_basis,
+                zero=gbm.zero)
             # conjugating the blocks by the sign change of the bases gives the
             # blocks of the re-signed basis; row signs are units anyway, so it
             # is enough that the exponent matches
@@ -551,6 +554,63 @@ def test_graded_ad_columns_match_bracket(t, isogeny):
                     assert [row[c] for row in mat] == column, (support, i, ri)
                     entries += sum(1 for v in column if v)
     assert len(instances) >= 2 and entries > 0
+
+
+@pytest.mark.parametrize("t", ["B2", "C3", "F4", "G2"])
+def test_graded_ad_stores_no_entry_that_vanishes_mod_p(t):
+    """In characteristic p the entry y N is 0 when p divides N (N = +-2 over
+    GF(2) and GF(2)(t), N = +-3 over GF(3)(t)).  graded_ad stores no zero
+    entry, the dense view still reads the bracket, and phi, block_report
+    and lattice_image agree with linalg.det and check_kernel on that view."""
+    rs = build(t)
+    sc = structure_constants(rs)
+    rng = random.Random(f"vanishing:{t}")
+    vanished = {}
+    for field in (PrimeField(2), FunctionField(2), FunctionField(3)):
+        p = field.char
+        vanished[repr(field)] = 0
+        for _ in range(20):
+            lam, k, degs = _random_square_instance(rs, rng)
+            support = rng.sample(degs[k], rng.randint(1, len(degs[k])))
+            if isinstance(field, FunctionField):  # c t^j, integral for lattice_image
+                coeffs = [field.poly([0] * rng.randint(0, 2) + [rng.randint(1, p - 1)])
+                          for _ in support]
+            else:
+                coeffs = [field.element(rng.randint(1, p - 1)) for _ in support]
+            Y = element_from_support(rs, field, support, coeffs)
+            gbm = graded_ad(rs, sc, Y, lam, k)
+            assert all(x for rows in gbm.rows.values() for row in rows for x in row.values())
+            for i, mat in gbm.blocks.items():
+                vanished[repr(field)] += sum(
+                    1 for a in support for ri in gbm.domain_basis[i]
+                    if sc.root_sum(a, ri) is not None and sc.n(a, ri) % p == 0)
+                row_of = {ri: r for r, ri in enumerate(gbm.codomain_basis[i])}
+                for c, ri in enumerate(gbm.domain_basis[i]):
+                    column = [field.zero] * len(row_of)
+                    for key, val in bracket(sc, Y, root_vector(rs, field, ri)).coeffs.items():
+                        column[row_of[key[1]]] = val
+                    assert [row[c] for row in mat] == column
+            if not isinstance(field, FunctionField):
+                continue
+            # the blocks are square: _random_square_instance picks k so
+            report, kern = block_report(field, gbm), check_kernel(field, gbm)
+            dets = {i: det(field, mat) for i, mat in gbm.blocks.items() if mat}
+            for i in gbm.blocks:
+                entry = dict(report["blocks"][str(i)])
+                if i in dets:
+                    d = dets[i]
+                    assert entry.pop("det_valuation") == (field.valuation(d) if d else "inf")
+                assert entry == kern[i]
+                lattice = lattice_image(rs, sc, Y, lam, k, i, 50)
+                assert lattice.count(None) == entry["cols"] - entry["rank"]
+                if dets.get(i):
+                    assert sum(lattice) == field.valuation(dets[i])
+            half = (sum(map(field.valuation, dets.values())) if all(dets.values())
+                    else None)
+            assert phi(field, gbm) == AbsValue(field.residue_cardinality, half)
+    # N = +-2 occurs in every type; N = +-3 only in G2
+    assert vanished["GF(2)"] > 0 and vanished["GF(2)(t)"] > 0
+    assert (vanished["GF(3)(t)"] > 0) == (t == "G2"), vanished
 
 
 def _pinned_coefficient(field, rng):

@@ -6,7 +6,7 @@ import pytest
 from chevalley import FunctionField, PrimeField, RationalField
 from chevalley.fields import Polynomial, RatFunc
 from chevalley.linalg import det, kernel_basis, rank, solve
-from chevalley.snf import INF, dvr_divisor_valuations, integer_elementary_divisors
+from chevalley.snf import INF, dvr_divisor_valuations, integer_elementary_divisors, sparse_rows
 
 from snf_oracles import dvr_minor_valuations, int_det, integer_gcd_of_minors
 
@@ -114,7 +114,8 @@ def _assert_minor_gcds(A, divs):
 
 def test_integer_snf_sparse_rectangular_against_oracle():
     # the pivot search stops at a unit and the updates skip zeros, so
-    # pin the shapes that exercise those paths against the minor gcds
+    # pin the shapes that exercise those paths against the minor gcds;
+    # every case also goes in as sparse rows, which must give the same
     cases = [
         [[0, 0, 0], [0, -1, 0], [0, 0, 0]],         # zero rows and columns, unit pivot
         [[0, 0], [0, 0], [0, 5]],                   # one nonzero entry, tall
@@ -123,6 +124,12 @@ def test_integer_snf_sparse_rectangular_against_oracle():
         [[4, 6, 0], [6, 9, 0], [0, 0, 10]],         # remainders in row and column
         [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 4, 3]],  # unit found after non-units
         [[Fraction(-3), Fraction(0)], [Fraction(6, 2), Fraction(9)]],
+        [[0, 0, 0], [0, 0, 0]],                     # all zero
+        [[0, 3, 0, 0], [0, 0, 0, 0], [0, 6, 0, 4]],  # a zero row and two zero columns
+        [[], [], []],                               # n x 0
+        [[2, 3], [3, 2]],                           # non-units only: remainders restart
+        [[6, 10, 15]],                              # non-units only, gcd 1
+        [[4, 6], [6, 4], [10, 14]],
     ]
     rng = random.Random(20261018)
     for _ in range(300):
@@ -134,8 +141,15 @@ def test_integer_snf_sparse_rectangular_against_oracle():
         if rng.random() < 0.3:
             A = [[Fraction(x * 4, 4) for x in row] for row in A]
         cases.append(A)
+    for _ in range(100):
+        # no unit entry anywhere, so every pivot is a non-unit and remainders
+        # restart the search; some rows and columns are zero
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        cases.append([[rng.choice([0, 0, 2, -2, 3, -3, 4, 6, -9, 10, 15])
+                       for _ in range(n)] for _ in range(m)])
     for A in cases:
         divs = integer_elementary_divisors(A)
+        assert integer_elementary_divisors(sparse_rows(A), len(A[0])) == divs
         assert len(divs) == min(len(A), len(A[0]))
         assert all(type(d) is int and d >= 0 for d in divs)
         _assert_minor_gcds(A, divs)
@@ -143,8 +157,12 @@ def test_integer_snf_sparse_rectangular_against_oracle():
             assert divs[i] % divs[i - 1] == 0 if divs[i - 1] else divs[i] == 0
     assert integer_elementary_divisors([[2, 0], [0, 3]]) == [1, 6]
     assert integer_elementary_divisors([[0, -1, 0], [0, 0, 0]]) == [1, 0]
+    assert integer_elementary_divisors([], 4) == []  # 0 x n: only sparse rows carry n
+    assert integer_elementary_divisors([{}, {}], 3) == [0, 0]
     with pytest.raises(ValueError):
         integer_elementary_divisors([[1, 0], [0, Fraction(1, 2)]])
+    with pytest.raises(ValueError):
+        integer_elementary_divisors([{1: Fraction(1, 2)}], 2)
 
 
 def test_integer_snf_diagonal_needs_gcd_lcm_steps():
@@ -234,10 +252,13 @@ def test_dvr_divisors_match_minor_oracle(field):
     of the k x k minors, on sparse rectangular matrices with entries of
     negative valuation, zero rows and columns and dependent rows."""
     rng = random.Random(f"dvr:{field!r}")
-    seen = {"negative": 0, "zero_line": 0, "deficient": 0, "gap": 0}
-    for _ in range(30):
+    seen = {"negative": 0, "zero_line": 0, "deficient": 0, "gap": 0, "non_unit": 0}
+    cases = [[[field.zero] * 3 for _ in range(2)], [[], []]]  # all zero; n x 0
+    for case in range(40):
         rows, cols = rng.randint(1, 4), rng.randint(1, 5)
-        A = [[_valued_scalar(field, rng, -2, 2) if rng.random() < 0.6 else field.zero
+        # the last ten have no unit entry: every pivot has positive valuation
+        lo, hi = (-2, 2) if case < 30 else (1, 3)
+        A = [[_valued_scalar(field, rng, lo, hi) if rng.random() < 0.6 else field.zero
               for _ in range(cols)] for _ in range(rows)]
         if rows > 1 and rng.random() < 0.4:
             # a row that depends on the others, with multipliers of any valuation
@@ -254,7 +275,11 @@ def test_dvr_divisors_match_minor_oracle(field):
                 j = rng.randrange(cols)
                 for row in A:
                     row[j] = field.zero
+        cases.append(A)
+    for A in cases:
+        rows, cols = len(A), len(A[0])
         vals = dvr_divisor_valuations(field, A)
+        assert dvr_divisor_valuations(field, sparse_rows(A), cols) == vals
         size = min(rows, cols)
         finite = [v for v in vals if v is not INF]
         assert len(vals) == size and vals == finite + [INF] * (size - len(finite))
@@ -267,4 +292,7 @@ def test_dvr_divisors_match_minor_oracle(field):
             not any(row[j] for row in A) for j in range(cols))
         seen["deficient"] += len(finite) < size
         seen["gap"] += any(b - a > 1 for a, b in zip(finite, finite[1:]))
+        seen["non_unit"] += bool(finite) and finite[0] > 0
     assert all(seen.values()), seen
+    assert dvr_divisor_valuations(field, [], 3) == []  # 0 x n: only sparse rows carry n
+    assert dvr_divisor_valuations(field, [{}, {}], 2) == [INF, INF]
