@@ -141,7 +141,7 @@ def run_instance(rs: RootSystem, sc, entry: dict, primes) -> dict:
     report["injective_over_Q"] = all(v["injective"] for v in kern.values())
     mod_p = {}
     for p in primes:
-        if any(c % p == 0 for c in Y.coeffs.values()):
+        if any(c.numerator % p == 0 for c in Y.coeffs.values()):
             mod_p[str(p)] = {"injective": None, "note": "support degenerates mod p"}
             continue
         inj = all(v["injective"] for v in kernel_from_divisors(gbm, divisors, p).values())

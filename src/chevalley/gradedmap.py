@@ -25,7 +25,7 @@ from operator import mul
 
 from . import linalg
 from .fields import has_valuation
-from .grading import degrees_of, delta_exponent, grade, integral_coords
+from .grading import delta_exponent, grade, integral_coords, single_degree
 from .lie import LieElement, StructureConstants
 from .rootsystem import RootSystem
 from .snf import INF, dvr_divisor_valuations, integer_elementary_divisors
@@ -88,33 +88,16 @@ class GradedBlockMap:
         return all(r == c for r, c in self.shapes().values())
 
 
-def homogeneous_component_degree(rs: RootSystem, X: LieElement, lam) -> int:
-    """The single degree of X's support, or raise if X is not graded."""
-    if X.is_zero():
-        raise ValueError("zero element has no degree")
-    degs = {int(d) for d in degrees_of(rs, X, lam)}
-    if len(degs) != 1:
-        raise ValueError(f"element is not concentrated in one degree: {sorted(degs)}")
-    return degs.pop()
-
-
-def graded_ad(rs: RootSystem, sc: StructureConstants, Y: LieElement, lam,
-              k: int | None = None) -> GradedBlockMap:
-    """Blocks of ad Y on the grading of lam; Y must live in degree k."""
-    deg = homogeneous_component_degree(rs, Y, lam)
-    if k is None:
-        k = deg
-    if deg != k or k < 1:
-        raise ValueError(f"Y must be concentrated in degree k = {k}, found {deg}")
+def ad_blocks(sc: StructureConstants, Y: LieElement, pieces) -> list[list[dict]]:
+    """Sparse rows of [Y, .] : span{E_b, b in src} -> span{E_s, s in dst}, one
+    block per (src, dst) in pieces.  Y has no Cartan part, every root a + b
+    (a in Y's support) lies in dst, and the Cartan part of [E_a, E_-a] is left out."""
     field = Y.field
-    by_degree = grade(rs, lam).weight_spaces
-    # degree k >= 1: no Cartan part.  Each root's entries y_a N are made once
-    # per distinct N (|N| <= 3) and shared, which is safe as entries are immutable.
+    # each root's entries y_a N are made once per distinct N (|N| <= 3) and
+    # shared by all the blocks, which is safe as entries are immutable
     support = [(key[1], y, {}) for key, y in Y.coeffs.items()]
-    rows, dom, cod = {}, {}, {}
-    for i in range(1, k):
-        src = by_degree.get(-i, [])
-        dst = by_degree.get(k - i, [])
+    blocks = []
+    for src, dst in pieces:
         dst_pos = {ri: r for r, ri in enumerate(dst)}
         block = [{} for _ in dst]
         # column c is [Y, E_ri] = sum_a y_a N_{a,ri} E_{a+ri}; distinct a give distinct rows
@@ -128,11 +111,24 @@ def graded_ad(rs: RootSystem, sc: StructureConstants, Y: LieElement, lam,
                         entry = y_times[n] = y * field.element(n)
                     if entry:  # y N vanishes in characteristic p dividing N
                         block[dst_pos[s]][c] = entry
-        rows[i] = block
-        dom[i] = src
-        cod[i] = dst
-    return GradedBlockMap(k=k, rows=rows, domain_basis=dom, codomain_basis=cod,
-                          zero=field.zero)
+        blocks.append(block)
+    return blocks
+
+
+def graded_ad(rs: RootSystem, sc: StructureConstants, Y: LieElement, lam,
+              k: int | None = None) -> GradedBlockMap:
+    """Blocks of ad Y on the grading of lam; Y must live in degree k."""
+    deg = single_degree(rs, Y, lam)
+    if k is None:
+        k = deg
+    if deg != k or k < 1:
+        raise ValueError(f"Y must be concentrated in degree k = {k}, found {deg}")
+    by_degree = grade(rs, lam).weight_spaces
+    dom = {i: by_degree.get(-i, []) for i in range(1, k)}
+    cod = {i: by_degree.get(k - i, []) for i in range(1, k)}
+    blocks = ad_blocks(sc, Y, [(dom[i], cod[i]) for i in range(1, k)])
+    return GradedBlockMap(k=k, rows=dict(zip(range(1, k), blocks)), domain_basis=dom,
+                          codomain_basis=cod, zero=Y.field.zero)
 
 
 def _kernel_entry(gbm: GradedBlockMap, i: int, rank: int) -> dict:

@@ -116,6 +116,14 @@ def degrees_of(rs: RootSystem, Y: LieElement, lam) -> list:
     return degs
 
 
+def single_degree(rs: RootSystem, Y: LieElement, lam):
+    """The one degree of Y's support; ValueError for a zero or mixed-degree Y."""
+    degs = set(degrees_of(rs, Y, lam))
+    if len(degs) != 1:
+        raise ValueError("Y must be concentrated in a single degree")
+    return degs.pop()
+
+
 def m_of(rs: RootSystem, Y: LieElement, lam) -> int:
     """Least filtration degree: min <a, lam> over the support of Y.
 

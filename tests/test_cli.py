@@ -207,7 +207,10 @@ def test_usage_errors_exit_2(tmp_path):
             (["kernel-check", "--type", "A2", "--support", "a1=1/0"],
              "'1/0' has a zero denominator"),
             (["optimal", "--type", "A2", "--support", "a"], "bad simple-root name 'a'"),
-            (["optimal", "--type", "A2", "--support", "a1,ax2"], "bad simple-root name 'ax2'")]:
+            (["optimal", "--type", "A2", "--support", "a1,ax2"], "bad simple-root name 'ax2'"),
+            # a1 + a2 has degree 2 under the optimal lam = (1, 1), a1 and a2 degree 1
+            (["phi", "--type", "A2", "--support", "a1,a2,a1+a2"],
+             "Y must be concentrated in a single degree")]:
         code, out, err = run_main(*args)
         assert code == 2 and not out, (args, err)
         errors = [line for line in err.splitlines() if "error" in line]

@@ -18,7 +18,7 @@ from chevalley.lie import LieElement
 from chevalley.linalg import rank
 from chevalley.optimality import (OptimalityCertificate, _affine_minimizer,
                                   minimum_norm_cocharacter)
-from qp_oracles import active_set_min_norm, fourier_motzkin_torus_check
+from qp_oracles import active_set_min_norm, fourier_motzkin_torus_check, sl2_completion_oracle
 
 
 def _simple_sum(rs, field, idxs=None):
@@ -470,3 +470,51 @@ def test_sl2_completion_check_positive_and_negative():
     bad = OptimalityCertificate(mu=CocharRational.of(rs, (Fraction(3, 2), Fraction(1, 2))),
                                 lam=(3, 1), k=2, active_constraints=[], support=cert.support)
     assert not sl2_completion_check(rs, sc, Y, bad)
+
+
+def test_sl2_completion_check_matches_dense_oracle():
+    # the integer rank test on graded_ad's fill against the dense Fraction
+    # solve: seeded supports homogenized to their active roots, with
+    # Fraction coefficients (D scaling), and both verdicts must occur
+    rng = random.Random("sl2-vs-dense-oracle")
+    q = RationalField()
+    verdicts = set()
+    for t in ["A3", "B3", "C3", "D4", "G2", "F4", "E6"]:
+        for iso in ["simply_connected", "adjoint"]:
+            rs = build(t, iso)
+            sc = structure_constants(rs)
+            for _ in range(25):
+                supp = rng.sample(rs.positive_roots, rng.randint(1, min(6, len(rs.positive_roots))))
+                _, active = minimum_norm_cocharacter(rs, supp)
+                coeffs = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6))
+                          for _ in active]
+                Y = element_from_support(rs, q, active, coeffs)
+                cert = optimal_cocharacter(rs, Y)
+                verdict = sl2_completion_check(rs, sc, Y, cert)
+                assert verdict == sl2_completion_oracle(rs, sc, Y, cert), (t, iso, active, coeffs)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+    # hand-made certificates: h = 2 mu non-integral, and an empty g(-k) (A2
+    # under lam = (1, 1) has degrees -2..2 only)
+    rs = build("A2")
+    sc = structure_constants(rs)
+    Y = root_vector(rs, q, rs.root_index[(1, 1)], Fraction(1, 2))
+    for coords, k in [((Fraction(1, 4), Fraction(1, 4)), 2), ((1, 1), 3)]:
+        cert = OptimalityCertificate(mu=CocharRational.of(rs, coords), lam=(1, 1), k=k,
+                                     active_constraints=[], support=Y.support_roots())
+        assert not sl2_completion_check(rs, sc, Y, cert)
+        assert not sl2_completion_oracle(rs, sc, Y, cert)
+
+
+def test_sl2_completion_holds_on_every_standard_instance():
+    # every standard instance is an sl2 certificate in characteristic 0, E8 included
+    q = RationalField()
+    count = 0
+    for t in ["A4", "A5", "A6", "B3", "C3", "D4", "G2", "F4", "E6", "E7", "E8"]:
+        rs = build(t)
+        sc = structure_constants(rs)
+        for entry in standard_instances(t):
+            Y = element_from_support(rs, q, entry["support"], entry["coefficients"])
+            assert sl2_completion_check(rs, sc, Y, optimal_cocharacter(rs, Y)), (t, entry)
+            count += 1
+    assert count == 981
