@@ -28,7 +28,8 @@ USAGE_ERROR = 2
 VERIFY_ERROR = 1
 INTERNAL_ERROR = 3
 
-_COEFF_RE = re.compile(r"^(-?\d+)?(?:\*?t(?:\^(\d+))?)?$")
+# sign, integer (absent only before t), t, exponent: 3, -2t, t^2, -t, 2*t^3
+_COEFF_RE = re.compile(r"^(-?)(\d+|(?=t))(?:\*?(t)(?:\^(\d+))?)?$")
 
 
 def _parse_support(rs, text: str):
@@ -67,11 +68,9 @@ def _coeff_to_field(field, coeff: str):
         m = _COEFF_RE.match(coeff.replace(" ", ""))
         if not m:
             raise ValueError(f"cannot parse coefficient {coeff!r} over GF(q)(t)")
-        c = int(m.group(1)) if m.group(1) else 1
-        if "t" in coeff:
-            e = int(m.group(2)) if m.group(2) else 1
-            return field.poly([0] * e + [c])
-        return field.element(c)
+        sign, digits, t, e = m.groups()
+        c = int(sign + (digits or "1"))
+        return field.poly([0] * int(e or 1) + [c]) if t else field.element(c)
     return field.element(int(coeff))
 
 

@@ -132,7 +132,7 @@ def run_instance(rs: RootSystem, sc, entry: dict, primes) -> dict:
     }
     gbm = graded_ad(rs, sc, Y, cert.lam, cert.k)
     shapes = gbm.shapes()
-    report["dims_symmetric"] = all(r == c for r, c in shapes.values())
+    report["dims_symmetric"] = square = gbm.is_square()
     report["block_shapes"] = {str(i): list(shapes[i]) for i in sorted(shapes)}
     divisors = block_divisors(gbm)
     kern = kernel_from_divisors(gbm, divisors)
@@ -154,7 +154,7 @@ def run_instance(rs: RootSystem, sc, entry: dict, primes) -> dict:
             entry_p["counterexample_to_expected"] = True
         mod_p[str(p)] = entry_p
     report["mod_p"] = mod_p
-    if gbm.is_square():
+    if square:
         ds = [d for block in divisors.values() for d in block if d != 1]
         e = None if 0 in ds else sum(map(RationalField(2).valuation, ds))
         report["phi_over_Q_v2"] = AbsValue(2, e).to_json()

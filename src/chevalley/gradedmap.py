@@ -116,11 +116,9 @@ def ad_blocks(sc: StructureConstants, Y: LieElement, pieces) -> list[list[dict]]
 
 
 def graded_ad(rs: RootSystem, sc: StructureConstants, Y: LieElement, lam,
-              k: int | None = None) -> GradedBlockMap:
+              k: int) -> GradedBlockMap:
     """Blocks of ad Y on the grading of lam; Y must live in degree k."""
     deg = single_degree(rs, Y, lam)
-    if k is None:
-        k = deg
     if deg != k or k < 1:
         raise ValueError(f"Y must be concentrated in degree k = {k}, found {deg}")
     by_degree = grade(rs, lam).weight_spaces

@@ -11,7 +11,7 @@ from chevalley import (PrimeField, RationalField, bracket, build, c_gamma,
                        structure_constants)
 from chevalley.lie import LieElement
 from chevalley.linalg import det
-from chevalley.snf import integer_elementary_divisors
+from chevalley.snf import integer_elementary_divisors, sparse_rows
 
 from snf_oracles import int_det
 
@@ -245,4 +245,4 @@ def test_d4_characteristic_two_kernel_phenomenon():
 def test_coker_eta_matches_snf_of_cartan_for_adjoint():
     for t in ["A2", "B2", "G2", "D4"]:
         rs = build(t, "adjoint")
-        assert coker_eta(rs) == integer_elementary_divisors(rs.cartan)
+        assert coker_eta(rs) == integer_elementary_divisors(sparse_rows(rs.cartan), rs.rank)

@@ -6,7 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from chevalley.cli import main
+from chevalley import FunctionField
+from chevalley.cli import _coeff_to_field, main
 
 
 def repo_root() -> Path:
@@ -121,6 +122,18 @@ def test_snf_trunc_m_zero_exits_2():
         assert "truncation level" in err and not out
 
 
+def test_snf_reads_minus_t_as_minus_one_t():
+    # a monomial in t may carry a bare sign, as -2t carries a signed integer
+    for minus, minus_one in (("-t", "-1t"), ("-t^2", "-1*t^2")):
+        outs = [run_main("snf", "--type", "A2", "--support", f"a1+a2={c}", "--q", "3")
+                for c in (minus, minus_one)]
+        assert outs[0] == outs[1] and outs[0][0] == 0, outs
+    field = FunctionField(3)
+    t = field.t()
+    assert _coeff_to_field(field, "-t") == -t
+    assert _coeff_to_field(field, "-t^2") == -(t * t)
+
+
 def test_internal_error_exits_3_without_traceback(monkeypatch, capsys):
     from chevalley import cli
 
@@ -208,6 +221,11 @@ def test_usage_errors_exit_2(tmp_path):
              "'1/0' has a zero denominator"),
             (["optimal", "--type", "A2", "--support", "a"], "bad simple-root name 'a'"),
             (["optimal", "--type", "A2", "--support", "a1,ax2"], "bad simple-root name 'ax2'"),
+            # an empty coefficient, or '*t' with no integer before the '*'
+            (["snf", "--type", "A2", "--support", "a1+a2="],
+             "cannot parse coefficient '' over GF(q)(t)"),
+            (["snf", "--type", "A2", "--support", "a1+a2=*t"],
+             "cannot parse coefficient '*t' over GF(q)(t)"),
             # a1 + a2 has degree 2 under the optimal lam = (1, 1), a1 and a2 degree 1
             (["phi", "--type", "A2", "--support", "a1,a2,a1+a2"],
              "Y must be concentrated in a single degree")]:

@@ -69,7 +69,7 @@ def test_graded_ad_rejects_mixed_degrees(sl3):
     q = RationalField()
     Y = root_vector(rs, q, rs.root_index[(1, 1)]) + root_vector(rs, q, rs.simple_roots[0])
     with pytest.raises(ValueError):
-        graded_ad(rs, sc, Y, (1, 1))
+        graded_ad(rs, sc, Y, (1, 1), 2)
 
 
 def test_graded_ad_scaling_linearity(sl3):

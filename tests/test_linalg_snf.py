@@ -76,15 +76,30 @@ def test_linear_algebra_over_prime_field():
 
 
 def test_integer_snf_examples():
-    assert integer_elementary_divisors([[2, -1], [-1, 2]]) == [1, 3]
-    assert integer_elementary_divisors([[2]]) == [2]
-    assert integer_elementary_divisors([[1, 0], [0, 1]]) == [1, 1]
-    assert integer_elementary_divisors([[0, 0], [0, 0]]) == [0, 0]
-    assert integer_elementary_divisors([[2, 4], [6, 8]]) == [2, 4]
-    assert integer_elementary_divisors([[Fraction(6), Fraction(0)]]) == [6]
+    assert integer_elementary_divisors(sparse_rows([[2, -1], [-1, 2]]), 2) == [1, 3]
+    assert integer_elementary_divisors(sparse_rows([[2]]), 1) == [2]
+    assert integer_elementary_divisors(sparse_rows([[1, 0], [0, 1]]), 2) == [1, 1]
+    assert integer_elementary_divisors(sparse_rows([[0, 0], [0, 0]]), 2) == [0, 0]
+    assert integer_elementary_divisors(sparse_rows([[2, 4], [6, 8]]), 2) == [2, 4]
+    assert integer_elementary_divisors(sparse_rows([[Fraction(6), Fraction(0)]]), 2) == [6]
     # a non-integral entry is an error, not truncated to int(5/2) = 2
     with pytest.raises(ValueError):
-        integer_elementary_divisors([[Fraction(5, 2), 1], [0, 1]])
+        integer_elementary_divisors(sparse_rows([[Fraction(5, 2), 1], [0, 1]]), 2)
+
+
+def test_integer_snf_each_sweep_outcome():
+    # the sweep leaves a remainder in the pivot's column (4 = 1 * 3 + 1),
+    # which is the next pivot
+    assert integer_elementary_divisors(sparse_rows([[3], [4]]), 1) == [1]
+    # the column comes back clear and the pivot row keeps a remainder mod
+    # the pivot, which is the next pivot
+    assert integer_elementary_divisors(sparse_rows([[2, 3]]), 2) == [1]
+    assert integer_elementary_divisors(sparse_rows([[-3, 5]]), 2) == [1]
+    assert integer_elementary_divisors(sparse_rows([[-4, 6, 0], [0, -6, 9]]), 3) == [1, 6]
+    # no unit entry: remainders in rows and columns, then a rank drop or a
+    # non-unit divisor
+    assert integer_elementary_divisors(sparse_rows([[4, 6], [6, 9]]), 2) == [1, 0]
+    assert integer_elementary_divisors(sparse_rows([[6, 10], [10, 15]]), 2) == [1, 10]
 
 
 def test_integer_snf_against_minor_gcd_oracle():
@@ -93,7 +108,7 @@ def test_integer_snf_against_minor_gcd_oracle():
     for _ in range(60):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         A = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
-        divs = integer_elementary_divisors(A)
+        divs = integer_elementary_divisors(sparse_rows(A), n)
         prod = 1
         for k, d in enumerate(divs, start=1):
             prod *= d
@@ -114,8 +129,7 @@ def _assert_minor_gcds(A, divs):
 
 def test_integer_snf_sparse_rectangular_against_oracle():
     # the pivot search stops at a unit and the updates skip zeros, so
-    # pin the shapes that exercise those paths against the minor gcds;
-    # every case also goes in as sparse rows, which must give the same
+    # pin the shapes that exercise those paths against the minor gcds
     cases = [
         [[0, 0, 0], [0, -1, 0], [0, 0, 0]],         # zero rows and columns, unit pivot
         [[0, 0], [0, 0], [0, 5]],                   # one nonzero entry, tall
@@ -148,19 +162,18 @@ def test_integer_snf_sparse_rectangular_against_oracle():
         cases.append([[rng.choice([0, 0, 2, -2, 3, -3, 4, 6, -9, 10, 15])
                        for _ in range(n)] for _ in range(m)])
     for A in cases:
-        divs = integer_elementary_divisors(A)
-        assert integer_elementary_divisors(sparse_rows(A), len(A[0])) == divs
+        divs = integer_elementary_divisors(sparse_rows(A), len(A[0]))
         assert len(divs) == min(len(A), len(A[0]))
         assert all(type(d) is int and d >= 0 for d in divs)
         _assert_minor_gcds(A, divs)
         for i in range(1, len(divs)):
             assert divs[i] % divs[i - 1] == 0 if divs[i - 1] else divs[i] == 0
-    assert integer_elementary_divisors([[2, 0], [0, 3]]) == [1, 6]
-    assert integer_elementary_divisors([[0, -1, 0], [0, 0, 0]]) == [1, 0]
-    assert integer_elementary_divisors([], 4) == []  # 0 x n: only sparse rows carry n
+    assert integer_elementary_divisors(sparse_rows([[2, 0], [0, 3]]), 2) == [1, 6]
+    assert integer_elementary_divisors(sparse_rows([[0, -1, 0], [0, 0, 0]]), 3) == [1, 0]
+    assert integer_elementary_divisors([], 4) == []  # 0 x n
     assert integer_elementary_divisors([{}, {}], 3) == [0, 0]
     with pytest.raises(ValueError):
-        integer_elementary_divisors([[1, 0], [0, Fraction(1, 2)]])
+        integer_elementary_divisors(sparse_rows([[1, 0], [0, Fraction(1, 2)]]), 2)
     with pytest.raises(ValueError):
         integer_elementary_divisors([{1: Fraction(1, 2)}], 2)
 
@@ -176,13 +189,13 @@ def test_integer_snf_diagonal_needs_gcd_lcm_steps():
     ]
     for A, expected in cases:
         _assert_minor_gcds(A, expected)
-        assert integer_elementary_divisors(A) == expected
+        assert integer_elementary_divisors(sparse_rows(A), len(A[0])) == expected
 
 
 def test_dvr_divisors_padic():
     q2 = RationalField(2)
     A = [[Fraction(4), Fraction(2)], [Fraction(2), Fraction(3)]]
-    vals = dvr_divisor_valuations(q2, A)
+    vals = dvr_divisor_valuations(q2, sparse_rows(A), 2)
     # det = 8, gcd of entries has v = 0
     assert vals == [0, 3]
     assert sum(vals) == q2.valuation(det(_Q, A))
@@ -215,14 +228,14 @@ def test_dvr_divisors_function_field():
     for _ in range(25):
         exps = sorted(rng.randint(0, 4) for _ in range(rng.randint(1, 3)))
         A = scaled_unimodular(exps)
-        assert dvr_divisor_valuations(F, A) == exps
+        assert dvr_divisor_valuations(F, sparse_rows(A), len(A)) == exps
 
 
 def test_dvr_divisors_rank_deficient():
     F = FunctionField(2)
     t = F.t()
     A = [[t, t], [t, t]]
-    assert dvr_divisor_valuations(F, A) == [1, None]
+    assert dvr_divisor_valuations(F, sparse_rows(A), 2) == [1, None]
 
 
 def _valued_unit(field, rng):
@@ -278,8 +291,7 @@ def test_dvr_divisors_match_minor_oracle(field):
         cases.append(A)
     for A in cases:
         rows, cols = len(A), len(A[0])
-        vals = dvr_divisor_valuations(field, A)
-        assert dvr_divisor_valuations(field, sparse_rows(A), cols) == vals
+        vals = dvr_divisor_valuations(field, sparse_rows(A), cols)
         size = min(rows, cols)
         finite = [v for v in vals if v is not INF]
         assert len(vals) == size and vals == finite + [INF] * (size - len(finite))
@@ -294,5 +306,5 @@ def test_dvr_divisors_match_minor_oracle(field):
         seen["gap"] += any(b - a > 1 for a, b in zip(finite, finite[1:]))
         seen["non_unit"] += bool(finite) and finite[0] > 0
     assert all(seen.values()), seen
-    assert dvr_divisor_valuations(field, [], 3) == []  # 0 x n: only sparse rows carry n
+    assert dvr_divisor_valuations(field, [], 3) == []  # 0 x n
     assert dvr_divisor_valuations(field, [{}, {}], 2) == [INF, INF]
