@@ -186,26 +186,16 @@ class FiniteField:
         if n == 1:
             return (0, 1)  # x, unused
         # first monic irreducible of degree n over F_p, by trial division
-        def poly_mod(a, b):
-            a = list(a)
-            while len(a) >= len(b):
-                if a[-1] % p:
-                    c = a[-1] * pow(b[-1], -1, p) % p
-                    off = len(a) - len(b)
-                    for i, bi in enumerate(b):
-                        a[off + i] = (a[off + i] - c * bi) % p
-                while a and a[-1] % p == 0:
-                    a.pop()
-            return a
+        fp = FiniteField(p)
 
         def monics(d):
             # constant coefficient varying fastest
             for coeffs in product(range(p), repeat=d):
-                yield coeffs[::-1] + (1,)
+                yield Polynomial(fp, [fp.element(c) for c in coeffs[::-1]] + [fp.one])
 
         for cand in monics(n):
-            if all(poly_mod(cand, div) for d in range(1, n // 2 + 1) for div in monics(d)):
-                return cand
+            if all(cand % div for d in range(1, n // 2 + 1) for div in monics(d)):
+                return tuple(c.coeffs[0] for c in cand.coeffs)
         raise RuntimeError(f"no irreducible polynomial of degree {n} over F_{p}")
 
     def element(self, x: int) -> FFElement:

@@ -14,7 +14,8 @@ oracles (`check_kernel`, `linalg.det`).  For an integer Y, one Smith
 form over Z per block (`block_divisors`: diagonalize, then gcd/lcm;
 Cohen GTM 138, 2.4) gives its rank over Q and mod every prime; over a
 valued field, one DVR pass per block feeds phi, `block_report` and
-`lattice_image` (capped at m).
+`lattice_image` (capped at m).  Y = 0 lies in every degree: its blocks
+are all-zero rows, so phi(0) is 0 if some block has positive size, else 1.
 """
 
 from __future__ import annotations
@@ -117,10 +118,10 @@ def ad_blocks(sc: StructureConstants, Y: LieElement, pieces) -> list[list[dict]]
 
 def graded_ad(rs: RootSystem, sc: StructureConstants, Y: LieElement, lam,
               k: int) -> GradedBlockMap:
-    """Blocks of ad Y on the grading of lam; Y must live in degree k."""
-    deg = single_degree(rs, Y, lam)
+    """Blocks of ad Y on the grading of lam; Y must be 0 or live in degree k >= 1."""
+    deg = single_degree(rs, Y, lam) if Y else k
     if deg != k or k < 1:
-        raise ValueError(f"Y must be concentrated in degree k = {k}, found {deg}")
+        raise ValueError(f"Y must be concentrated in degree k = {k} >= 1, found {deg}")
     by_degree = grade(rs, lam).weight_spaces
     dom = {i: by_degree.get(-i, []) for i in range(1, k)}
     cod = {i: by_degree.get(k - i, []) for i in range(1, k)}
@@ -182,18 +183,7 @@ def phi(field, gbm: GradedBlockMap) -> AbsValue:
 def phi_of(rs: RootSystem, sc: StructureConstants, X: LieElement, lam, k: int,
            field=None) -> AbsValue:
     """phi of a degree-k element (X determines its own blocks)."""
-    fld = field if field is not None else X.field
-    if X.is_zero():
-        if not has_valuation(fld):
-            raise ValueError("phi needs a field with a valuation")
-        q = fld.residue_cardinality
-        degs = grade(rs, lam).weight_spaces
-        for i in range(1, k):
-            if -i in degs or (k - i) in degs:
-                return AbsValue(q, None)  # some zero block of positive size
-        return AbsValue(q, 0)
-    gbm = graded_ad(rs, sc, X, lam, k)
-    return phi(fld, gbm)
+    return phi(field if field is not None else X.field, graded_ad(rs, sc, X, lam, k))
 
 
 def verify_phi_inverse(rs: RootSystem, sc: StructureConstants, X: LieElement,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from .lie import LieElement
@@ -36,25 +36,17 @@ class CocharRational:
         return all(c.denominator == 1 for c in self.coords)
 
     def is_primitive(self) -> bool:
-        if not self.is_integral() or self.is_zero():
-            return False
-        g = 0
-        for c in self.coords:
-            g = gcd(g, c.numerator)
-        return g == 1
+        return (self.is_integral() and not self.is_zero()
+                and gcd(*(c.numerator for c in self.coords)) == 1)
 
-    def primitive_multiple(self) -> tuple[tuple[int, ...], int]:
+    def primitive_multiple(self) -> tuple[tuple[int, ...], Fraction]:
         """(lam, k) with lam primitive integral and self = lam / k."""
         if self.is_zero():
             raise ValueError("zero cocharacter has no primitive multiple")
-        lcm = 1
-        for c in self.coords:
-            lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-        ints = [int(c * lcm) for c in self.coords]
-        g = 0
-        for c in ints:
-            g = gcd(g, c)
-        return tuple(c // g for c in ints), Fraction(lcm, g)
+        den = lcm(*(c.denominator for c in self.coords))
+        ints = [int(c * den) for c in self.coords]
+        g = gcd(*ints)
+        return tuple(c // g for c in ints), Fraction(den, g)
 
     def to_json(self) -> dict:
         return {"coords": [str(c) for c in self.coords], "norm_sq": str(self.norm_sq)}

@@ -3,8 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from chevalley.corpus import (element_from_support, run_corpus, standard_corpus,
-                              standard_instances)
+from chevalley.corpus import (element_from_support, run_corpus, run_instance,
+                              standard_corpus, standard_instances)
 from chevalley.fields import PrimeField, RationalField
 
 
@@ -70,6 +70,21 @@ def test_run_corpus_rejects_unknown_schema():
         with pytest.raises(ValueError):
             run_corpus({"schema": 1, "primes": primes, "entries": [good]})
     assert run_corpus({"schema": 1, "primes": [11], "entries": [good]})["ok"]
+
+
+def test_run_instance_rejects_a_coefficient_count_mismatch():
+    from chevalley import build, structure_constants
+
+    rs = build("A2")
+    sc = structure_constants(rs)
+    entry = {"support": [[1, 0], [0, 1]], "coefficients": [1]}
+    with pytest.raises(ValueError, match="^1 coefficients for 2 support roots$"):
+        run_instance(rs, sc, entry, [2])
+    with pytest.raises(ValueError, match="^3 coefficients for 2 support roots$"):
+        run_instance(rs, sc, {**entry, "coefficients": [1, 2, 3]}, [2])
+    # no coefficients at all means all ones
+    report = run_instance(rs, sc, {"support": entry["support"]}, [2])
+    assert report["coefficients"] == [1, 1]
 
 
 def test_element_from_support_mod_p_degeneration():

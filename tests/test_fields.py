@@ -185,3 +185,19 @@ def test_has_valuation():
     assert not has_valuation(RationalField())
     assert has_valuation(FunctionField(4))
     assert not has_valuation(PrimeField(5))
+
+
+# FiniteField(q).modulus: the first monic irreducible of degree n over F_p,
+# constant coefficient varying fastest
+MODULI = {
+    4: (1, 1, 1), 8: (1, 1, 0, 1), 9: (1, 0, 1), 16: (1, 1, 0, 0, 1), 25: (2, 0, 1),
+    27: (1, 2, 0, 1), 32: (1, 0, 1, 0, 0, 1), 49: (1, 0, 1), 64: (1, 1, 0, 0, 0, 0, 1),
+    81: (2, 1, 0, 0, 1), 121: (1, 0, 1), 125: (1, 1, 0, 1), 128: (1, 1, 0, 0, 0, 0, 0, 1),
+    243: (1, 2, 0, 0, 0, 1), 256: (1, 1, 0, 1, 1, 0, 0, 0, 1), 343: (2, 0, 0, 1),
+    729: (2, 1, 0, 0, 0, 0, 1), 1024: (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1),
+}
+
+
+@pytest.mark.parametrize("q", sorted(MODULI))
+def test_finite_field_modulus_pinned(q):
+    assert FiniteField(q).modulus == MODULI[q]

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from chevalley import (AbsValue, FunctionField, PrimeField, RationalField,
-                       bracket, build, check_kernel, graded_ad, lattice_image,
-                       optimal_cocharacter, phi, phi_of, root_vector,
+                       bracket, build, cartan_vector, check_kernel, graded_ad,
+                       lattice_image, optimal_cocharacter, phi, phi_of, root_vector,
                        structure_constants, torus_conjugate, verify_phi_inverse,
                        verify_rrao)
 from chevalley.corpus import element_from_support, run_instance, standard_instances
@@ -118,6 +118,26 @@ def test_phi_zero_element(sl3):
     assert phi_of(rs, sc, LieElement(q2), (1, 1), 1) == AbsValue(2, 0)
     # phi(-0) = phi(0): both infinite exponents count as equal
     assert verify_phi_inverse(rs, sc, LieElement(q2), (1, 1), 2)
+    # the zero element follows phi's rules: a non-square grading (A2 at
+    # lam = (1, 1), k = 3 has 1x2 and 2x1 blocks) or k < 1 raises
+    with pytest.raises(ValueError, match="blocks are not square"):
+        phi_of(rs, sc, LieElement(q2), (1, 1), 3)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match=f"degree k = {k} >= 1"):
+            phi_of(rs, sc, LieElement(q2), (1, 1), k)
+
+
+def test_graded_ad_accepts_zero_element(sl3):
+    """Y = 0 lies in every degree: its blocks are all-zero rows of the
+    shapes the grading gives, and its lattice divisors are all infinite."""
+    rs, sc = sl3
+    for field in (RationalField(2), FunctionField(2)):
+        gbm = graded_ad(rs, sc, LieElement(field), (1, 1), 3)
+        assert gbm.rows == {1: [{}], 2: [{}, {}]}
+        assert gbm.shapes() == {1: (1, 2), 2: (2, 1)}
+    F = FunctionField(2)
+    assert lattice_image(rs, sc, LieElement(F), (1, 1), 2, 1, 3) == [None, None]
+    assert lattice_image(rs, sc, LieElement(F), (1, 1), 3, 2, 3) == [None]
 
 
 def test_absvalue_multiplication():
@@ -194,6 +214,20 @@ def test_rrao_examples(sl3):
     assert verify_rrao(rs, sc, Y, lam, k, (Fraction(2), Fraction(-1)))
 
 
+def test_torus_conjugate_keeps_cartan_components(sl3):
+    """The torus acts trivially on the Cartan: H components pass through
+    unchanged while E_a is scaled by p**<a, v>."""
+    rs, sc = sl3
+    q2 = RationalField(2)
+    a1, a12 = rs.root_index[(1, 0)], rs.root_index[(1, 1)]
+    X = (root_vector(rs, q2, a1, 3) + root_vector(rs, q2, rs.negative(a12), 5)
+         + cartan_vector(rs, q2, (7, Fraction(1, 2))))
+    # at v = (1, 0): <a1, v> = 2 and <-(a1 + a2), v> = -1
+    assert torus_conjugate(rs, X, (1, 0)).coeffs == {
+        ("E", a1): Fraction(12), ("E", rs.negative(a12)): Fraction(5, 2),
+        ("H", 0): Fraction(7), ("H", 1): Fraction(1, 2)}
+
+
 def test_phi_homogeneity_random():
     rng = random.Random(2024)
     rs = build("B2")
@@ -221,8 +255,8 @@ def test_phi_homogeneity_random():
 
 
 def test_phi_rejects_non_square_blocks():
-    # A3 with lam = rho-check: d_1 = 3, d_2 = 2, so X in degree 3 has
-    # rectangular blocks and phi must refuse
+    # A3: phi_of refuses X = E_theta at lam = (1, 1, 1), k = 3, and phi
+    # refuses the rectangular blocks of a correctly graded X
     rs = build("A3")
     sc = structure_constants(rs)
     q2 = RationalField(2)
@@ -231,6 +265,16 @@ def test_phi_rejects_non_square_blocks():
     X = root_vector(rs, q2, theta)
     with pytest.raises(ValueError):
         phi_of(rs, sc, X, lam, 3)
+    # lam above is given in coroot coordinates, where theta has degree 2,
+    # so graded_ad refuses k = 3 before phi sees a block.  lam = 2 rho-check
+    # = (3, 4, 3) puts theta in degree 6, and its i = 2 block maps g(-2)
+    # (3 roots) to g(4) (2 roots); so does the zero element's.
+    gbm = graded_ad(rs, sc, X, (3, 4, 3), 6)
+    assert gbm.shapes()[2] == (2, 3)
+    for call in (lambda: phi(q2, gbm), lambda: phi_of(rs, sc, X, (3, 4, 3), 6),
+                 lambda: phi_of(rs, sc, LieElement(q2), (3, 4, 3), 6)):
+        with pytest.raises(ValueError, match="blocks are not square"):
+            call()
 
 
 def test_unimodular_base_change_leaves_exponent(sl3):
@@ -368,6 +412,10 @@ def test_lattice_image_requires_integral_coefficients(sl3):
         lattice_image(rs, sc, Yok, (1, 1), 2, 5, 3)  # block index out of range
     with pytest.raises(ValueError):
         lattice_image(rs, sc, Yok, (1, 1), 2, 1, 0)  # m < 1
+    for field in (QQ, PrimeField(3)):
+        Y = root_vector(rs, field, rs.root_index[(1, 1)])
+        with pytest.raises(ValueError, match="need a valued field"):
+            lattice_image(rs, sc, Y, (1, 1), 2, 1, 3)
 
 
 def _divisor_oracle_instances():

@@ -130,6 +130,34 @@ def test_cochar_rational_primitivity():
     assert mu.norm_sq == Fraction(1, 2)
 
 
+@pytest.mark.parametrize("coords,primitive,multiple", [
+    ((Fraction(1, 2), 0), False, ((1, 0), 2)),
+    ((Fraction(-1, 2), Fraction(1, 3)), False, ((-3, 2), 6)),
+    ((Fraction(3, 2), Fraction(-9, 4)), False, ((2, -3), Fraction(4, 3))),
+    ((Fraction(-2, 3), Fraction(2, 3)), False, ((-1, 1), Fraction(3, 2))),
+    ((0, Fraction(-2, 3)), False, ((0, -1), Fraction(3, 2))),
+    ((-2, 4), False, ((-1, 2), Fraction(1, 2))),
+    ((-3, 0), False, ((-1, 0), Fraction(1, 3))),
+    ((-1, 0), True, ((-1, 0), 1)),
+    ((0, -1), True, ((0, -1), 1)),
+])
+def test_primitive_multiple_signs_and_denominators(coords, primitive, multiple):
+    """Zero, non-integral and negative coordinates: the sign stays on lam,
+    the scale k is a positive Fraction and self = lam / k."""
+    mu = CocharRational.of(build("A2"), coords)
+    assert mu.is_primitive() is primitive
+    lam, k = mu.primitive_multiple()
+    assert (lam, k) == multiple and isinstance(k, Fraction)
+    assert tuple(Fraction(c) / k for c in lam) == mu.coords
+
+
+def test_zero_cocharacter_is_not_primitive():
+    zero = CocharRational.of(build("A2"), (0, 0))
+    assert not zero.is_primitive()
+    with pytest.raises(ValueError, match="zero cocharacter"):
+        zero.primitive_multiple()
+
+
 @pytest.mark.parametrize("isogeny", ["simply_connected", "adjoint"])
 @pytest.mark.parametrize("t", ["A3", "B3", "C3", "G2", "F4", "E6", "A2xA1"])
 def test_grade_and_delta_match_pair_oracle(t, isogeny):

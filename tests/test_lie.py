@@ -6,7 +6,8 @@ import pytest
 
 from chevalley import (PrimeField, RationalField, bracket, build, coroot_element,
                        root_vector, structure_constants)
-from chevalley.lie import LieElement
+from chevalley.fields import QQ
+from chevalley.lie import LieElement, element_from_support
 
 from conftest import random_element
 
@@ -166,6 +167,19 @@ def test_zero_coefficients_pruned(systems):
     X = root_vector(rs, q, 0)
     assert (X - X).coeffs == {}
     assert not (X - X)
+
+
+def test_element_from_support_coefficient_count():
+    """Only coefficients=None means all ones; any list must match the
+    support in length, where zip used to drop the unmatched roots."""
+    rs = build("A2")
+    support = [(1, 0), (0, 1)]
+    for coeffs in ([5], [], [1, 2, 3]):
+        with pytest.raises(ValueError, match=f"^{len(coeffs)} coefficients for 2 support roots$"):
+            element_from_support(rs, QQ, support, coeffs)
+    assert element_from_support(rs, QQ, support) == element_from_support(rs, QQ, support, [1, 1])
+    assert element_from_support(rs, QQ, support, (5, 7)).coeffs == {
+        ("E", rs.root_index[(1, 0)]): 5, ("E", rs.root_index[(0, 1)]): 7}
 
 
 @pytest.mark.parametrize("t,count", [("E7", 126), ("E8", 240)])
