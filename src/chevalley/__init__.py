@@ -10,9 +10,8 @@ from .badprimes import (CGammaTable, c_gamma, coker_eta, destabilizing_certifica
                         regular_counterexample, regular_nilpotent, scan_destabilizers)
 from .fields import (FFElement, FiniteField, FunctionField, Polynomial, PrimeField,
                      RatFunc, RationalField)
-from .gradedmap import (AbsValue, GradedBlockMap, check_kernel, graded_ad,
-                        lattice_image, phi, phi_of, torus_conjugate,
-                        verify_phi_inverse, verify_rrao)
+from .gradedmap import (AbsValue, GradedBlockMap, graded_ad, lattice_image, phi,
+                        phi_of, torus_conjugate, verify_phi_inverse, verify_rrao)
 from .grading import (CocharRational, GradingReport, delta_exponent, grade,
                       instability_ratio_sq, m_of)
 from .lie import (LieElement, StructureConstants, bracket, cartan_vector,
@@ -31,8 +30,7 @@ __all__ = [
     "LieElement", "OptimalityCertificate", "Polynomial", "PrimeField",
     "RatFunc", "RationalField", "RootSystem", "SIMPLY_CONNECTED",
     "StructureConstants", "bracket", "brute_force_verify", "build", "c_gamma",
-    "cartan_vector", "certified_torus_check", "check_kernel", "coker_eta",
-    "coroot_element",
+    "cartan_vector", "certified_torus_check", "coker_eta", "coroot_element",
     "delta_exponent", "destabilizing_certificate", "grade", "graded_ad",
     "instability_ratio_sq", "kirwan_ness_torus_check", "lattice_image", "m_of",
     "minimum_norm_cocharacter", "optimal_cocharacter", "parse_cartan_type",

@@ -78,7 +78,7 @@ def _instance(args, p=None):
     """Root system, support, Y over Q (p-adic when p is given), Y's certificate."""
     rs = build(args.type, args.isogeny)
     roots, coeffs = _parse_support(rs, args.support)
-    Y = element_from_support(rs, RationalField(p), roots, coeffs)
+    Y = element_from_support(rs, QQ if p is None else RationalField(p), roots, coeffs)
     return rs, roots, coeffs, Y, optimal_cocharacter(rs, Y)
 
 
@@ -129,12 +129,10 @@ def cmd_grade(args):
 @_command("optimal", *_SYSTEM, "--support", "--box-radius")
 def cmd_optimal(args):
     rs, _, _, Y, cert = _instance(args)
-    code = 0
+    payload, code = cert.to_json(), 0
     if args.box_radius is not None:
-        bf = brute_force_verify(rs, Y, cert, args.box_radius)
-        cert.brute_force_checked = bf
+        bf = payload["brute_force_checked"] = brute_force_verify(rs, Y, cert, args.box_radius)
         code = 0 if bf["ok"] else VERIFY_ERROR
-    payload = cert.to_json()
     payload["torus_check"] = certified_torus_check(rs, Y, cert)
     return payload, code
 
@@ -189,6 +187,8 @@ def cmd_rrao_check(args):
             failures += 1
         trials.append({"trial": t, "rrao": ok_rrao, "inverse": ok_inv,
                        "v": list(v)})
+    if not trials:
+        raise ValueError(f"no trial ran: --trials {args.trials} drew only empty X")
     payload = {"certificate": cert.to_json(), "trials": trials,
                "failures": failures, "ok": failures == 0}
     return payload, 0 if failures == 0 else VERIFY_ERROR

@@ -20,34 +20,30 @@ from fractions import Fraction
 from itertools import product
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+def _least_prime_factor(n: int) -> int:
+    """The least prime factor of n >= 2, by trial division."""
     d = 2
     while d * d <= n:
         if n % d == 0:
-            return False
+            return d
         d += 1
-    return True
+    return n
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and _least_prime_factor(n) == n
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Write q = p**n with p prime, or raise ValueError."""
-    if q < 2:
-        raise ValueError(f"not a prime power: {q}")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            n = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                n += 1
-            if m != 1:
-                raise ValueError(f"not a prime power: {q}")
+    if q >= 2:
+        p, n, m = _least_prime_factor(q), 0, q
+        while m % p == 0:
+            m //= p
+            n += 1
+        if m == 1:
             return p, n
-        p += 1
-    return q, 1  # q itself prime
+    raise ValueError(f"not a prime power: {q}")
 
 
 class RationalField:

@@ -226,10 +226,10 @@ def verify_rrao(rs: RootSystem, sc: StructureConstants, X: LieElement, lam,
     """
     before = phi_of(rs, sc, X, lam, k, field)
     after = phi_of(rs, sc, torus_conjugate(rs, X, v), lam, k, field)
-    if before.is_zero() or after.is_zero():
-        return before.is_zero() and after.is_zero()
+    if before.is_zero():
+        return after.is_zero()
     shift = 2 * delta_exponent(rs, lam, 1, k, v) if k > 1 else 0
-    return after.half_exponent == before.half_exponent + shift
+    return after == before * AbsValue(before.q, shift)
 
 
 def lattice_image(rs: RootSystem, sc: StructureConstants, Y: LieElement, lam,
@@ -259,23 +259,24 @@ def lattice_image(rs: RootSystem, sc: StructureConstants, Y: LieElement, lam,
 
 def block_report(field, gbm: GradedBlockMap) -> dict:
     """Per-instance JSON payload of the given blocks over a valued field:
-    dims, ranks, det valuations, and phi as their sum.  One elimination
-    per block gives its elementary divisor valuations: the rank is the
-    number of finite ones, the det valuation their sum ("inf" when one
-    is infinite)."""
+    dims, ranks, det valuations, and phi as the product of the blocks'
+    |det|^(1/2).  One elimination per block gives its elementary divisor
+    valuations: the rank is the number of finite ones, the det valuation
+    their sum ("inf" when one is infinite)."""
     if not has_valuation(field):
         raise ValueError("phi needs a field with a valuation")
-    per_i, vals = {}, []
+    per_i, value = {}, AbsValue(field.residue_cardinality, 0)
     for i, rows, cols in gbm.sparse_blocks():
         divisors = dvr_divisor_valuations(field, rows, cols)
         finite = [v for v in divisors if v is not None]
         entry = _kernel_entry(gbm, i, len(finite))
         if entry["rows"] == entry["cols"] > 0:
-            entry["det_valuation"] = sum(finite) if len(finite) == len(divisors) else "inf"
-            vals.append(entry["det_valuation"])
+            # |det|^(1/2), whose half-exponent is the det valuation
+            factor = AbsValue(value.q, sum(finite) if len(finite) == len(divisors) else None)
+            entry["det_valuation"] = factor.to_json()["half_exponent"]
+            value *= factor
         per_i[str(i)] = entry
     out = {"k": gbm.k, "blocks": per_i}
     if gbm.is_square():
-        e = None if "inf" in vals else sum(vals)
-        out["phi"] = AbsValue(field.residue_cardinality, e).to_json()
+        out["phi"] = value.to_json()
     return out

@@ -36,23 +36,19 @@ class OptimalityCertificate:
     k: int
     active_constraints: list[int]  # root indices with <a, mu> = 1
     support: list[int]
-    brute_force_checked: dict | None = None
     # Wolfe's weights x on the deduplicated support, keyed by root index,
     # and vv = x^T K x, so that mu = sum x_i nu(a_i) / vv; not in to_json
     weights: dict[int, Fraction] = field(default_factory=dict, repr=False)
     vv: Fraction | None = field(default=None, repr=False)
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "mu": self.mu.to_json(),
             "lambda": list(self.lam),
             "k": self.k,
             "active_constraints": self.active_constraints,
             "support": self.support,
         }
-        if self.brute_force_checked is not None:
-            out["brute_force_checked"] = self.brute_force_checked
-        return out
 
 
 def support_of(rs: RootSystem, Y: LieElement) -> list[int]:

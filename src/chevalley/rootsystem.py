@@ -41,45 +41,32 @@ def integer(x, what: str) -> int:
     return int(x)
 
 
-def _validate(series: str, rank: int):
-    ok = {
-        "A": rank >= 1,
-        "B": rank >= 2,
-        "C": rank >= 2,
-        "D": rank >= 3,
-        "E": rank in (6, 7, 8),
-        "F": rank == 4,
-        "G": rank == 2,
-    }.get(series)
-    if not ok:
-        raise ValueError(f"invalid Cartan type {series}{rank}")
-
-
 def _dynkin_data(series: str, rank: int):
-    """Edges and squared lengths (long = 2) of one irreducible factor."""
+    """Edges and squared lengths (long = 2) of one irreducible factor;
+    ValueError unless it is A1+, B2+, C2+, D3+, E6-E8, F4 or G2."""
     chain = [(i, i + 1) for i in range(rank - 1)]
     two = Fraction(2)
-    if series == "A":
+    if series == "A" and rank >= 1:
         return chain, [two] * rank
-    if series == "B":
+    if series == "B" and rank >= 2:
         return chain, [two] * (rank - 1) + [Fraction(1)]
-    if series == "C":
+    if series == "C" and rank >= 2:
         return chain, [Fraction(1)] * (rank - 1) + [two]
-    if series == "D":
+    if series == "D" and rank >= 3:
         edges = [(i, i + 1) for i in range(rank - 2)] + [(rank - 3, rank - 1)]
         return edges, [two] * rank
-    if series == "E":
+    if series == "E" and rank in (6, 7, 8):
         edges = [(0, 2), (2, 3), (3, 4), (4, 5), (1, 3)]
         if rank >= 7:
             edges.append((5, 6))
         if rank == 8:
             edges.append((6, 7))
         return edges, [two] * rank
-    if series == "F":
+    if series == "F" and rank == 4:
         return chain, [two, two, Fraction(1), Fraction(1)]
-    if series == "G":
+    if series == "G" and rank == 2:
         return chain, [Fraction(2, 3), two]
-    raise ValueError(series)
+    raise ValueError(f"invalid Cartan type {series}{rank}")
 
 
 def _close_under_reflections(cartan, rank):
@@ -114,8 +101,7 @@ class RootSystem:
         cartan_type = [(str(s).upper(), int(r)) for s, r in cartan_type]
         if not cartan_type:
             raise ValueError("empty Cartan type")
-        for series, r in cartan_type:
-            _validate(series, r)
+        dynkin = [_dynkin_data(series, r) for series, r in cartan_type]
         if isogeny not in (SIMPLY_CONNECTED, ADJOINT):
             raise ValueError(f"unknown isogeny type {isogeny!r}")
         self.cartan_type = tuple(cartan_type)
@@ -126,7 +112,6 @@ class RootSystem:
         scale = [Fraction(s) for s in scale]
         if len(scale) != len(cartan_type) or any(s <= 0 for s in scale):
             raise ValueError("scale must give one positive rational per factor")
-        self.scale = tuple(scale)
 
         n = self.rank
         # symmetric form on the character space, long roots squared length 2,
@@ -134,16 +119,14 @@ class RootSystem:
         form = [[Fraction(0)] * n for _ in range(n)]
         self.cartan = [[0] * n for _ in range(n)]
         offset = 0
-        for f, (series, r) in enumerate(cartan_type):
-            edges, lengths = _dynkin_data(series, r)
-            s = scale[f]
-            for i in range(r):
-                form[offset + i][offset + i] = lengths[i] * s
+        for (edges, lengths), s in zip(dynkin, scale):
+            for i, length in enumerate(lengths):
+                form[offset + i][offset + i] = length * s
             for (i, j) in edges:
                 v = -max(lengths[i], lengths[j]) / 2 * s
                 form[offset + i][offset + j] = v
                 form[offset + j][offset + i] = v
-            offset += r
+            offset += len(lengths)
         self.char_form = form
         for i in range(n):
             for j in range(n):

@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 
 from chevalley import (PrimeField, RationalField, bracket, build, c_gamma,
-                       check_kernel, coker_eta, destabilizing_certificate,
+                       coker_eta, destabilizing_certificate,
                        graded_ad, kirwan_ness_torus_check, optimal_cocharacter,
                        regular_counterexample, regular_nilpotent, root_vector,
                        scan_destabilizers, sl2_completion_check,
                        structure_constants)
+from chevalley.gradedmap import check_kernel
 from chevalley.lie import LieElement
 from chevalley.linalg import det
 from chevalley.snf import integer_elementary_divisors, sparse_rows
@@ -246,3 +247,14 @@ def test_coker_eta_matches_snf_of_cartan_for_adjoint():
     for t in ["A2", "B2", "G2", "D4"]:
         rs = build(t, "adjoint")
         assert coker_eta(rs) == integer_elementary_divisors(sparse_rows(rs.cartan), rs.rank)
+
+
+def test_destabilizing_certificate_needs_a_root_and_a_root_supported_y():
+    q = RationalField()
+    rs = build("A2")
+    Y = root_vector(rs, q, rs.root_index[(1, 1)])
+    with pytest.raises(ValueError, match="alpha must be a root"):
+        destabilizing_certificate(rs, Y, (1, 1), (1, 2))
+    cartan_only = LieElement(q, {("H", 0): q.element(1)})
+    with pytest.raises(ValueError, match="Y must be supported on root vectors"):
+        destabilizing_certificate(rs, cartan_only, (1, 1), 0)

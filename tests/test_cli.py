@@ -8,6 +8,8 @@ from pathlib import Path
 
 from chevalley import FunctionField
 from chevalley.cli import _coeff_to_field, main
+from chevalley.cli import _instance, make_parser
+from chevalley.fields import QQ, RationalField
 
 
 def repo_root() -> Path:
@@ -336,3 +338,30 @@ def test_cli_outputs_pinned():
         digest.update(json.dumps([argv, code, out.getvalue(), err.getvalue()]).encode())
     assert digest.hexdigest() == (
         "5abd79c3162a7ebd6fadca3739e0d241291d6d94b308d41d165d217032d6f9e9")
+
+
+def test_rrao_check_with_no_trial_exits_2():
+    """--trials counts draws; a draw whose X has no terms is skipped, and a
+    run in which every draw was skipped has verified nothing."""
+    argv = ["rrao-check", "--type", "A2", "--support", "a1+a2", "--seed", "0"]
+    code, out, err = run_main(*argv, "--trials", "1")
+    assert code == 2 and out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: no trial ran: --trials 1 drew only empty X"]
+    # the draws stay as they were: the first run with a trial checks draw 1 only
+    code, out, _ = run_main(*argv, "--trials", "2")
+    assert code == 0 and [t["trial"] for t in json.loads(out)["trials"]] == [1]
+
+
+def test_support_separators():
+    # an empty token between commas is skipped; a support of no tokens is refused
+    assert run_main("optimal", "--type", "A2", "--support", "a1,,a2") == run_main(
+        "optimal", "--type", "A2", "--support", "a1,a2")
+    code, out, err = run_main("optimal", "--type", "A2", "--support", ",")
+    assert code == 2 and out == "" and "error: empty support" in err.splitlines()
+
+
+def test_instance_uses_the_one_plain_q():
+    args = make_parser().parse_args(["grade", "--type", "A2", "--support", "a1+a2"])
+    assert _instance(args)[3].field is QQ
+    assert _instance(args, 3)[3].field == RationalField(3)

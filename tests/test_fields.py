@@ -5,6 +5,7 @@ import pytest
 
 from chevalley.fields import (FiniteField, FunctionField, Polynomial, PrimeField,
                               RatFunc, RationalField, factor_prime_power, has_valuation)
+from chevalley.fields import is_prime
 
 
 def test_factor_prime_power():
@@ -201,3 +202,43 @@ MODULI = {
 @pytest.mark.parametrize("q", sorted(MODULI))
 def test_finite_field_modulus_pinned(q):
     assert FiniteField(q).modulus == MODULI[q]
+
+
+def test_is_prime_and_factor_prime_power_against_a_sieve():
+    """Both share one trial division; pin them on -2 <= n < 5000 against a
+    sieve, factor_prime_power's message included."""
+    bound = 5000
+    sieve = [False, False] + [True] * (bound - 2)
+    for p in range(2, bound):
+        if sieve[p]:
+            sieve[p * p::p] = [False] * len(range(p * p, bound, p))
+    powers = {p ** e: (p, e) for p in range(bound) if sieve[p]
+              for e in range(1, bound.bit_length()) if p ** e < bound}
+    for n in range(-2, bound):
+        assert is_prime(n) is (n >= 0 and sieve[n]), n
+        try:
+            got = factor_prime_power(n)
+        except ValueError as exc:
+            got = str(exc)
+        assert got == powers.get(n, f"not a prime power: {n}"), n
+
+
+def test_field_operations_refuse_what_has_no_value():
+    f4, f8 = FiniteField(4), FiniteField(8)
+    with pytest.raises(ValueError, match="elements of different finite fields"):
+        f4.element(1) + f8.element(1)
+    with pytest.raises(ZeroDivisionError, match="inverse of 0 in a finite field"):
+        f4.element(0).inverse()
+    with pytest.raises(ValueError, match="wrong coefficient tuple length"):
+        f4.from_coeffs((1, 0, 1))
+    f2 = PrimeField(2)
+    t_plus_1, zero = Polynomial(f2, (1, 1)), Polynomial(f2, ())
+    with pytest.raises(ZeroDivisionError, match="polynomial division by zero"):
+        divmod(t_plus_1, zero)
+    with pytest.raises(ZeroDivisionError, match="t-valuation of 0 is undefined"):
+        zero.t_valuation()
+    with pytest.raises(ZeroDivisionError, match="zero denominator"):
+        RatFunc(t_plus_1, zero)
+    k = FunctionField(2)
+    with pytest.raises(ZeroDivisionError, match="division by zero rational function"):
+        k.t() / k.element(0)

@@ -308,3 +308,12 @@ def test_dvr_divisors_match_minor_oracle(field):
     assert all(seen.values()), seen
     assert dvr_divisor_valuations(field, [], 3) == []  # 0 x n
     assert dvr_divisor_valuations(field, [{}, {}], 2) == [INF, INF]
+
+
+def test_det_shapes_and_an_inconsistent_solve():
+    q = RationalField()
+    with pytest.raises(ValueError, match="determinant of a non-square matrix"):
+        det(q, [[Fraction(1), Fraction(2)]])
+    assert det(q, []) == 1  # the empty product
+    one = Fraction(1)
+    assert solve(q, [[one, one], [one, one]], [one, Fraction(2)]) is None

@@ -518,3 +518,12 @@ def test_sl2_completion_holds_on_every_standard_instance():
             assert sl2_completion_check(rs, sc, Y, optimal_cocharacter(rs, Y)), (t, entry)
             count += 1
     assert count == 981
+
+
+def test_torus_check_and_min_norm_without_root_support():
+    q = RationalField()
+    rs = build("A2")
+    # no constraint at all: mu = 0 already destabilizes
+    assert kirwan_ness_torus_check(rs, LieElement(q, {("H", 0): q.element(1)}), (1, 1)) is False
+    with pytest.raises(ValueError, match="empty support"):
+        minimum_norm_cocharacter(rs, [])

@@ -198,3 +198,28 @@ def test_integrality_guard_raises_under_O():
     assert integer(Fraction(6, 3), "Cartan entry") == 2
     with pytest.raises(RuntimeError, match="non-integral coroot coordinate 1/2"):
         integer(Fraction(1, 2), "coroot coordinate")
+
+
+@pytest.mark.parametrize("isogeny", ["simply_connected", "weird"])
+@pytest.mark.parametrize("cartan_type, message", [
+    *((t, f"invalid Cartan type {t}") for t in ["A0", "B1", "D2", "E5", "E9", "F3", "G3", "Z9"]),
+    ("A2xG3", "invalid Cartan type G3"),
+    ([("z", 9)], "invalid Cartan type Z9"),
+    ("", "cannot parse Cartan type ''"),
+    ([], "empty Cartan type"),
+])
+def test_build_error_messages_and_their_order(cartan_type, message, isogeny):
+    # a bad type is reported before a bad isogeny
+    with pytest.raises(ValueError) as exc:
+        build(cartan_type, isogeny)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("scale", [[0], [Fraction(-1, 2)], [1, 1], []])
+def test_build_rejects_a_bad_scale(scale):
+    with pytest.raises(ValueError) as exc:
+        build("G2", scale=scale)
+    assert str(exc.value) == "scale must give one positive rational per factor"
+    # the isogeny is checked before the scale
+    with pytest.raises(ValueError, match="unknown isogeny type 'weird'"):
+        build("G2", "weird", scale=scale)
