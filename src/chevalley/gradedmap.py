@@ -11,11 +11,13 @@ these exponents.  Each block is stored as sparse rows, one
 (a few percent of a block), and every factorization runs on that form;
 `GradedBlockMap.blocks` is a dense view, built on first use, for the
 oracles (`check_kernel`, `linalg.det`).  For an integer Y, one Smith
-form over Z per block (`block_divisors`: diagonalize, then gcd/lcm;
-Cohen GTM 138, 2.4) gives its rank over Q and mod every prime; over a
-valued field, one DVR pass per block feeds phi, `block_report` and
-`lattice_image` (capped at m).  Y = 0 lies in every degree: its blocks
-are all-zero rows, so phi(0) is 0 if some block has positive size, else 1.
+form over Z per block (`block_divisors`: diagonalize each connected
+piece of the block alone, then fold the diagonal into the divisor chain
+one distinct value at a time; Cohen GTM 138, 2.4) gives its rank over Q
+and mod every prime; over a valued field, one DVR pass per block feeds
+phi, `block_report` and `lattice_image` (capped at m).  Y = 0 lies in
+every degree: its blocks are all-zero rows, so phi(0) is 0 if some block
+has positive size, else 1.
 """
 
 from __future__ import annotations

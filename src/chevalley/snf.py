@@ -13,11 +13,20 @@ pivot search (`_pivot`) and one sweep (`_sweep`) per pivot; over Z the
 sweep's remainders supply the next, smaller pivot.  Updates delete the
 entries they zero and emptied rows are dropped, so a pivot search only
 ever meets nonzero entries.
+
+Over Z the block is first split into the connected pieces of its
+row-column graph (`_pieces`), and each piece is eliminated alone: a
+graded block is mostly 1 x 1 pieces and a few small ones, so no pivot
+sweeps the rows of the whole block.  The diagonal then becomes the
+divisor chain in one fold per distinct non-unit value.  The DVR pass
+does not split: its blocks are small and dense enough that the pieces
+cost more than they save, and `phi` stops at the first infinite block.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from collections import Counter
+from math import gcd, inf, lcm
 
 
 def sparse_rows(A) -> list[dict]:
@@ -75,6 +84,42 @@ def _sweep(rows: list[dict], prow: dict, pj, pivot, divide):
     return kept, clear
 
 
+def _pieces(A: list[dict]) -> list[list[dict]]:
+    """The nonempty rows of A as {column: int} dicts, grouped into the
+    connected pieces of its row-column graph (a row meets the columns of
+    its entries), built in the one pass that checks the entries are
+    integral; a non-integral entry raises ValueError."""
+    owner: dict = {}  # column -> its piece, a pair [rows, columns]
+    for row in A:
+        if not row:
+            continue
+        ints, piece, new = {}, None, []
+        for j, x in row.items():
+            if x.denominator != 1:
+                raise ValueError("non-integral matrix entry")
+            ints[j] = x.numerator
+            other = owner.get(j)
+            if other is None:
+                new.append(j)
+            elif piece is None:
+                piece = other
+            elif other is not piece:
+                # the row joins two pieces: the smaller one moves into the larger
+                if len(other[1]) > len(piece[1]):
+                    piece, other = other, piece
+                piece[0] += other[0]
+                piece[1] += other[1]
+                for k in other[1]:
+                    owner[k] = piece
+        if piece is None:
+            piece = [[], []]
+        piece[0].append(ints)
+        piece[1] += new
+        for j in new:
+            owner[j] = piece
+    return list({id(p): p[0] for p in owner.values()}.values())
+
+
 def integer_elementary_divisors(A: list[dict], cols: int) -> list[int]:
     """Elementary divisors d_1 | d_2 | ... of an integer matrix, given as
     sparse rows over `cols` columns.
@@ -82,35 +127,46 @@ def integer_elementary_divisors(A: list[dict], cols: int) -> list[int]:
     Returns min(rows, cols) nonnegative integers; trailing zeros mean rank
     deficiency.  Entries are ints or integral Fractions; a non-integral
     entry raises ValueError.  Diagonalize, then normalize (Cohen, GTM 138,
-    section 2.4): the pivot is the first entry of least absolute value,
-    stopping at a unit.  Once the sweep leaves its column clear, the pivot
-    row is reduced mod the pivot (column operations) and the pivot splits
-    off when that row is empty; any remainder is the next, smaller pivot.
-    (gcd, lcm) steps over the non-unit diagonal give the chain.
+    section 2.4).  Row and column operations never cross the connected
+    pieces of the block (`_pieces`), so each piece is diagonalized alone,
+    and a piece of one entry is its own divisor.  The pivot is the first
+    entry of least absolute value in the piece, stopping at a unit.  Once
+    the sweep leaves its column clear, the pivot row is reduced mod the
+    pivot (column operations) and the pivot splits off when that row is
+    empty; any remainder is the next, smaller pivot, and a step that
+    splits off nothing yet leaves no smaller entry raises RuntimeError.
+    The diagonal becomes the chain in one fold per distinct non-unit
+    value v of multiplicity c: per prime, the fold merges c copies of
+    v_p(v) into the chain's sorted valuations.
     """
-    if any(x.denominator != 1 for row in A for x in row.values()):
-        raise ValueError("non-integral matrix entry")
     size = min(len(A), cols)
-    rows = [{j: x.numerator for j, x in row.items()} for row in A if row]
-    divisors = []
-    while rows:
-        prow, pj, least = _pivot(rows, abs, 1)
-        p = prow.pop(pj)
-        rows, clear = _sweep(rows, prow, pj, p, divmod)
-        if clear:
-            prow = {j: r for j, x in prow.items() if (r := x % p)}
-            if not prow:
-                divisors.append(least)
-                continue
-        prow[pj] = p
-        rows.append(prow)
-    # the block is now diagonal; (gcd, lcm) steps make the non-units a chain
-    rest = [d for d in divisors if d != 1]
-    for i in range(len(rest)):
-        for j in range(i + 1, len(rest)):
-            g = gcd(rest[i], rest[j])
-            rest[i], rest[j] = g, rest[i] // g * rest[j]
-    return [1] * (len(divisors) - len(rest)) + rest + [0] * (size - len(divisors))
+    diagonal = []
+    for rows in _pieces(A):
+        if len(rows) == 1 and len(rows[0]) == 1:  # most pieces of a graded block
+            diagonal.append(abs(*rows[0].values()))
+            continue
+        above = inf  # the least |entry| a step that splits off nothing must go below
+        while rows:
+            prow, pj, least = _pivot(rows, abs, 1)
+            if least >= above:
+                raise RuntimeError("integer elimination made no progress")
+            p = prow.pop(pj)
+            rows, clear = _sweep(rows, prow, pj, p, divmod)
+            if clear:
+                prow = {j: r for j, x in prow.items() if (r := x % p)}
+                if not prow:
+                    diagonal.append(least)
+                    above = inf
+                    continue
+            prow[pj] = p
+            rows.append(prow)
+            above = least
+    chain: list[int] = []
+    for v, c in Counter(d for d in diagonal if d != 1).items():
+        n = len(chain)
+        chain = [lcm(chain[k - c] if k >= c else 1, gcd(chain[k] if k < n else 0, v))
+                 for k in range(n + c)]
+    return [1] * (len(diagonal) - len(chain)) + chain + [0] * (size - len(diagonal))
 
 
 INF = None  # marker for an infinite valuation (zero elementary divisor)
@@ -126,7 +182,8 @@ def dvr_divisor_valuations(field, A: list[dict], cols: int):
     least valuation, so every multiplier is integral and no remainder is
     left; the previous pivot's valuation bounds the rest of the block and
     the search stops at the first entry that meets it.  The pivot row and
-    column are never read again, so they are dropped.
+    column are never read again, so they are dropped; as every step drops
+    a row, the loop ends on its own after at most min(rows, cols) steps.
     """
     size = min(len(A), cols)
     rows = [dict(row) for row in A if row]

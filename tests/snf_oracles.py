@@ -19,6 +19,29 @@ def integer_gcd_of_minors(A, k: int) -> int:
     return abs(g)
 
 
+def gcd_lcm_chain(values) -> list[int]:
+    """The divisor chain of a diagonal integer matrix with these nonzero
+    diagonal entries, by pairwise (gcd, lcm) steps: d_i | d_{i+1}."""
+    chain = [abs(v) for v in values]
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            g = gcd(chain[i], chain[j])
+            chain[i], chain[j] = g, chain[i] // g * chain[j]
+    return chain
+
+
+def minor_gcd_divisors(A) -> list[int]:
+    """Elementary divisors of an integer matrix as quotients of successive
+    minor gcds, g_k / g_(k-1), with 0 once g_k = 0; min(rows, cols) of them."""
+    size = min(len(A), len(A[0]) if A else 0)
+    out, prev = [], 1
+    for k in range(1, size + 1):
+        g = integer_gcd_of_minors(A, k)
+        out.append(g // prev if g else 0)
+        prev = g or prev
+    return out
+
+
 def int_det(M) -> int:
     """Determinant of a square integer matrix by cofactor expansion."""
     n = len(M)

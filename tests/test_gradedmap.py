@@ -500,6 +500,32 @@ def test_e8_block_divisors_pinned():
     assert digest == "29e04c8eb97fd69cb01aee57cb81173108451b758984b8746eccf427a7c2e8a0"
 
 
+def test_e7_block_divisors_pinned():
+    """The elementary divisors of every graded block of the 63 single-root
+    and 127 simple-root-subset supports of E7, with seeded coefficients
+    1..9, pinned by digest.  Their blocks carry repeated non-unit
+    divisors, so the step that folds the diagonal into a chain is pinned."""
+    rs = build("E7")
+    sc = structure_constants(rs)
+    n = rs.rank
+    supports = [[list(rs.roots[i])] for i in sorted(rs.positive_roots)]
+    supports += [[[int(j == i) for j in range(n)] for i in range(n) if mask >> i & 1]
+                 for mask in range(1, 1 << n)]
+    rng = random.Random(7)
+    pinned, non_units = [], 0
+    for support in supports:
+        coeffs = [rng.randint(1, 9) for _ in support]
+        Y = element_from_support(rs, QQ, support, coeffs)
+        cert = optimal_cocharacter(rs, Y)
+        divisors = block_divisors(graded_ad(rs, sc, Y, cert.lam, cert.k))
+        non_units += sum(d != 1 for divs in divisors.values() for d in divs)
+        pinned.append({str(i): divs for i, divs in divisors.items()})
+    assert len(pinned) == 63 + 127
+    assert non_units > 0
+    digest = hashlib.sha256(json.dumps(pinned, sort_keys=True).encode()).hexdigest()
+    assert digest == "8b342e1dc6086a7a45a2f37239a0c905629963a6e740628c0625136425d76c94"
+
+
 def test_block_report_matches_rank_and_det_oracle():
     """block_report's ranks and det valuations, read off one DVR
     elimination per block, agree with check_kernel's row reduction and

@@ -8,7 +8,8 @@ from chevalley.fields import Polynomial, RatFunc
 from chevalley.linalg import det, kernel_basis, rank, solve
 from chevalley.snf import INF, dvr_divisor_valuations, integer_elementary_divisors, sparse_rows
 
-from snf_oracles import dvr_minor_valuations, int_det, integer_gcd_of_minors
+from snf_oracles import (dvr_minor_valuations, gcd_lcm_chain, int_det, integer_gcd_of_minors,
+                         minor_gcd_divisors)
 
 
 def mat_vec(A, x, zero):
@@ -134,7 +135,7 @@ def test_integer_snf_sparse_rectangular_against_oracle():
         [[0, 0, 0], [0, -1, 0], [0, 0, 0]],         # zero rows and columns, unit pivot
         [[0, 0], [0, 0], [0, 5]],                   # one nonzero entry, tall
         [[-4, 0, 6], [0, -6, 0]],                   # negative pivots
-        [[2, 0], [0, 3]],                           # 2 does not divide 3: a gcd/lcm step
+        [[2, 0], [0, 3]],                           # 2 does not divide 3: the fold makes [1, 6]
         [[4, 6, 0], [6, 9, 0], [0, 0, 10]],         # remainders in row and column
         [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 4, 3]],  # unit found after non-units
         [[Fraction(-3), Fraction(0)], [Fraction(6, 2), Fraction(9)]],
@@ -179,8 +180,8 @@ def test_integer_snf_sparse_rectangular_against_oracle():
 
 
 def test_integer_snf_diagonal_needs_gcd_lcm_steps():
-    # already diagonal, so the pivot loop only reorders; the chain comes
-    # from more than one (gcd, lcm) step over the non-unit entries
+    # already diagonal, so every entry is a piece of its own; the chain
+    # comes from folding in more than one distinct non-unit value
     cases = [
         ([[4, 0, 0], [0, 6, 0], [0, 0, 9]], [1, 6, 36]),
         ([[6, 0, 0], [0, 10, 0], [0, 0, 15]], [1, 30, 30]),
@@ -190,6 +191,85 @@ def test_integer_snf_diagonal_needs_gcd_lcm_steps():
     for A, expected in cases:
         _assert_minor_gcds(A, expected)
         assert integer_elementary_divisors(sparse_rows(A), len(A[0])) == expected
+
+
+def _permuted(blocks, rng, extra_rows=0, extra_cols=0):
+    """Sparse rows of the block-diagonal matrix of the dense `blocks`, with
+    zero rows and columns added and both orders shuffled; and its column count."""
+    rows, col0 = [], 0
+    for B in blocks:
+        width = len(B[0])
+        rows += [{col0 + j: x for j, x in enumerate(row) if x} for row in B]
+        col0 += width
+    rows += [{} for _ in range(extra_rows)]
+    cols = col0 + extra_cols
+    perm = list(range(cols))
+    rng.shuffle(perm)
+    rng.shuffle(rows)
+    return [{perm[j]: x for j, x in row.items()} for row in rows], cols
+
+
+def test_integer_snf_fold_matches_pairwise_chain():
+    # a diagonal block is all one-entry pieces, so its divisors are the fold
+    # of its entries alone: repeated values, units, signs and big values
+    rng = random.Random(18)
+    pool = [2, 3, 4, 6, 9, 12, 5, 10, 15, 30, 7, 49, 2**64, 3**40, 2**200 * 3,
+            2**200 * 5, 6**90]
+    repeated = 0
+    for _ in range(2000):
+        values = [rng.choice(pool) * rng.choice([1, 1, -1]) for _ in range(rng.randint(0, 6))]
+        values += rng.choices(values, k=rng.randint(0, 6)) if values else []
+        values += [rng.choice([1, -1]) for _ in range(rng.randint(0, 2))]
+        repeated += len(set(map(abs, values))) < len(values)
+        A, cols = _permuted([[[v]] for v in values], rng, rng.randint(0, 2), rng.randint(0, 2))
+        expected = gcd_lcm_chain(values) + [0] * (min(len(A), cols) - len(values))
+        assert integer_elementary_divisors(A, cols) == expected, values
+    assert repeated > 1000
+    assert integer_elementary_divisors([{0: 2**200 * 3}, {1: 2**200 * 3}, {2: 6}], 3) == [
+        6, 2**200 * 3, 2**200 * 3]
+
+
+def test_integer_snf_block_diagonal_against_piece_oracle():
+    # block-diagonal matrices of up to 40 x 40, rows and columns shuffled:
+    # the divisors are the chain of every piece's own minor-gcd divisors
+    rng = random.Random(1018)
+    seen = {"one_column": 0, "rank_deficient": 0, "several_pieces": 0}
+    for _ in range(60):
+        blocks, target = [], rng.randint(4, 34)
+        while max(sum(len(B) for B in blocks), sum(len(B[0]) for B in blocks)) < target:
+            m, n = rng.randint(1, 4), rng.choice([1, 1, 2, 3, 4])
+            hi = rng.choice([1, 4, 12])
+            B = [[rng.choice([0, rng.randint(-hi, hi) * rng.choice([1, 6])]) for _ in range(n)]
+                 for _ in range(m)]
+            if rng.random() < 0.2 and m > 1:
+                B[-1] = [2 * x for x in B[0]]  # a dependent row
+            if not any(map(any, B)):
+                continue
+            blocks.append(B)
+        pieces = [minor_gcd_divisors(B) for B in blocks]
+        seen["one_column"] += any(len(B[0]) == 1 and len(B) > 1 for B in blocks)
+        seen["rank_deficient"] += any(0 in ds for ds in pieces)
+        seen["several_pieces"] += len(blocks) > 1
+        A, cols = _permuted(blocks, rng, rng.randint(0, 3), rng.randint(0, 3))
+        assert len(A) <= 40 and cols <= 40
+        nonzero = [d for ds in pieces for d in ds if d]
+        expected = gcd_lcm_chain(nonzero) + [0] * (min(len(A), cols) - len(nonzero))
+        assert integer_elementary_divisors(A, cols) == expected, blocks
+    assert all(seen.values()), seen
+    # a 32 x 32 partial permutation: 24 one-entry pieces and 8 zero rows
+    values = [rng.choice([1, -1, 2, 3, 4, 6, -6, 9, 12]) for _ in range(24)]
+    A, cols = _permuted([[[v]] for v in values], rng, 8, 8)
+    assert (len(A), cols) == (32, 32)
+    assert integer_elementary_divisors(A, cols) == gcd_lcm_chain(values) + [0] * 8
+
+
+def test_integer_snf_stalled_elimination_raises(monkeypatch):
+    # with a divmod that leaves every remainder whole, [[3], [4]] keeps its
+    # least entry 3 at every step: the progress bound raises instead of
+    # looping forever
+    monkeypatch.setattr("chevalley.snf.divmod", lambda x, p: (0, x), raising=False)
+    with pytest.raises(RuntimeError, match="no progress"):
+        integer_elementary_divisors(sparse_rows([[3], [4]]), 1)
 
 
 def test_dvr_divisors_padic():
