@@ -20,28 +20,41 @@ from fractions import Fraction
 from itertools import product
 
 
-def _least_prime_factor(n: int) -> int:
-    """The least prime factor of n >= 2, by trial division."""
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
+# Miller-Rabin to the 13 primes up to 41 as bases is exact below _PSI_13, the
+# least strong pseudoprime to all of them (Sorenson, Webster, Math. Comp. 86, 2017)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    return n >= 2 and _least_prime_factor(n) == n
+    """Trial division by _SMALL_PRIMES, then Miller-Rabin to them as bases;
+    an n >= _PSI_13 with no prime factor up to 41 raises ValueError."""
+    if n < 43 or any(n % p == 0 for p in _SMALL_PRIMES):
+        return n in _SMALL_PRIMES
+    if n >= _PSI_13:
+        raise ValueError(f"primality is decided only below {_PSI_13} or with a prime "
+                         f"factor up to 41, got {n}")
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
+    d = (n - 1) >> s
+    return all(pow(a, d, n) == 1 or any(pow(a, d << k, n) == n - 1 for k in range(s))
+               for a in _SMALL_PRIMES)
+
+
+def _iroot(q: int, n: int) -> int:
+    """The floor of q**(1/n) for q >= 1, by Newton's method from above."""
+    x = 1 << -(-q.bit_length() // n)
+    while (y := ((n - 1) * x + q // x ** (n - 1)) // n) < x:
+        x = y
+    return x
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
-    """Write q = p**n with p prime, or raise ValueError."""
+    """Write q = p**n with p prime, or raise ValueError.  Only the largest
+    n with an exact n-th root can give a prime p."""
     if q >= 2:
-        p, n, m = _least_prime_factor(q), 0, q
-        while m % p == 0:
-            m //= p
-            n += 1
-        if m == 1:
+        n = next(n for n in range(q.bit_length(), 0, -1) if _iroot(q, n) ** n == q)
+        p = _iroot(q, n)
+        if is_prime(p):
             return p, n
     raise ValueError(f"not a prime power: {q}")
 
@@ -304,13 +317,11 @@ class Polynomial:
         quot = [z] * (qdeg + 1)
         lead_inv = other.coeffs[-1].inverse()
         for i in range(qdeg, -1, -1):
-            if len(rem) >= len(other.coeffs) + i and rem[len(other.coeffs) - 1 + i]:
+            if rem[len(other.coeffs) - 1 + i]:  # a zero leading remainder skips a step
                 c = rem[len(other.coeffs) - 1 + i] * lead_inv
                 quot[i] = c
                 for j, b in enumerate(other.coeffs):
                     rem[i + j] = rem[i + j] - c * b
-        while rem and not rem[-1]:
-            rem.pop()
         return Polynomial(self.base, quot), Polynomial(self.base, rem)
 
     def __mod__(self, other):

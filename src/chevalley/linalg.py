@@ -9,10 +9,6 @@ is needed at desk scale.
 from __future__ import annotations
 
 
-def identity(field, n):
-    return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
-
-
 def rref(field, A):
     """Reduced row echelon form; returns (R, pivot column list)."""
     R = [list(row) for row in A]

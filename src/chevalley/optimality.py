@@ -51,13 +51,6 @@ class OptimalityCertificate:
         }
 
 
-def support_of(rs: RootSystem, Y: LieElement) -> list[int]:
-    supp = Y.support_roots()
-    if not supp or Y.cartan_part():
-        raise ValueError("need a nonzero element supported on root vectors")
-    return supp
-
-
 def _affine_minimizer(K, S) -> tuple[list[int], int]:
     """The point of least norm in the affine hull of the corral S, as
     integer weights y over a common denominator d > 0 (sum y = d).
@@ -201,7 +194,9 @@ def minimum_norm_cocharacter(rs: RootSystem, support: list[int]) -> tuple[Cochar
 
 def optimal_cocharacter(rs: RootSystem, Y: LieElement) -> OptimalityCertificate:
     """Kempf-style optimal data for a nilpotent supported on positive roots."""
-    supp = support_of(rs, Y)
+    supp = Y.support_roots()
+    if not supp or Y.cartan_part():
+        raise ValueError("need a nonzero element supported on root vectors")
     if any(not rs.is_positive(rs.roots[ri]) for ri in supp):
         raise ValueError("support must consist of positive roots (standard position)")
     mu, active, weights, vv = _min_norm(rs, supp)

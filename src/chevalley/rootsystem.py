@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import lcm
 
 from .fields import QQ
-from .linalg import identity, rref
+from .linalg import rref
 
 Root = tuple[int, ...]
 
@@ -187,7 +187,7 @@ class RootSystem:
         else:
             # the fundamental coweights are the dual basis of the nu(simple
             # roots), whose Gram is char_form, so theirs is its inverse
-            reduced, _ = rref(QQ, [row + ident for row, ident in zip(form, identity(QQ, n))])
+            reduced, _ = rref(QQ, [r + [Fraction(i == j) for j in range(n)] for i, r in enumerate(form)])
             self.gram = [row[n:] for row in reduced]
         # the same Gram as integers over one denominator, for cochar_form
         self.gram_den = lcm(*(g.denominator for row in self.gram for g in row))

@@ -15,12 +15,12 @@ entries they zero and emptied rows are dropped, so a pivot search only
 ever meets nonzero entries.
 
 Over Z the block is first split into the connected pieces of its
-row-column graph (`_pieces`), and each piece is eliminated alone: a
-graded block is mostly 1 x 1 pieces and a few small ones, so no pivot
-sweeps the rows of the whole block.  The diagonal then becomes the
-divisor chain in one fold per distinct non-unit value.  The DVR pass
-does not split: its blocks are small and dense enough that the pieces
-cost more than they save, and `phi` stops at the first infinite block.
+row-column graph (`_pieces`, a union-find over the columns), and each
+piece is eliminated alone: a graded block is mostly 1 x 1 pieces, so
+no pivot sweeps the rows of the whole block.  The diagonal then becomes
+the chain in one fold per distinct non-unit value.  The DVR pass does
+not split: its blocks are small and dense enough that the pieces cost
+more than they save, and `phi` stops at the first infinite block.
 """
 
 from __future__ import annotations
@@ -87,37 +87,33 @@ def _sweep(rows: list[dict], prow: dict, pj, pivot, divide):
 def _pieces(A: list[dict]) -> list[list[dict]]:
     """The nonempty rows of A as {column: int} dicts, grouped into the
     connected pieces of its row-column graph (a row meets the columns of
-    its entries), built in the one pass that checks the entries are
-    integral; a non-integral entry raises ValueError."""
-    owner: dict = {}  # column -> its piece, a pair [rows, columns]
+    its entries).  One pass checks the entries are integral (else
+    ValueError) and links each row's columns to its first column's root in
+    a union-find over the columns; the rows are grouped by the final roots."""
+    parent: dict = {}  # column -> a column of its piece; a root is its own parent
+
+    def root(j):  # a new column is its own root
+        while (k := parent.setdefault(j, j)) != j:
+            parent[j] = j = parent[k]  # path halving
+        return j
+
+    rows = []
     for row in A:
-        if not row:
-            continue
-        ints, piece, new = {}, None, []
-        for j, x in row.items():
-            if x.denominator != 1:
-                raise ValueError("non-integral matrix entry")
-            ints[j] = x.numerator
-            other = owner.get(j)
-            if other is None:
-                new.append(j)
-            elif piece is None:
-                piece = other
-            elif other is not piece:
-                # the row joins two pieces: the smaller one moves into the larger
-                if len(other[1]) > len(piece[1]):
-                    piece, other = other, piece
-                piece[0] += other[0]
-                piece[1] += other[1]
-                for k in other[1]:
-                    owner[k] = piece
-        if piece is None:
-            piece = [[], []]
-        piece[0].append(ints)
-        piece[1] += new
-        for j in new:
-            owner[j] = piece
-    return list({id(p): p[0] for p in owner.values()}.values())
+        if row:
+            ints = {}
+            for j, x in row.items():
+                if x.denominator != 1:
+                    raise ValueError("non-integral matrix entry")
+                ints[j] = x.numerator
+                if len(ints) == 1:
+                    first = root(j)
+                else:
+                    parent[root(j)] = first
+            rows.append((first, ints))
+    pieces: dict = {}
+    for first, ints in rows:
+        pieces.setdefault(root(first), []).append(ints)
+    return list(pieces.values())
 
 
 def integer_elementary_divisors(A: list[dict], cols: int) -> list[int]:

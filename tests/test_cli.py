@@ -237,6 +237,22 @@ def test_usage_errors_exit_2(tmp_path):
         assert errors == [f"error: {message}"], (args, err)
 
 
+def test_large_primes_finish(tmp_path):
+    # 2**61 - 1 is decided by Miller-Rabin, not trial division up to its root
+    code, out, err = run_cli("phi", "--type", "A2", "--support", "a1+a2",
+                             "--prime", "2305843009213693951")
+    assert code == 0 and json.loads(out)["phi"]["q"] == 2305843009213693951, err
+    # the least strong pseudoprime to the 13 primes <= 41: undecided, so a usage error
+    path = tmp_path / "psi13.json"
+    path.write_text(json.dumps({"schema": 1, "primes": [3317044064679887385961981],
+                                "entries": [{"cartan_type": "A2", "support": [[1, 1]]}]}))
+    code, out, err = run_cli("corpus", "--corpus", str(path))
+    assert code == 2 and not out, err
+    assert [line for line in err.splitlines() if "error" in line] == [
+        "error: primality is decided only below 3317044064679887385961981 or with a prime "
+        "factor up to 41, got 3317044064679887385961981"]
+
+
 def test_optimal_inhomogeneous_support_exits_2():
     # a1 + a2 has degree 2 under lam = (1, 1), where a1 and a2 have degree 1
     code, out, err = run_cli("optimal", "--type", "A2", "--support", "a1,a2,a1+a2")

@@ -205,8 +205,8 @@ def test_finite_field_modulus_pinned(q):
 
 
 def test_is_prime_and_factor_prime_power_against_a_sieve():
-    """Both share one trial division; pin them on -2 <= n < 5000 against a
-    sieve, factor_prime_power's message included."""
+    """Pin both on -2 <= n < 5000 against a sieve, factor_prime_power's
+    message included."""
     bound = 5000
     sieve = [False, False] + [True] * (bound - 2)
     for p in range(2, bound):
@@ -242,3 +242,39 @@ def test_field_operations_refuse_what_has_no_value():
     k = FunctionField(2)
     with pytest.raises(ZeroDivisionError, match="division by zero rational function"):
         k.t() / k.element(0)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_polynomial_divmod_is_division_with_remainder(q):
+    # q*b + r == a and deg r < deg b, with deg a < deg b and constant b included
+    F = FiniteField(q)
+    rng = random.Random(q)
+    elements = list(F.elements())
+    nonzero = [x for x in elements if x]
+
+    def poly(deg):
+        return Polynomial(F, [rng.choice(elements) for _ in range(deg)] + [rng.choice(nonzero)])
+
+    cases = [(poly(rng.randint(0, 8)), poly(rng.randint(0, 6))) for _ in range(150)]
+    cases += [(poly(2), poly(5)), (poly(6), poly(0)), (Polynomial(F, []), poly(3))]
+    assert any(a.degree < b.degree for a, b in cases)
+    assert any(b.degree == 0 for a, b in cases)
+    for a, b in cases:
+        quot, rem = divmod(a, b)
+        assert quot * b + rem == a, (a, b)
+        assert rem.degree < b.degree, (a, b)
+        assert (a // b, a % b) == (quot, rem)
+
+
+def test_is_prime_beyond_trial_division():
+    # strong pseudoprimes to the bases 2..11, 2..23 and 2..37 respectively
+    for n in [3215031751, 3825123056546413051, 318665857834031151167461]:
+        assert is_prime(n) is False, n
+    mersenne = 2 ** 61 - 1
+    assert is_prime(mersenne) is True
+    assert factor_prime_power(mersenne ** 2) == (mersenne, 2)
+    assert factor_prime_power(mersenne) == (mersenne, 1)
+    psi_13 = 3317044064679887385961981  # the least strong pseudoprime to the primes <= 41
+    with pytest.raises(ValueError, match="primality is decided only below"):
+        is_prime(psi_13)
+    assert is_prime(psi_13 + 1) is False  # even: trial division decides it

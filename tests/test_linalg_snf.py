@@ -261,6 +261,45 @@ def test_integer_snf_block_diagonal_against_piece_oracle():
     A, cols = _permuted([[[v]] for v in values], rng, 8, 8)
     assert (len(A), cols) == (32, 32)
     assert integer_elementary_divisors(A, cols) == gcd_lcm_chain(values) + [0] * 8
+    # row orders that merge pieces late: k one-row parts on their own columns,
+    # then a hub row meeting all k of them, or a chain of k - 1 link rows
+    # joined from its far end; each order also reversed, and two such
+    # matrices side by side with their rows interleaved
+    def late(kind):
+        k = rng.randint(3, 4)
+        widths = [rng.randint(1, 2) for _ in range(k)]
+        starts = [sum(widths[:i]) for i in range(k)]
+        cols = sum(widths)
+
+        def row(entries):
+            r = [0] * cols
+            for j in entries:
+                r[j] = rng.choice([1, 2, 3, 4, 6, 9, 12]) * rng.choice([1, -1])
+            return r
+
+        def col(i):
+            return starts[i] + rng.randrange(widths[i])
+
+        B = [row(range(starts[i], starts[i] + widths[i])) for i in range(k)]
+        if kind == "hub":
+            return B + [row([col(i) for i in range(k)])]
+        return B + [row([col(i), col(i + 1)]) for i in reversed(range(k - 1))]
+
+    for _ in range(12):
+        for kind in ("hub", "chain"):
+            B = late(kind)
+            perm = rng.sample(range(len(B[0])), len(B[0]))  # rows keep their order
+            for order in (B, B[::-1]):
+                A = [{perm[j]: x for j, x in enumerate(r) if x} for r in order]
+                assert integer_elementary_divisors(A, len(B[0])) == minor_gcd_divisors(B), order
+        B, C = late("hub"), late("chain")
+        width, cols = len(B[0]), len(B[0]) + len(C[0])
+        A = [{j: x for j, x in enumerate(r) if x} for r in B]
+        A += [{width + j: x for j, x in enumerate(r) if x} for r in C]
+        A = A[::2] + A[1::2]
+        nonzero = [d for ds in (minor_gcd_divisors(B), minor_gcd_divisors(C)) for d in ds if d]
+        expected = gcd_lcm_chain(nonzero) + [0] * (min(len(A), cols) - len(nonzero))
+        assert integer_elementary_divisors(A, cols) == expected, (B, C)
 
 
 def test_integer_snf_stalled_elimination_raises(monkeypatch):
