@@ -194,17 +194,20 @@ class FiniteField:
     def _find_modulus(p: int, n: int) -> tuple[int, ...]:
         if n == 1:
             return (0, 1)  # x, unused
-        # first monic irreducible of degree n over F_p, by trial division
+        # first monic irreducible f, constant term fastest; Rabin: gcd(x^(p^d) - x, f) = 1, d <= n/2
         fp = FiniteField(p)
-
-        def monics(d):
-            # constant coefficient varying fastest
-            for coeffs in product(range(p), repeat=d):
-                yield Polynomial(fp, [fp.element(c) for c in coeffs[::-1]] + [fp.one])
-
-        for cand in monics(n):
-            if all(cand % div for d in range(1, n // 2 + 1) for div in monics(d)):
-                return tuple(c.coeffs[0] for c in cand.coeffs)
+        x = Polynomial(fp, [fp.zero, fp.one])
+        for coeffs in product(range(p), repeat=n):
+            f = Polynomial(fp, [fp.element(c) for c in coeffs[::-1]] + [fp.one])
+            r = x
+            for _ in range(n // 2):
+                base = r
+                for bit in bin(p)[3:]:  # r^p mod f by square and multiply
+                    r = r * r % f if bit == "0" else r * r % f * base % f
+                if poly_gcd(r - x, f).degree:
+                    break
+            else:
+                return tuple(c.coeffs[0] for c in f.coeffs)
         raise RuntimeError(f"no irreducible polynomial of degree {n} over F_{p}")
 
     def element(self, x: int) -> FFElement:

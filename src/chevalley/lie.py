@@ -162,9 +162,7 @@ class StructureConstants:
         val = self._n.get((i, j))
         if val is not None:
             return val
-        s = self._sum.get((i, j))
-        if s is None:
-            return 0
+        s = self._sum[i, j]
         rs, neg, len_sq = self.rs, self.rs.negative, self.rs.len_sq
         npos = len(rs.positive_roots)
         if i < npos and j < npos:

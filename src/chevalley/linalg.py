@@ -68,24 +68,6 @@ def det(field, A):
     return result
 
 
-def solve(field, A, b):
-    """One solution of A x = b, or None if the system is inconsistent."""
-    if not A:
-        return []
-    cols = len(A[0])
-    aug = [list(row) + [bb] for row, bb in zip(A, b)]
-    R, pivots = rref(field, aug)
-    for row in R:
-        if not any(row[:-1]) and row[-1]:
-            return None
-    x = [field.zero] * cols
-    for r, c in enumerate(pivots):
-        if c == cols:
-            return None  # pivot in the augmented column
-        x[c] = R[r][-1]
-    return x
-
-
 def kernel_basis(field, A):
     """Basis of the right null space of A."""
     if not A or not A[0]:

@@ -7,10 +7,10 @@ minimizer is mu = v / (v, v), and the constraints are infeasible iff
 v = 0.  Wolfe's nearest-point algorithm finds v exactly on integers,
 with one final division: the Gram of the nu(a) is scaled to integers,
 the weights stay integers over one common denominator, each corral is
-solved fraction-free, and one Fraction is built per output value.  The
-Kirwan-Ness torus check asks the same question of the nu(a) projected
-onto lam-perp.  At the optimum itself that check is read off the
-certificate's own Wolfe run (certified_torus_check).
+solved by the fraction-free `solve`, and one Fraction is built per
+output value.  The Kirwan-Ness torus check asks the same question of
+the nu(a) projected onto lam-perp.  At the optimum itself that check is
+read off the certificate's own Wolfe run (certified_torus_check).
 """
 
 from __future__ import annotations
@@ -24,9 +24,7 @@ from operator import mul
 from .gradedmap import ad_blocks
 from .grading import CocharRational, grade, m_of, single_degree
 from .lie import LieElement
-from .linalg import solve  # bound only for the benchmark's tracer
 from .rootsystem import RootSystem
-from .snf import integer_elementary_divisors
 
 
 @dataclass
@@ -51,40 +49,54 @@ class OptimalityCertificate:
         }
 
 
-def _affine_minimizer(K, S) -> tuple[list[int], int]:
-    """The point of least norm in the affine hull of the corral S, as
-    integer weights y over a common denominator d > 0 (sum y = d).
-
-    Fraction-free (Bareiss, Math. Comp. 22, 1968) elimination of the
-    bordered system [K_S 1; 1^T 0] [y; lambda] = [0; 1], whose last pivot
-    is +-det, then Cramer back substitution: det * y is an integer vector,
-    so every division there is exact.
+def solve(M) -> tuple[list[int], int] | None:
+    """Integer x and d > 0 with A x = d b, for augmented integer rows
+    M = [A | b], changed in place; None if A's columns are dependent or b
+    is outside their span.  Fraction-free (Bareiss, Math. Comp. 22, 1968):
+    each pivot is +- a leading minor, so every division is exact, Cramer's
+    back substitution included.  A pivot row is negated when that makes its
+    pivot equal the previous one; a row with 0 under it is then left alone.
     """
-    n = len(S) + 1
-    A = [[K[i][l] for l in S] + [1, 0] for i in S] + [[1] * len(S) + [0, 1]]
-    prev = 1
+    n = len(M[0]) - 1 if M else 0
+    prev, m = 1, len(M)
     for k in range(n):
-        if not A[k][k]:
-            r = next((r for r in range(k + 1, n) if A[r][k]), None)
+        if k == m or not M[k][k]:  # past the last row, no pivot is left
+            r = next((r for r in range(k + 1, m) if M[r][k]), None)
             if r is None:
-                raise RuntimeError("singular corral: its points are affinely dependent")
-            A[k], A[r] = A[r], A[k]
-        rk, p = A[k], A[k][k]
-        for row in A[k + 1:]:
+                return None
+            M[k], M[r] = M[r], M[k]
+        rk, p = M[k], M[k][k]
+        if p == -prev:
+            rk[:] = [-c for c in rk]
+            p = prev
+        rows, cols = M[k + 1:], range(k + 1, n + 1)
+        if p == prev:  # then a 0 under the pivot, or in rk, changes nothing
+            rows, cols = [row for row in rows if row[k]], [j for j in cols if rk[j]]
+        for row in rows:
             c = row[k]
             row[k] = 0
-            for j in range(k + 1, n + 1):
+            for j in cols:
                 row[j] = (row[j] * p - c * rk[j]) // prev
         prev = p
-    z = [0] * n
+    if any(row[n] for row in M[n:]):
+        return None
+    x = [0] * n
     for k in range(n - 1, -1, -1):
-        row = A[k]
-        t = prev * row[n] - sum(row[j] * z[j] for j in range(k + 1, n))
-        z[k], rem = divmod(t, row[k])
+        row = M[k]
+        x[k], rem = divmod(prev * row[n] - sum(map(mul, row[k + 1:n], x[k + 1:])), row[k])
         if rem:
-            raise RuntimeError("inexact division in the corral's back substitution")
-    y = z[:-1]
-    return ([-c for c in y], -prev) if prev < 0 else (y, prev)
+            raise RuntimeError("inexact division in the back substitution")
+    return ([-c for c in x], -prev) if prev < 0 else (x, prev)
+
+
+def _affine_minimizer(K, S) -> tuple[list[int], int]:
+    """The point of least norm in the affine hull of the corral S, as
+    integer weights y over a common denominator d > 0 (sum y = d): `solve`
+    of the bordered system [K_S 1; 1^T 0] [y; lambda] = [0; 1]."""
+    solution = solve([[K[i][l] for l in S] + [1, 0] for i in S] + [[1] * len(S) + [0, 1]])
+    if solution is None:
+        raise RuntimeError("singular corral: its points are affinely dependent")
+    return solution[0][:-1], solution[1]
 
 
 def _reduced(x: dict) -> dict:
@@ -302,26 +314,30 @@ def sl2_completion_check(rs: RootSystem, sc, Y: LieElement,
 
     When it does, (Y, h, f) is an sl2-triple with rational semisimple h
     in the Cartan, which pins lam as the genuine optimal cocharacter of
-    Y (not merely the torus optimum).  Works over Q; Y must have
-    Fraction coefficients.  The block g(-k) -> g(0) of ad DY (D the lcm of
-    Y's denominators) is graded_ad's fill plus one Cartan row per
-    cocharacter coordinate; h lies in its image iff appending h as a
-    column adds no nonzero elementary divisor over Z.
+    Y (not merely the torus optimum).  Works over Q.  One `solve` of
+    [A | h] decides, A the block g(-k) -> g(0) of ad DY (D the lcm of Y's
+    denominators; graded_ad's fill plus one Cartan row per coordinate).
+    By Morozov's lemma (Jacobson, Lie Algebras, 1962, III 11) ad Y is
+    injective on g(-k) once the triple exists, so a dependent column is
+    a no; that needs lam = k mu, or ValueError.
     """
-    h = [2 * c for c in cert.mu.coords]
-    if any(c.denominator != 1 for c in h):
-        return False
+    k = cert.k
+    if any(l * c.denominator != k * c.numerator for l, c in zip(cert.lam, cert.mu.coords)):
+        raise ValueError("the certificate's lam is not k * mu")
+    if any(2 * l % k for l in cert.lam):
+        return False  # h = 2 mu = 2 lam / k is not integral
     spaces = grade(rs, cert.lam).weight_spaces
-    src = spaces.get(-cert.k)
+    src = spaces.get(-k)
     if not src:
         return False
-    DY = Y.scaled(lcm(*(y.denominator for y in Y.coeffs.values())))
-    [rows] = ad_blocks(sc, DY, [(src, spaces.get(0, []))])
+    D = lcm(*(y.denominator for y in Y.coeffs.values()))
+    [rows] = ad_blocks(sc, Y, [(src, spaces.get(0, []))])
+    M = [[0] * (len(src) + 1) for row in rows if row]
+    for dense, row in zip(M, filter(None, rows)):
+        for c, e in row.items():
+            dense[c] = e.numerator * (D // e.denominator)
     # column E_-a meets E_a in the coroot of a: [E_a, E_-a] = H_a
-    opposite = [(c, DY.coeffs.get(("E", a)), rs.coroots[a])
-                for c, a in enumerate(map(rs.negative, src))]
-    cartan = [{c: y * co[j] for c, y, co in opposite if y and co[j]} for j in range(len(h))]
-    n = len(src)
-    rank = sum(map(bool, integer_elementary_divisors(rows + cartan, n)))
-    with_h = [{**row, n: x} if x else row for row, x in zip(cartan, h)]
-    return sum(map(bool, integer_elementary_divisors(rows + with_h, n + 1))) == rank
+    opposite = [(Y.coeffs.get(("E", a), 0), rs.coroots[a]) for a in map(rs.negative, src)]
+    opposite = [(y.numerator * (D // y.denominator), co) for y, co in opposite]
+    M += [[y * co[j] for y, co in opposite] + [2 * l // k] for j, l in enumerate(cert.lam)]
+    return solve(M) is not None

@@ -7,7 +7,8 @@ enumerating all 2^m active subsets of the deduplicated constraints;
 by Fourier-Motzkin elimination.  Both are exponential and only meant
 for small supports (m <= 10).  `sl2_completion_oracle` decides
 `sl2_completion_check`'s question on a dense Fraction matrix built from
-brackets, with one `linalg.solve`.
+brackets, with one `solve`: Gauss-Jordan over a field, the Fraction
+counterpart of `optimality.solve`.
 """
 
 from fractions import Fraction
@@ -15,9 +16,22 @@ from fractions import Fraction
 from chevalley.fields import RationalField
 from chevalley.grading import CocharRational, grade
 from chevalley.lie import bracket, cartan_vector, root_vector
-from chevalley.linalg import solve
+from chevalley.linalg import rref
 
 QQ = RationalField()
+
+
+def solve(field, A, b):
+    """One solution of A x = b, or None if the system is inconsistent."""
+    if not A:
+        return []
+    R, pivots = rref(field, [list(row) + [bb] for row, bb in zip(A, b)])
+    if any(row[-1] and not any(row[:-1]) for row in R):
+        return None
+    x = [field.zero] * len(A[0])
+    for r, c in enumerate(pivots):
+        x[c] = R[r][-1]
+    return x
 
 
 def active_set_min_norm(rs, support):

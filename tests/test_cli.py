@@ -242,6 +242,10 @@ def test_large_primes_finish(tmp_path):
     code, out, err = run_cli("phi", "--type", "A2", "--support", "a1+a2",
                              "--prime", "2305843009213693951")
     assert code == 0 and json.loads(out)["phi"]["q"] == 2305843009213693951, err
+    # GF(100003^2): its modulus comes from Rabin's irreducibility test, not
+    # trial division by every monic polynomial of degree 1
+    code, out, err = run_cli("snf", "--type", "A2", "--support", "a1+a2=t", "--q", "10000600009")
+    assert code == 0 and json.loads(out)["q"] == 10000600009, err
     # the least strong pseudoprime to the 13 primes <= 41: undecided, so a usage error
     path = tmp_path / "psi13.json"
     path.write_text(json.dumps({"schema": 1, "primes": [3317044064679887385961981],

@@ -5,9 +5,10 @@ import pytest
 
 from chevalley import FunctionField, PrimeField, RationalField
 from chevalley.fields import Polynomial, RatFunc
-from chevalley.linalg import det, kernel_basis, rank, solve
+from chevalley.linalg import det, kernel_basis, rank
 from chevalley.snf import INF, dvr_divisor_valuations, integer_elementary_divisors, sparse_rows
 
+from qp_oracles import solve
 from snf_oracles import (dvr_minor_valuations, gcd_lcm_chain, int_det, integer_gcd_of_minors,
                          minor_gcd_divisors)
 

@@ -13,12 +13,13 @@ from chevalley import (RationalField, bracket, brute_force_verify, build,
                        optimal_cocharacter, root_vector, sl2_completion_check,
                        structure_constants)
 from chevalley.corpus import element_from_support, run_instance, standard_instances
-from chevalley.grading import CocharRational
+from chevalley.grading import CocharRational, grade
 from chevalley.lie import LieElement
 from chevalley.linalg import rank
 from chevalley.optimality import (OptimalityCertificate, _affine_minimizer,
-                                  minimum_norm_cocharacter)
-from qp_oracles import active_set_min_norm, fourier_motzkin_torus_check, sl2_completion_oracle
+                                  minimum_norm_cocharacter, solve)
+from qp_oracles import QQ, active_set_min_norm, fourier_motzkin_torus_check, sl2_completion_oracle
+from qp_oracles import solve as fraction_solve
 
 
 def _simple_sum(rs, field, idxs=None):
@@ -449,6 +450,48 @@ def test_singular_corral_raises_under_O():
     assert [Fraction(c, d) for c in y] == [Fraction(1, 2)] * 2
 
 
+def test_solve_matches_the_fraction_oracle():
+    # seeded integer systems [A | b], square and tall: a dependent column
+    # gives None whatever b is, an inconsistent b gives None, and otherwise
+    # A x = d b with d > 0 and x / d the oracle's unique solution
+    rng = random.Random("optimality-solve")
+    seen = set()
+    for _ in range(400):
+        cols = rng.randint(1, 5)
+        rows = cols + rng.choice([0, 0, 1, 3])
+        A = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+        if cols > 1 and rng.random() < 0.25:
+            j, l, c = *rng.sample(range(cols), 2), rng.randint(-2, 2)
+            for row in A:
+                row[j] = c * row[l]
+        x0 = [rng.randint(-4, 4) for _ in range(cols)]
+        b = ([sum(a * x for a, x in zip(row, x0)) for row in A] if rng.random() < 0.6
+             else [rng.randint(-5, 5) for _ in range(rows)])
+        got = solve([row + [c] for row, c in zip(A, b)])
+        expected = fraction_solve(QQ, [list(map(Fraction, row)) for row in A], list(map(Fraction, b)))
+        independent = rank(QQ, [list(map(Fraction, row)) for row in A]) == cols
+        shape = "square" if rows == cols else "tall"
+        if not independent:
+            assert got is None, (A, b)
+            seen.add("dependent")
+        elif expected is None:
+            assert got is None, (A, b)
+            seen.add("inconsistent")
+        else:
+            x, d = got
+            assert d > 0 and [Fraction(c, d) for c in x] == expected, (A, b, got)
+            assert all(sum(a * c for a, c in zip(row, x)) == d * bb for row, bb in zip(A, b))
+            seen.add(shape)
+            seen.update({"negative pivot"} if A[0][0] < 0 else set())
+    assert seen == {"square", "tall", "dependent", "inconsistent", "negative pivot"}, seen
+    # a -1 pivot is negated to the previous pivot 1, and the row with 0
+    # under it is left alone: x = (1, 2), d = 1
+    assert solve([[-1, 0, -1], [0, 1, 2], [1, 1, 3]]) == ([1, 2], 1)
+    assert solve([[2, 4], [1, 2]]) == ([4], 2)  # d is a pivot, not reduced
+    assert solve([[1, 2, 3]]) is None  # fewer equations than unknowns
+    assert solve([]) == ([], 1)
+
+
 def test_errors_on_bad_support():
     rs = build("A2")
     q = RationalField()
@@ -494,16 +537,56 @@ def test_sl2_completion_check_matches_dense_oracle():
                 assert verdict == sl2_completion_oracle(rs, sc, Y, cert), (t, iso, active, coeffs)
                 verdicts.add(verdict)
     assert verdicts == {True, False}
-    # hand-made certificates: h = 2 mu non-integral, and an empty g(-k) (A2
-    # under lam = (1, 1) has degrees -2..2 only)
+    # hand-made certificates with lam = k mu: h = 2 mu non-integral, and an
+    # empty g(-k) (A2 under lam = (1, 1) has degrees -2..2 only, so under
+    # lam = (3, 3) no root has degree -2)
     rs = build("A2")
     sc = structure_constants(rs)
+    Y = root_vector(rs, q, rs.root_index[(1, 1)], Fraction(1, 2))
+    for coords, lam, k in [((Fraction(1, 3), Fraction(1, 3)), (1, 1), 3),
+                           ((Fraction(3, 2), Fraction(3, 2)), (3, 3), 2)]:
+        cert = OptimalityCertificate(mu=CocharRational.of(rs, coords), lam=lam, k=k,
+                                     active_constraints=[], support=Y.support_roots())
+        assert not sl2_completion_check(rs, sc, Y, cert)
+        assert not sl2_completion_oracle(rs, sc, Y, cert)
+
+
+def test_sl2_completion_check_needs_lam_equal_k_mu():
+    # Morozov's lemma, behind the single elimination, needs lam = k mu; a
+    # certificate without it raises, while the dense oracle answers no
+    rs = build("A2")
+    sc = structure_constants(rs)
+    q = RationalField()
     Y = root_vector(rs, q, rs.root_index[(1, 1)], Fraction(1, 2))
     for coords, k in [((Fraction(1, 4), Fraction(1, 4)), 2), ((1, 1), 3)]:
         cert = OptimalityCertificate(mu=CocharRational.of(rs, coords), lam=(1, 1), k=k,
                                      active_constraints=[], support=Y.support_roots())
-        assert not sl2_completion_check(rs, sc, Y, cert)
+        with pytest.raises(ValueError, match="lam is not k"):
+            sl2_completion_check(rs, sc, Y, cert)
         assert not sl2_completion_oracle(rs, sc, Y, cert)
+
+
+def test_sl2_completion_check_matches_oracle_on_generic_h_candidates():
+    # h-candidates on adjoint F4 and E6: h a label vector in {0, 1, 2}^rank
+    # (the simple roots' h-eigenvalues in the coweight basis), Y seeded on
+    # the roots where h is 2, kept when Y's optimal cocharacter is mu = h / 2
+    rng = random.Random("sl2-generic-h")
+    q = RationalField()
+    verdicts = []
+    for t in ["F4", "E6"]:
+        rs = build(t, "adjoint")
+        sc = structure_constants(rs)
+        for labels in itertools.product(range(3), repeat=rs.rank):
+            support = grade(rs, labels).weight_spaces.get(2, [])
+            if not support:
+                continue
+            Y = element_from_support(rs, q, support, [rng.randint(1, 9) for _ in support])
+            cert = optimal_cocharacter(rs, Y)
+            if list(cert.mu.coords) == [Fraction(c, 2) for c in labels]:
+                verdict = sl2_completion_check(rs, sc, Y, cert)
+                assert verdict == sl2_completion_oracle(rs, sc, Y, cert), (t, labels)
+                verdicts.append(verdict)
+    assert verdicts.count(True) > 10 and verdicts.count(False) > 10, verdicts
 
 
 def test_sl2_completion_holds_on_every_standard_instance():

@@ -1,4 +1,5 @@
-"""Invariant checks in the package raise, so `python -O` keeps them."""
+"""Source guards: invariant checks in the package raise, so `python -O` keeps
+them, and `optimality` keeps its one elimination to itself."""
 
 import ast
 from pathlib import Path
@@ -13,3 +14,25 @@ def test_no_assert_statements(name):
     tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{name} has assert statements at lines {lines}"
+
+
+def _imported_modules(name):
+    """Dotted names of the chevalley modules that src/chevalley/<name> imports."""
+    tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "chevalley" if node.level else ""
+            module = ".".join(filter(None, [base, node.module]))
+            found.add(module)
+            found.update(f"{module}.{alias.name}" for alias in node.names)
+    return found
+
+
+def test_optimality_imports_neither_snf_nor_linalg():
+    # its one elimination, for the Wolfe corral and the sl2 verdict alike,
+    # is its own fraction-free solve
+    assert not _imported_modules("optimality.py") & {"chevalley.snf", "chevalley.linalg"}
+    assert "chevalley.linalg" in _imported_modules("rootsystem.py")  # the guard sees imports
