@@ -71,7 +71,10 @@ def _coeff_to_field(field, coeff: str):
         sign, digits, t, e = m.groups()
         c = int(sign + (digits or "1"))
         return field.poly([0] * int(e or 1) + [c]) if t else field.element(c)
-    return field.element(int(coeff))
+    try:
+        return field.element(int(coeff))
+    except ValueError:
+        raise ValueError(f"cannot parse coefficient {coeff!r} over {field!r}") from None
 
 
 def _instance(args, p=None):
@@ -269,7 +272,7 @@ def main(argv=None) -> int:
     try:
         payload, code = COMMANDS[args.command](args)
         _emit(payload, args.out)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return USAGE_ERROR

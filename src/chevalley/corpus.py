@@ -107,6 +107,8 @@ def run_instance(rs: RootSystem, sc, entry: dict, primes) -> dict:
     (`block_divisors`) gives its rank over Q, its rank mod every p and
     the 2-adic valuation of its determinant."""
     primes = _integers(entry.get("primes", primes), "primes", prime=True)  # per-entry override
+    if "support" not in entry:
+        raise ValueError("corpus entry has no 'support'")
     support = entry["support"]
     if not isinstance(support, list):
         raise ValueError(f"support must be a list of roots, got {support!r}")
@@ -172,6 +174,8 @@ def run_corpus(corpus: dict) -> dict:
     reports = []
     ok = True
     for entry in corpus["entries"]:
+        if "cartan_type" not in entry:
+            raise ValueError("corpus entry has no 'cartan_type'")
         key = (entry["cartan_type"], entry.get("isogeny", "simply_connected"))
         if not all(isinstance(name, str) for name in key):
             raise ValueError(f"cartan_type and isogeny must be strings, got {list(key)!r}")

@@ -200,6 +200,7 @@ def torus_conjugate(rs: RootSystem, X: LieElement, v) -> LieElement:
     """Ad of the torus point with valuation vector v: the coefficient of
     E_a is scaled by uniformizer**<a, v>.  v must be integral."""
     v = integral_coords(v, "the valuation vector v must be integral")
+    rs.check_coords(v, "the valuation vector v")
     field = X.field
     pi = field.uniformizer()
     out = {}

@@ -87,6 +87,7 @@ def grade(rs: RootSystem, lam) -> GradingReport:
     Each degree's root indices come out increasing, as the positives are
     visited in index order and the negatives follow them in the same order."""
     lam = integral_coords(lam, "grading requires an integral cocharacter")
+    rs.check_coords(lam, "lam")
     rows = rs.pairing_rows
     degrees = [sum(map(mul, rows[i], lam)) for i in rs.positive_roots]
     spaces: dict[int, list[int]] = {}
@@ -99,6 +100,7 @@ def grade(rs: RootSystem, lam) -> GradingReport:
 
 def degrees_of(rs: RootSystem, Y: LieElement, lam) -> list:
     """Degrees of the support of Y (Cartan components count as degree 0)."""
+    rs.check_coords(lam, "lam")
     degs = []
     for key in Y.coeffs:
         if key[0] == "H":
@@ -145,7 +147,9 @@ def delta_exponent(rs: RootSystem, lam, s: int, t: int | None, v) -> int:
         raise ValueError("the filtration slice starts at s >= 1")
     if t is not None and t <= s:
         raise ValueError("need t > s")
+    rs.check_coords(lam, "lam")
     v = integral_coords(v, "the valuation vector v must be integral")
+    rs.check_coords(v, "the valuation vector v")
     e = 0
     for row in rs.pairing_rows:
         d = sum(map(mul, row, lam))

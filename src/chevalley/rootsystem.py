@@ -218,8 +218,16 @@ class RootSystem:
         """Squared length (a, a) of the root a."""
         return self.len_sq[self.root_index[tuple(a)]]
 
+    def check_coords(self, x, name: str) -> None:
+        """ValueError unless x has rank coordinates: the pairings zip x
+        against rank-long rows and would drop a missing or extra one."""
+        if len(x) != self.rank:
+            raise ValueError(f"{name} has {len(x)} coordinates, "
+                             f"{self.type_string()} has rank {self.rank}")
+
     def pair(self, a, lam) -> Fraction | int:
         """Canonical pairing <a, lam> of the root a with a cocharacter."""
+        self.check_coords(lam, "the cocharacter")
         acc = 0
         for p, lj in zip(self.pairing_rows[self.root_index[tuple(a)]], lam):
             if p and lj:
@@ -233,6 +241,8 @@ class RootSystem:
     def cochar_form(self, x, y) -> Fraction:
         """Invariant form (x, y) on the cocharacter space: summed against
         the integer Gram, with one division by its denominator."""
+        self.check_coords(x, "the cocharacter")
+        self.check_coords(y, "the cocharacter")
         acc = 0
         for xi, row in zip(x, self.gram_num):
             if xi:

@@ -1,8 +1,12 @@
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from chevalley import LieElement, RationalField
+from chevalley import LieElement, RationalField, bracket, root_vector
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -18,3 +22,61 @@ def random_element(rs, field, rng: random.Random, max_terms=3, coeff_range=(-5, 
         c = field.element(rng.randint(*coeff_range))
         out = out + LieElement(field, {key: c})
     return out
+
+
+def jacobiator(sc, X, Y, Z):
+    """[[X, Y], Z] + [[Y, Z], X] + [[Z, X], Y], zero by the Jacobi identity."""
+    return (bracket(sc, bracket(sc, X, Y), Z) + bracket(sc, bracket(sc, Y, Z), X)
+            + bracket(sc, bracket(sc, Z, X), Y))
+
+
+def half_sum_of_positive_coroots(rs) -> list:
+    """rho-check, summed root by root: the optimal cocharacter of a
+    regular nilpotent, and the oracle the library's results meet."""
+    half = [Fraction(0)] * rs.rank
+    for ri in rs.positive_roots:
+        for j, c in enumerate(rs.coroot(rs.roots[ri])):
+            half[j] += Fraction(c, 2)
+    return half
+
+
+def random_square_grading(rs, rng: random.Random):
+    """Random (lam, k) whose blocks g(-i) -> g(k - i), 0 < i < k, are all
+    square, plus the roots of each degree (a dict degree -> root indices)."""
+    while True:
+        lam = tuple(rng.randint(-3, 3) for _ in range(rs.rank))
+        degs = {}
+        for ri, a in enumerate(rs.roots):
+            degs.setdefault(int(rs.pair(a, lam)), []).append(ri)
+        ks = [k for k in degs if k > 1
+              and all(len(degs.get(-i, [])) == len(degs.get(k - i, [])) for i in range(1, k))]
+        if ks:
+            return lam, rng.choice(ks), degs
+
+
+def random_graded_element(rs, field, rng: random.Random, roots, scale_range=2):
+    """Each root of `roots` with probability 0.85, coefficient c * pi**j
+    for c in 1..8 and j in 0..scale_range.  The sum may be 0: callers
+    check is_zero() and draw again."""
+    X = LieElement(field)
+    pi = field.uniformizer()
+    for ri in roots:
+        if rng.random() < 0.85:
+            c = field.element(rng.randint(1, 8))
+            for _ in range(rng.randint(0, scale_range)):
+                c = c * pi
+            X = X + root_vector(rs, field, ri, c)
+    return X
+
+
+def random_polynomial_element(rs, field, rng: random.Random, roots):
+    """Each root of `roots` with a random polynomial of degree < 3 over
+    GF(q) as coefficient, for field = GF(q)(t); the coefficients are
+    integral, as lattice_image needs.  The sum may be 0, as above."""
+    q = field.residue_cardinality
+    X = LieElement(field)
+    for ri in roots:
+        c = field.poly([rng.randint(0, q - 1) for _ in range(3)])
+        if c:
+            X = X + root_vector(rs, field, ri, c)
+    return X

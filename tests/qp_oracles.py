@@ -13,12 +13,10 @@ counterpart of `optimality.solve`.
 
 from fractions import Fraction
 
-from chevalley.fields import RationalField
+from chevalley.fields import QQ
 from chevalley.grading import CocharRational, grade
 from chevalley.lie import bracket, cartan_vector, root_vector
 from chevalley.linalg import rref
-
-QQ = RationalField()
 
 
 def solve(field, A, b):

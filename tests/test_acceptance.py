@@ -16,23 +16,20 @@ import random
 import subprocess
 import sys
 import time
-from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 from chevalley import (FunctionField, PrimeField, RationalField, bracket,
                        brute_force_verify, build, coker_eta, graded_ad,
                        lattice_image, optimal_cocharacter, phi_of,
-                       regular_counterexample, regular_nilpotent, root_vector,
+                       regular_counterexample, regular_nilpotent,
                        structure_constants, verify_phi_inverse, verify_rrao)
 from chevalley.corpus import run_corpus
-from chevalley.lie import LieElement
 from chevalley.linalg import det
 
-from conftest import random_element
-
-REPO = Path(__file__).resolve().parent.parent
+from conftest import (REPO_ROOT, half_sum_of_positive_coroots, jacobiator,
+                      random_element, random_graded_element,
+                      random_polynomial_element, random_square_grading)
 
 # bad primes of the series that criterion 4's mod-p clause covers
 BAD_PRIMES = {"A": (), "D": (2,)}
@@ -74,9 +71,7 @@ def test_criterion_1_structure_constants_and_jacobi(systems):
         for field in fields:
             for _ in range(1000):
                 X, Y, Z = (random_element(rs, field, rng, max_terms=4) for _ in range(3))
-                j = (bracket(sc, bracket(sc, X, Y), Z)
-                     + bracket(sc, bracket(sc, Y, Z), X)
-                     + bracket(sc, bracket(sc, Z, X), Y))
+                j = jacobiator(sc, X, Y, Z)
                 assert j.is_zero(), (t, field)
                 triples_checked += 1
     elapsed = time.monotonic() - start
@@ -110,10 +105,7 @@ def test_criterion_3_regular_optimality():
         q = RationalField()
         Y = regular_nilpotent(rs, q)
         cert = optimal_cocharacter(rs, Y)
-        half_sum = [Fraction(0)] * rs.rank
-        for ri in rs.positive_roots:
-            for j, c in enumerate(rs.coroot(rs.roots[ri])):
-                half_sum[j] += Fraction(c, 2)
+        half_sum = half_sum_of_positive_coroots(rs)
         assert cert.mu.coords == tuple(half_sum), t
         rep = brute_force_verify(rs, Y, cert, 6)
         assert rep["ok"], (t, rep["violations"][:3])
@@ -127,7 +119,7 @@ def test_criterion_3_regular_optimality():
 
 def test_criterion_4_kernel_proposition_suite():
     start = time.monotonic()
-    corpus = json.loads((REPO / "corpus" / "standard.json").read_text())
+    corpus = json.loads((REPO_ROOT / "corpus" / "standard.json").read_text())
     rank_le_4 = [e for e in corpus["entries"] if build(e["cartan_type"]).rank <= 4]
     corpus = {**corpus, "entries": rank_le_4, "primes": [2, 3, 5, 7]}
     rep = run_corpus(corpus)
@@ -182,30 +174,6 @@ def test_criterion_4_kernel_proposition_suite():
         "tests/test_badprimes.py::test_d4_characteristic_two_kernel_phenomenon.")
 
 
-def _random_square_instance(rs, rng):
-    while True:
-        lam = tuple(rng.randint(-3, 3) for _ in range(rs.rank))
-        degs = {}
-        for ri, a in enumerate(rs.roots):
-            degs.setdefault(int(rs.pair(a, lam)), []).append(ri)
-        ks = [k for k in degs if k > 1
-              and all(len(degs.get(-i, [])) == len(degs.get(k - i, [])) for i in range(1, k))]
-        if ks:
-            return lam, rng.choice(ks), degs
-
-
-def _random_graded(rs, field, rng, roots):
-    X = LieElement(field)
-    pi = field.uniformizer()
-    for ri in roots:
-        if rng.random() < 0.85:
-            c = field.element(rng.randint(1, 8))
-            for _ in range(rng.randint(0, 2)):
-                c = c * pi
-            X = X + root_vector(rs, field, ri, c)
-    return X
-
-
 def test_criterion_5_phi_functional_equations():
     start = time.monotonic()
     fields = [RationalField(2), RationalField(3), RationalField(5),
@@ -217,9 +185,9 @@ def test_criterion_5_phi_functional_equations():
         rng = random.Random(f"acceptance5:{t}")
         done = 0
         while done < 200:
-            lam, k, degs = _random_square_instance(rs, rng)
+            lam, k, degs = random_square_grading(rs, rng)
             field = rng.choice(fields)
-            X = _random_graded(rs, field, rng, degs[k])
+            X = random_graded_element(rs, field, rng, degs[k])
             if X.is_zero():
                 continue
             v = tuple(rng.randint(-3, 3) for _ in range(rs.rank))
@@ -245,8 +213,8 @@ def test_criterion_6_phi_homogeneity():
         t = rng.choice(types)
         rs, sc = built[t]
         field = rng.choice([RationalField(2), RationalField(3), FunctionField(2)])
-        lam, k, degs = _random_square_instance(rs, rng)
-        X = _random_graded(rs, field, rng, degs[k])
+        lam, k, degs = random_square_grading(rs, rng)
+        X = random_graded_element(rs, field, rng, degs[k])
         if X.is_zero():
             continue
         base = phi_of(rs, sc, X, lam, k, field)
@@ -298,12 +266,8 @@ def test_criterion_8_lattice_snf():
             systems[t] = (rs, structure_constants(rs))
         rs, sc = systems[t]
         F = FunctionField(q)
-        lam, k, degs = _random_square_instance(rs, rng)
-        X = LieElement(F)
-        for ri in degs[k]:
-            c = F.poly([rng.randint(0, q - 1) for _ in range(3)])
-            if c:
-                X = X + root_vector(rs, F, ri, c)
+        lam, k, degs = random_square_grading(rs, rng)
+        X = random_polynomial_element(rs, F, rng, degs[k])
         if X.is_zero():
             continue
         gbm = graded_ad(rs, sc, X, lam, k)
@@ -329,7 +293,7 @@ def test_criterion_8_lattice_snf():
 
 def test_criterion_9_cli_determinism():
     start = time.monotonic()
-    corpus_path = str(REPO / "corpus" / "standard.json")
+    corpus_path = str(REPO_ROOT / "corpus" / "standard.json")
     outs = []
     # the second run under -O: no check the output relies on may be an assert
     for flags in ([], ["-O"]):

@@ -10,10 +10,11 @@ from chevalley import (PrimeField, RationalField, bracket, build, c_gamma,
                        scan_destabilizers, sl2_completion_check,
                        structure_constants)
 from chevalley.gradedmap import check_kernel
-from chevalley.lie import LieElement
+from chevalley.lie import LieElement, element_from_support
 from chevalley.linalg import det
 from chevalley.snf import integer_elementary_divisors, sparse_rows
 
+from conftest import half_sum_of_positive_coroots
 from snf_oracles import int_det
 
 PRIMES = [2, 3, 5, 7]
@@ -85,10 +86,7 @@ def test_regular_lambda_is_half_sum_cross_check():
         rs = build(t, "adjoint")
         q = RationalField()
         cert = optimal_cocharacter(rs, regular_nilpotent(rs, q))
-        half = [Fraction(0)] * rs.rank
-        for ri in rs.positive_roots:
-            for j, c in enumerate(rs.coroot(rs.roots[ri])):
-                half[j] += Fraction(c, 2)
+        half = half_sum_of_positive_coroots(rs)
         assert cert.mu.coords == tuple(half)
 
 
@@ -118,13 +116,8 @@ def test_c_gamma_matches_bracket_support():
         for _ in range(15):
             sx = rng.sample(range(len(rs.roots)), rng.randint(1, 3))
             sy = rng.sample(range(len(rs.roots)), rng.randint(1, 3))
-            it = iter(primes)
-            X = LieElement(q)
-            for ri in sx:
-                X = X + root_vector(rs, q, ri, Fraction(next(it)))
-            Y = LieElement(q)
-            for ri in sy:
-                Y = Y + root_vector(rs, q, ri, Fraction(next(it)))
+            X = element_from_support(rs, q, sx, primes[:len(sx)])
+            Y = element_from_support(rs, q, sy, primes[len(sx):len(sx) + len(sy)])
             tab = c_gamma(rs, sx, sy)
             br = bracket(sc, X, Y)
             got_roots = set(br.support_roots())
@@ -141,12 +134,8 @@ def test_g2_regular_c_gamma_against_bracket():
     q = RationalField()
     neg_simples = [rs.root_index[tuple(-c for c in rs.roots[i])] for i in rs.simple_roots]
     tab = c_gamma(rs, neg_simples, list(rs.simple_roots))
-    X = LieElement(q)
-    for ri, c in zip(neg_simples, (2, 3)):
-        X = X + root_vector(rs, q, ri, Fraction(c))
-    Y = LieElement(q)
-    for ri, c in zip(rs.simple_roots, (5, 7)):
-        Y = Y + root_vector(rs, q, ri, Fraction(c))
+    X = element_from_support(rs, q, neg_simples, [2, 3])
+    Y = element_from_support(rs, q, rs.simple_roots, [5, 7])
     br = bracket(sc, X, Y)
     assert set(br.support_roots()) == set(tab.nonempty())
     assert br.cartan_part()  # the alpha + (-alpha) pairs hit the Cartan
@@ -201,9 +190,8 @@ def test_d4_characteristic_two_kernel_phenomenon():
     rs = build("D4")
     sc = structure_constants(rs)
     q = RationalField()
-    s = rs.simple_roots
-    Y = (root_vector(rs, q, s[0]) + root_vector(rs, q, s[2])
-         + root_vector(rs, q, s[3]))
+    outer = [rs.simple_roots[i] for i in (0, 2, 3)]
+    Y = element_from_support(rs, q, outer)
     cert = optimal_cocharacter(rs, Y)
     assert cert.lam == (1, 0, 1, 1) and cert.k == 2
     # genuine char-0 optimality: an sl2-triple completes through h = 2 mu
@@ -212,7 +200,7 @@ def test_d4_characteristic_two_kernel_phenomenon():
     # root fixes the whole degree-2 space, so this is conclusive
     assert kirwan_ness_torus_check(rs, Y, cert.lam)
     theta = rs.root_index[(1, 2, 1, 1)]
-    for ri in (s[0], s[2], s[3]):
+    for ri in outer:
         for sign in (1, -1):
             coords = tuple(sign * c for c in rs.roots[theta])
             e_theta = root_vector(rs, q, rs.root_index[coords])
@@ -225,20 +213,16 @@ def test_d4_characteristic_two_kernel_phenomenon():
     for row in gbm.blocks[1]:
         assert sorted(abs(x) for x in row if x) == [1, 1]
     f2 = PrimeField(2)
-    Y2 = (root_vector(rs, f2, s[0]) + root_vector(rs, f2, s[2])
-          + root_vector(rs, f2, s[3]))
+    Y2 = element_from_support(rs, f2, outer)
     kern2 = check_kernel(f2, graded_ad(rs, sc, Y2, cert.lam, cert.k))
     assert not kern2[1]["injective"]
-    X = LieElement(f2)
-    for ri, a in enumerate(rs.roots):
-        if rs.pair(a, cert.lam) == -1:
-            X = X + root_vector(rs, f2, ri)
+    X = element_from_support(rs, f2, [ri for ri, a in enumerate(rs.roots)
+                                      if rs.pair(a, cert.lam) == -1])
     assert bracket(sc, Y2, X).is_zero()
     # at odd primes the instance behaves as expected
     for p in (3, 5, 7):
         fp = PrimeField(p)
-        Yp = (root_vector(rs, fp, s[0]) + root_vector(rs, fp, s[2])
-              + root_vector(rs, fp, s[3]))
+        Yp = element_from_support(rs, fp, outer)
         kern = check_kernel(fp, graded_ad(rs, sc, Yp, cert.lam, cert.k))
         assert all(v["injective"] for v in kern.values())
 

@@ -4,16 +4,13 @@ import io
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 from chevalley import FunctionField
 from chevalley.cli import _coeff_to_field, main
 from chevalley.cli import _instance, make_parser
 from chevalley.fields import QQ, RationalField
 
-
-def repo_root() -> Path:
-    return Path(__file__).resolve().parent.parent
+from conftest import REPO_ROOT
 
 
 def run_cli(*args):
@@ -139,13 +136,16 @@ def test_snf_reads_minus_t_as_minus_one_t():
 def test_internal_error_exits_3_without_traceback(monkeypatch, capsys):
     from chevalley import cli
 
-    def broken(args):
-        raise RuntimeError("invariant broken")
-    monkeypatch.setitem(cli.COMMANDS, "roots", broken)
-    assert main(["roots", "--type", "A1"]) == 3
-    captured = capsys.readouterr()
-    assert captured.err == "internal error: RuntimeError: invariant broken\n"
-    assert not captured.out
+    # a KeyError is a broken invariant too: malformed input raises ValueError
+    for exc, message in ((RuntimeError("invariant broken"), "RuntimeError: invariant broken"),
+                         (KeyError("root"), "KeyError: 'root'")):
+        def broken(args):
+            raise exc
+        monkeypatch.setitem(cli.COMMANDS, "roots", broken)
+        assert main(["roots", "--type", "A1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"internal error: {message}\n"
+        assert not captured.out
 
 
 def test_support_coefficient_parsing():
@@ -214,9 +214,15 @@ def test_usage_errors_exit_2(tmp_path):
     unknown_root = tmp_path / "unknown_root.json"
     unknown_root.write_text(json.dumps({"schema": 1, "entries": [
         {"cartan_type": "A2", "support": [[1, 5]]}]}))
+    for key in ("cartan_type", "support"):
+        entry = {"cartan_type": "A2", "support": [[1, 1]]}
+        del entry[key]
+        (tmp_path / f"no_{key}.json").write_text(json.dumps({"schema": 1, "entries": [entry]}))
     # malformed supports: one error line that names the fault
     for args, message in [
             (["corpus", "--corpus", str(unknown_root)], "[1, 5] is not a root of A2"),
+            *[(["corpus", "--corpus", str(tmp_path / f"no_{key}.json")],
+               f"corpus entry has no {key!r}") for key in ("cartan_type", "support")],
             (["optimal", "--type", "A2", "--support", "a1=1/0"], "'1/0' has a zero denominator"),
             (["grade", "--type", "A2", "--support", "a1=1/0"], "'1/0' has a zero denominator"),
             (["kernel-check", "--type", "A2", "--support", "a1=1/0"],
@@ -228,6 +234,9 @@ def test_usage_errors_exit_2(tmp_path):
              "cannot parse coefficient '' over GF(q)(t)"),
             (["snf", "--type", "A2", "--support", "a1+a2=*t"],
              "cannot parse coefficient '*t' over GF(q)(t)"),
+            # Q reads 1/2, GF(3) reads integers only
+            (["kernel-check", "--type", "A2", "--support", "a1=1/2,a2", "--prime", "3"],
+             "cannot parse coefficient '1/2' over GF(3)"),
             # a1 + a2 has degree 2 under the optimal lam = (1, 1), a1 and a2 degree 1
             (["phi", "--type", "A2", "--support", "a1,a2,a1+a2"],
              "Y must be concentrated in a single degree")]:
@@ -296,7 +305,7 @@ def test_main_entry_direct(capsys):
 
 
 def test_corpus_cli_deterministic_bytes():
-    corpus_path = str(repo_root() / "corpus" / "standard.json")
+    corpus_path = str(REPO_ROOT / "corpus" / "standard.json")
     code1, out1, _ = run_cli("corpus", "--corpus", corpus_path)
     code2, out2, _ = run_cli("corpus", "--corpus", corpus_path)
     assert code1 == code2 == 0

@@ -1,5 +1,4 @@
 import json
-from pathlib import Path
 
 import pytest
 
@@ -7,9 +6,7 @@ from chevalley.corpus import (element_from_support, run_corpus, run_instance,
                               standard_corpus, standard_instances)
 from chevalley.fields import PrimeField, RationalField
 
-
-def repo_root() -> Path:
-    return Path(__file__).resolve().parent.parent
+from conftest import REPO_ROOT
 
 
 def test_standard_instances_families():
@@ -26,7 +23,7 @@ def test_standard_corpus_is_deterministic_and_matches_shipped_file():
     c1 = standard_corpus()
     c2 = standard_corpus()
     assert c1 == c2
-    shipped = json.loads((repo_root() / "corpus" / "standard.json").read_text())
+    shipped = json.loads((REPO_ROOT / "corpus" / "standard.json").read_text())
     assert shipped == c1
 
 
@@ -106,7 +103,7 @@ def test_element_from_support_mod_p_degeneration():
 
 
 def test_shipped_corpus_runs_green_and_flags_the_d4_finding():
-    shipped = json.loads((repo_root() / "corpus" / "standard.json").read_text())
+    shipped = json.loads((REPO_ROOT / "corpus" / "standard.json").read_text())
     rep = run_corpus(shipped)
     assert rep["ok"]
     assert rep["count"] >= 20

@@ -19,6 +19,8 @@ from chevalley.linalg import det
 from chevalley.optimality import minimum_norm_cocharacter
 from chevalley.snf import sparse_rows
 
+from conftest import random_graded_element, random_polynomial_element, random_square_grading
+
 
 @pytest.fixture(scope="module")
 def sl3():
@@ -67,7 +69,7 @@ def test_sl2_regular_has_no_blocks():
 def test_graded_ad_rejects_mixed_degrees(sl3):
     rs, sc = sl3
     q = RationalField()
-    Y = root_vector(rs, q, rs.root_index[(1, 1)]) + root_vector(rs, q, rs.simple_roots[0])
+    Y = element_from_support(rs, q, [rs.root_index[(1, 1)], rs.simple_roots[0]])
     with pytest.raises(ValueError):
         graded_ad(rs, sc, Y, (1, 1), 2)
 
@@ -88,12 +90,7 @@ def test_zero_matrix_block_not_injective():
                                                     [Fraction(0), Fraction(0)]])},
                          domain_basis={1: [0, 1]}, codomain_basis={1: [2, 3]},
                          zero=Fraction(0))
-
-    class _Q:
-        zero = Fraction(0)
-        one = Fraction(1)
-
-    kern = check_kernel(_Q, gbm)
+    kern = check_kernel(QQ, gbm)
     assert not kern[1]["injective"]
     assert phi(RationalField(5), gbm).is_zero()
 
@@ -147,32 +144,6 @@ def test_absvalue_multiplication():
         AbsValue(3, 1) * AbsValue(5, 1)
 
 
-def _random_square_instance(rs, rng):
-    """Random (lam, k) whose blocks are all square, plus the degree-k roots."""
-    while True:
-        lam = tuple(rng.randint(-3, 3) for _ in range(rs.rank))
-        degs = {}
-        for ri, a in enumerate(rs.roots):
-            degs.setdefault(int(rs.pair(a, lam)), []).append(ri)
-        ks = [k for k in degs if k >= 1
-              and all(len(degs.get(-i, [])) == len(degs.get(k - i, [])) for i in range(1, k))]
-        ks = [k for k in ks if k > 1]
-        if ks:
-            return lam, rng.choice(ks), degs
-
-
-def _random_graded_element(rs, field, rng, roots, scale_range=2):
-    X = LieElement(field)
-    pi = field.uniformizer()
-    for ri in roots:
-        if rng.random() < 0.85:
-            c = field.element(rng.randint(1, 8))
-            for _ in range(rng.randint(0, scale_range)):
-                c = c * pi
-            X = X + root_vector(rs, field, ri, c)
-    return X
-
-
 @pytest.mark.parametrize("t", ["A2", "B2", "C3"])
 def test_phi_inverse_and_rrao_randomized(t):
     rs = build(t)
@@ -181,9 +152,9 @@ def test_phi_inverse_and_rrao_randomized(t):
     fields = [RationalField(2), RationalField(3), RationalField(7), FunctionField(4)]
     done = 0
     while done < 60:
-        lam, k, degs = _random_square_instance(rs, rng)
+        lam, k, degs = random_square_grading(rs, rng)
         field = rng.choice(fields)
-        X = _random_graded_element(rs, field, rng, degs[k])
+        X = random_graded_element(rs, field, rng, degs[k])
         if X.is_zero():
             continue
         v = tuple(rng.randint(-3, 3) for _ in range(rs.rank))
@@ -234,9 +205,9 @@ def test_phi_homogeneity_random():
     sc = structure_constants(rs)
     done = 0
     while done < 30:
-        lam, k, degs = _random_square_instance(rs, rng)
+        lam, k, degs = random_square_grading(rs, rng)
         field = rng.choice([RationalField(3), FunctionField(2)])
-        X = _random_graded_element(rs, field, rng, degs[k])
+        X = random_graded_element(rs, field, rng, degs[k])
         if X.is_zero():
             continue
         base = phi_of(rs, sc, X, lam, k, field)
@@ -311,8 +282,8 @@ def test_resigned_chevalley_basis_leaves_exponent():
             eps[ri + npos] = s  # the negative root partner keeps the product 1
         done = 0
         while done < 10:
-            lam, k, degs = _random_square_instance(rs, rng)
-            X = _random_graded_element(rs, q2, rng, degs[k])
+            lam, k, degs = random_square_grading(rs, rng)
+            X = random_graded_element(rs, q2, rng, degs[k])
             if X.is_zero():
                 continue
             base = phi_of(rs, sc, X, lam, k)
@@ -373,13 +344,8 @@ def test_lattice_image_divisor_sum_and_stabilization():
             sc = structure_constants(rs)
             done = 0
             while done < 8:
-                lam, k, degs = _random_square_instance(rs, rng)
-                X = LieElement(F)
-                for ri in degs[k]:
-                    coeffs = [rng.randint(0, qv - 1) for _ in range(3)]
-                    c = F.poly(coeffs)
-                    if c:
-                        X = X + root_vector(rs, F, ri, c)
+                lam, k, degs = random_square_grading(rs, rng)
+                X = random_polynomial_element(rs, F, rng, degs[k])
                 if X.is_zero():
                     continue
                 gbm = graded_ad(rs, sc, X, lam, k)
@@ -644,7 +610,7 @@ def test_graded_ad_stores_no_entry_that_vanishes_mod_p(t):
         p = field.char
         vanished[repr(field)] = 0
         for _ in range(20):
-            lam, k, degs = _random_square_instance(rs, rng)
+            lam, k, degs = random_square_grading(rs, rng)
             support = rng.sample(degs[k], rng.randint(1, len(degs[k])))
             if isinstance(field, FunctionField):  # c t^j, integral for lattice_image
                 coeffs = [field.poly([0] * rng.randint(0, 2) + [rng.randint(1, p - 1)])
@@ -666,7 +632,7 @@ def test_graded_ad_stores_no_entry_that_vanishes_mod_p(t):
                     assert [row[c] for row in mat] == column
             if not isinstance(field, FunctionField):
                 continue
-            # the blocks are square: _random_square_instance picks k so
+            # the blocks are square: random_square_grading picks k so
             report, kern = block_report(field, gbm), check_kernel(field, gbm)
             dets = {i: det(field, mat) for i, mat in gbm.blocks.items() if mat}
             for i in gbm.blocks:
@@ -719,7 +685,7 @@ def test_valued_field_outputs_pinned():
         for field in (RationalField(2), RationalField(3), FunctionField(2), FunctionField(4)):
             made = 0
             while made < 6:
-                lam, k, degs = _random_square_instance(rs, rng)
+                lam, k, degs = random_square_grading(rs, rng)
                 X = LieElement(field)
                 for ri in degs[k]:
                     if rng.random() < 0.85:
@@ -745,6 +711,24 @@ def test_valued_field_outputs_pinned():
     assert records == 72
     assert digest.hexdigest() == (
         "294e6d0780e90fd8cec4c6297209b775677af390102b60f53b40b4aabb70b964")
+
+
+def test_conftest_generator_draws_pinned():
+    """The first 20 draws of conftest's random_square_grading (lam, k and
+    the degree-k roots), random_graded_element and random_polynomial_element
+    per type, pinned by one digest taken from the per-module copies they
+    replaced: the seeded tests above draw the same instances as before."""
+    digest = hashlib.sha256()
+    for t in ("A2", "B2", "C3"):
+        rs = build(t)
+        rng = random.Random(f"conftest-generators:{t}")
+        for _ in range(20):
+            lam, k, degs = random_square_grading(rs, rng)
+            X = random_graded_element(rs, RationalField(3), rng, degs[k])
+            P = random_polynomial_element(rs, FunctionField(4), rng, degs[k])
+            digest.update(json.dumps([t, lam, k, degs[k], repr(X), repr(P)]).encode())
+    assert digest.hexdigest() == (
+        "d983d224f5cf3cfb8486e4570c9e7bfc189455b6373c5a05aecdd76693586789")
 
 
 def test_check_kernel_lives_in_gradedmap_only():

@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 
 from chevalley import (RationalField, build, delta_exponent, grade,
-                       instability_ratio_sq, m_of, root_vector)
-from chevalley.grading import CocharRational
+                       instability_ratio_sq, kirwan_ness_torus_check, m_of, phi_of,
+                       root_vector, structure_constants, torus_conjugate, verify_rrao)
+from chevalley.grading import CocharRational, degrees_of, single_degree
+from chevalley.lie import element_from_support
 
 
 def test_grade_sl2():
@@ -48,6 +50,30 @@ def test_grade_rejects_non_integral():
         grade(rs, (Fraction(1, 2), 0))
 
 
+def test_wrong_length_vectors_are_rejected():
+    """A cocharacter or valuation vector needs rank coordinates; zip would
+    drop a missing or extra one, so (1,) graded like (1, 0) and (1, 1, 5)
+    like (1, 1) on A2."""
+    rs = build("A2")
+    sc = structure_constants(rs)
+    q2 = RationalField(2)
+    Y = root_vector(rs, q2, rs.root_index[(1, 1)])
+    a = rs.roots[0]
+    for bad in ((1,), (1, 1, 5)):
+        for call in (lambda: grade(rs, bad), lambda: degrees_of(rs, Y, bad),
+                     lambda: single_degree(rs, Y, bad), lambda: m_of(rs, Y, bad),
+                     lambda: kirwan_ness_torus_check(rs, Y, bad),
+                     lambda: delta_exponent(rs, bad, 1, 2, (0, 0)),
+                     lambda: delta_exponent(rs, (1, 1), 1, 2, bad),
+                     lambda: torus_conjugate(rs, Y, bad),
+                     lambda: verify_rrao(rs, sc, Y, (1, 1), 2, bad),
+                     lambda: phi_of(rs, sc, Y, bad, 2), lambda: rs.pair(a, bad),
+                     lambda: rs.cochar_form(bad, (1, 1)), lambda: rs.cochar_form((1, 1), bad),
+                     lambda: rs.norm_sq(bad)):
+            with pytest.raises(ValueError, match=f"has {len(bad)} coordinates, A2 has rank 2"):
+                call()
+
+
 def test_grade_weyl_equivariance():
     rng = random.Random(4)
     for t in ["A3", "B3", "G2"]:
@@ -69,7 +95,7 @@ def test_m_of_examples():
     sl3 = build("A2")
     theta = sl3.root_index[(1, 1)]
     assert m_of(sl3, root_vector(sl3, q, theta), (1, 1)) == 2
-    Y = root_vector(sl3, q, sl3.simple_roots[0]) + root_vector(sl3, q, sl3.simple_roots[1])
+    Y = element_from_support(sl3, q, sl3.simple_roots)
     assert m_of(sl3, Y, (1, 1)) == 1
     assert instability_ratio_sq(sl3, Y, (1, 1)) == Fraction(1, 2)
 

@@ -7,9 +7,9 @@ import pytest
 from chevalley import (PrimeField, RationalField, bracket, build, coroot_element,
                        root_vector, structure_constants)
 from chevalley.fields import QQ
-from chevalley.lie import LieElement, element_from_support
+from chevalley.lie import element_from_support
 
-from conftest import random_element
+from conftest import jacobiator, random_element
 
 TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "F4", "G2"]
 
@@ -103,9 +103,7 @@ def test_jacobi_identity_char0(t, systems):
     rng = random.Random(f"jacobi-{t}")
     for _ in range(150):
         X, Y, Z = (random_element(rs, q, rng) for _ in range(3))
-        j = (bracket(sc, bracket(sc, X, Y), Z)
-             + bracket(sc, bracket(sc, Y, Z), X)
-             + bracket(sc, bracket(sc, Z, X), Y))
+        j = jacobiator(sc, X, Y, Z)
         assert j.is_zero()
         assert bracket(sc, X, X).is_zero()
 
@@ -118,9 +116,7 @@ def test_jacobi_identity_mod_p(p, systems):
         rs, sc = systems[t]
         for _ in range(80):
             X, Y, Z = (random_element(rs, fp, rng) for _ in range(3))
-            j = (bracket(sc, bracket(sc, X, Y), Z)
-                 + bracket(sc, bracket(sc, Y, Z), X)
-                 + bracket(sc, bracket(sc, Z, X), Y))
+            j = jacobiator(sc, X, Y, Z)
             assert j.is_zero()
 
 
@@ -135,9 +131,7 @@ def test_jacobi_identity_adjoint_lattice_mod_p(t):
         rng = random.Random(f"adj-{t}-{p}")
         for _ in range(60):
             X, Y, Z = (random_element(rs, fp, rng) for _ in range(3))
-            j = (bracket(sc, bracket(sc, X, Y), Z)
-                 + bracket(sc, bracket(sc, Y, Z), X)
-                 + bracket(sc, bracket(sc, Z, X), Y))
+            j = jacobiator(sc, X, Y, Z)
             assert j.is_zero()
 
 
@@ -195,9 +189,7 @@ def test_high_rank_exceptional_types(t, count):
     for field in (q, f2):
         for _ in range(50):
             X, Y, Z = (random_element(rs, field, rng) for _ in range(3))
-            j = (bracket(sc, bracket(sc, X, Y), Z)
-                 + bracket(sc, bracket(sc, Y, Z), X)
-                 + bracket(sc, bracket(sc, Z, X), Y))
+            j = jacobiator(sc, X, Y, Z)
             assert j.is_zero()
 
 
@@ -210,13 +202,13 @@ def test_pgl3_cartan_degeneration_mod3():
     a1, a2 = rs.simple_roots
     na1 = rs.root_index[tuple(-c for c in rs.roots[a1])]
     na2 = rs.root_index[tuple(-c for c in rs.roots[a2])]
-    X = root_vector(rs, f3, na1) - root_vector(rs, f3, na2)
-    Y = root_vector(rs, f3, a1) + root_vector(rs, f3, a2)
+    X = element_from_support(rs, f3, [na1, na2], [1, -1])
+    Y = element_from_support(rs, f3, [a1, a2])
     assert not bracket(sc, X, Y).cartan_part()
     # over Q the same bracket has a nonzero Cartan component
     q = RationalField()
-    Xq = root_vector(rs, q, na1) - root_vector(rs, q, na2)
-    Yq = root_vector(rs, q, a1) + root_vector(rs, q, a2)
+    Xq = element_from_support(rs, q, [na1, na2], [1, -1])
+    Yq = element_from_support(rs, q, [a1, a2])
     assert bracket(sc, Xq, Yq).cartan_part()
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from chevalley import FunctionField, PrimeField, RationalField
-from chevalley.fields import Polynomial, RatFunc
+from chevalley.fields import QQ, Polynomial, RatFunc
 from chevalley.linalg import det, kernel_basis, rank
 from chevalley.snf import INF, dvr_divisor_valuations, integer_elementary_divisors, sparse_rows
 
@@ -24,11 +24,6 @@ def mat_vec(A, x, zero):
     return out
 
 
-class _Q:
-    zero = Fraction(0)
-    one = Fraction(1)
-
-
 def _rand_frac_matrix(rng, m, n):
     return [[Fraction(rng.randint(-6, 6)) for _ in range(n)] for _ in range(m)]
 
@@ -38,15 +33,15 @@ def test_rank_det_solve_rationals():
     for _ in range(40):
         n = rng.randint(1, 5)
         A = _rand_frac_matrix(rng, n, n)
-        d = det(_Q, A)
-        r = rank(_Q, A)
+        d = det(QQ, A)
+        r = rank(QQ, A)
         assert (d != 0) == (r == n)
         if d:
             x_expected = [Fraction(rng.randint(-4, 4)) for _ in range(n)]
             b = mat_vec(A, x_expected, Fraction(0))
-            assert solve(_Q, A, b) == x_expected
+            assert solve(QQ, A, b) == x_expected
     # inconsistent system
-    assert solve(_Q, [[Fraction(1)], [Fraction(1)]], [Fraction(0), Fraction(1)]) is None
+    assert solve(QQ, [[Fraction(1)], [Fraction(1)]], [Fraction(0), Fraction(1)]) is None
 
 
 def test_det_cofactor_oracle():
@@ -54,7 +49,7 @@ def test_det_cofactor_oracle():
     for _ in range(30):
         n = rng.randint(1, 4)
         A = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        got = det(_Q, [[Fraction(x) for x in row] for row in A])
+        got = det(QQ, [[Fraction(x) for x in row] for row in A])
         assert got == int_det(A)
 
 
@@ -63,8 +58,8 @@ def test_kernel_basis():
     for _ in range(30):
         m, n = rng.randint(1, 4), rng.randint(1, 5)
         A = _rand_frac_matrix(rng, m, n)
-        basis = kernel_basis(_Q, A)
-        assert len(basis) == n - rank(_Q, A)
+        basis = kernel_basis(QQ, A)
+        assert len(basis) == n - rank(QQ, A)
         for v in basis:
             assert all(x == 0 for x in mat_vec(A, v, Fraction(0)))
 
@@ -318,7 +313,7 @@ def test_dvr_divisors_padic():
     vals = dvr_divisor_valuations(q2, sparse_rows(A), 2)
     # det = 8, gcd of entries has v = 0
     assert vals == [0, 3]
-    assert sum(vals) == q2.valuation(det(_Q, A))
+    assert sum(vals) == q2.valuation(det(QQ, A))
 
 
 def test_dvr_divisors_function_field():

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from chevalley import (RationalField, bracket, brute_force_verify, build,
+from chevalley import (RationalField, brute_force_verify, build,
                        certified_torus_check, kirwan_ness_torus_check, m_of,
                        optimal_cocharacter, root_vector, sl2_completion_check,
                        structure_constants)
@@ -18,16 +18,9 @@ from chevalley.lie import LieElement
 from chevalley.linalg import rank
 from chevalley.optimality import (OptimalityCertificate, _affine_minimizer,
                                   minimum_norm_cocharacter, solve)
+from conftest import half_sum_of_positive_coroots
 from qp_oracles import QQ, active_set_min_norm, fourier_motzkin_torus_check, sl2_completion_oracle
 from qp_oracles import solve as fraction_solve
-
-
-def _simple_sum(rs, field, idxs=None):
-    idxs = idxs if idxs is not None else range(rs.rank)
-    Y = LieElement(field)
-    for i in idxs:
-        Y = Y + root_vector(rs, field, rs.simple_roots[i])
-    return Y
 
 
 def test_sl2_single_root():
@@ -41,12 +34,9 @@ def test_sl2_single_root():
 def test_sl3_regular_is_half_sum_of_positive_coroots():
     rs = build("A2")
     q = RationalField()
-    cert = optimal_cocharacter(rs, _simple_sum(rs, q))
+    cert = optimal_cocharacter(rs, element_from_support(rs, q, rs.simple_roots))
     assert cert.lam == (1, 1) and cert.k == 1
-    half_sum = [Fraction(0)] * rs.rank
-    for ri in rs.positive_roots:
-        for j, c in enumerate(rs.coroot(rs.roots[ri])):
-            half_sum[j] += Fraction(c, 2)
+    half_sum = half_sum_of_positive_coroots(rs)
     assert cert.mu.coords == tuple(half_sum)
 
 
@@ -63,7 +53,7 @@ def test_sl_n_regular_weighted_dynkin_labels(n):
     # the regular orbit has every simple label <a_i, 2 mu> = 2
     rs = build(f"A{n - 1}")
     q = RationalField()
-    cert = optimal_cocharacter(rs, _simple_sum(rs, q))
+    cert = optimal_cocharacter(rs, element_from_support(rs, q, rs.simple_roots))
     two_mu = tuple(2 * c for c in cert.mu.coords)
     for i in range(rs.rank):
         assert rs.pair(rs.roots[rs.simple_roots[i]], two_mu) == 2
@@ -105,7 +95,8 @@ def test_partition_representatives_match_weighted_dynkin_oracle(n):
             pos += b
         if not idxs:
             continue
-        cert = optimal_cocharacter(rs, _simple_sum(rs, q, idxs))
+        Y = element_from_support(rs, q, [rs.simple_roots[i] for i in idxs])
+        cert = optimal_cocharacter(rs, Y)
         # convert mu (coroot-basis coords m) to diagonal coords t_i = m_i - m_{i-1}
         m = [Fraction(0)] + [2 * c for c in cert.mu.coords] + [Fraction(0)]
         t_vals = sorted((m[i + 1] - m[i] for i in range(n)), reverse=True)
@@ -119,9 +110,7 @@ def test_normalization_and_kkt_every_instance():
         q = RationalField()
         for _ in range(10):
             supp = rng.sample(rs.positive_roots, rng.randint(1, 4))
-            Y = LieElement(q)
-            for ri in supp:
-                Y = Y + root_vector(rs, q, ri)
+            Y = element_from_support(rs, q, supp)
             cert = optimal_cocharacter(rs, Y)
             # m_Y(mu) = 1 exactly
             pairings = [rs.pair(rs.roots[ri], cert.mu.coords) for ri in supp]
@@ -131,9 +120,9 @@ def test_normalization_and_kkt_every_instance():
             assert CocharRational.of(rs, cert.lam).is_primitive()
             # mu lies in the span of the active coroots
             nus = [list(rs.nu(rs.roots[ri])) for ri in cert.active_constraints]
-            r0 = rank(type("F", (), {"zero": Fraction(0), "one": Fraction(1)}), nus)
+            r0 = rank(QQ, nus)
             aug = nus + [list(cert.mu.coords)]
-            r1 = rank(type("F", (), {"zero": Fraction(0), "one": Fraction(1)}), aug)
+            r1 = rank(QQ, aug)
             assert r0 == r1
 
 
@@ -165,7 +154,7 @@ def test_certified_torus_check_rejects_tampered_certificates():
     q = RationalField()
     rs = build("A2")
     a1, a2 = rs.simple_roots
-    Y = root_vector(rs, q, a1) + root_vector(rs, q, a2)
+    Y = element_from_support(rs, q, [a1, a2])
     cert = optimal_cocharacter(rs, Y)
     assert certified_torus_check(rs, Y, cert) is True
     cert.vv = cert.vv * 2
@@ -176,7 +165,7 @@ def test_certified_torus_check_rejects_tampered_certificates():
     with pytest.raises(RuntimeError, match="KKT"):
         certified_torus_check(rs, Y, cert)
     # the single-degree precondition is kept, as a ValueError
-    Y3 = Y + root_vector(rs, q, rs.root_index[(1, 1)])
+    Y3 = element_from_support(rs, q, [a1, a2, rs.root_index[(1, 1)]])
     with pytest.raises(ValueError, match="single degree"):
         certified_torus_check(rs, Y3, optimal_cocharacter(rs, Y3))
 
@@ -228,7 +217,7 @@ def test_kirwan_ness_torus_check_examples():
     assert kirwan_ness_torus_check(sl3, root_vector(sl3, q, sl3.simple_roots[0]), (1, 1)) is False
     with pytest.raises(ValueError):
         # not concentrated in a single degree under lam = (1, 1)? build one:
-        Y = root_vector(sl3, q, theta) + root_vector(sl3, q, sl3.simple_roots[0])
+        Y = element_from_support(sl3, q, [theta, sl3.simple_roots[0]])
         kirwan_ness_torus_check(sl3, Y, (1, 1))
 
 
@@ -240,9 +229,7 @@ def test_kn_check_passes_on_qp_optimum_with_spanning_support():
         for _ in range(10):
             supp = rng.sample(rs.positive_roots, rng.randint(1, 3))
             mu, active = minimum_norm_cocharacter(rs, supp)
-            Y = LieElement(q)
-            for ri in active:
-                Y = Y + root_vector(rs, q, ri)
+            Y = element_from_support(rs, q, active)
             cert = optimal_cocharacter(rs, Y)
             assert kirwan_ness_torus_check(rs, Y, cert.lam) is True
 
@@ -260,13 +247,8 @@ def test_argmin_invariant_under_norm_scaling():
             q = RationalField()
             for _ in range(8):
                 supp = rng.sample(plain.positive_roots, rng.randint(1, 3))
-                Y1 = LieElement(q)
-                Y2 = LieElement(q)
-                for ri in supp:
-                    Y1 = Y1 + root_vector(plain, q, ri)
-                    Y2 = Y2 + root_vector(scaled, q, ri)
-                c1 = optimal_cocharacter(plain, Y1)
-                c2 = optimal_cocharacter(scaled, Y2)
+                c1 = optimal_cocharacter(plain, element_from_support(plain, q, supp))
+                c2 = optimal_cocharacter(scaled, element_from_support(scaled, q, supp))
                 assert c1.lam == c2.lam and c1.k == c2.k
                 assert c1.mu.coords == c2.mu.coords
 
@@ -280,9 +262,7 @@ def test_qp_against_box_enumeration_random_supports():
         radius = 4
         for _ in range(6):
             supp = rng.sample(rs.positive_roots, rng.randint(1, 3))
-            Y = LieElement(q)
-            for ri in supp:
-                Y = Y + root_vector(rs, q, ri)
+            Y = element_from_support(rs, q, supp)
             cert = optimal_cocharacter(rs, Y)
             if max(abs(c) for c in cert.lam) > radius:
                 continue
@@ -295,13 +275,14 @@ def test_qp_against_box_enumeration_random_supports():
 def test_products_full_flow():
     rs = build("A1xA1")
     q = RationalField()
-    Y = _simple_sum(rs, q)
+    Y = element_from_support(rs, q, rs.simple_roots)
     cert = optimal_cocharacter(rs, Y)
     assert cert.lam == (1, 1) and cert.k == 2  # two orthogonal sl2 strings
     rep = brute_force_verify(rs, Y, cert, 4)
     assert rep["ok"]
     mixed = build("G2xA1")
-    Ym = _simple_sum(mixed, q, [0, 2])  # short G2 root and the A1 root
+    # the short G2 root and the A1 root
+    Ym = element_from_support(mixed, q, [mixed.simple_roots[i] for i in (0, 2)])
     certm = optimal_cocharacter(mixed, Ym)
     assert m_of(mixed, Ym, certm.lam) == certm.k
     assert kirwan_ness_torus_check(mixed, root_vector(mixed, q, mixed.simple_roots[2]),
@@ -324,17 +305,21 @@ def test_huge_supports_solve(t, count):
     # optimum is the half sum of positive coroots with k = 1
     rs = build(t)
     q = RationalField()
-    Y = LieElement(q)
-    for ri in rs.positive_roots[:count]:
-        Y = Y + root_vector(rs, q, ri)
+    Y = element_from_support(rs, q, rs.positive_roots[:count])
     cert = optimal_cocharacter(rs, Y)
     _assert_certificate(rs, Y, cert)
-    rho = [Fraction(0)] * rs.rank
-    for ri in rs.positive_roots:
-        for j, c in enumerate(rs.coroot(rs.roots[ri])):
-            rho[j] += Fraction(c, 2)
+    rho = half_sum_of_positive_coroots(rs)
     assert cert.lam == tuple(rho) and cert.k == 1
     assert sorted(cert.active_constraints) == sorted(rs.simple_roots)
+
+
+def _largest_degree_class(rs, roots, lam):
+    """The roots of the largest degree under lam, the first such degree on
+    a tie: a support on which Y sits in one degree."""
+    classes = {}
+    for ri in roots:
+        classes.setdefault(rs.pair(rs.roots[ri], lam), []).append(ri)
+    return max(classes.values(), key=len)
 
 
 def test_solver_matches_active_set_and_fourier_motzkin_oracles():
@@ -350,34 +335,17 @@ def test_solver_matches_active_set_and_fourier_motzkin_oracles():
                 supp = rng.sample(rs.positive_roots, rng.randint(1, min(10, len(rs.positive_roots))))
                 mu, active = minimum_norm_cocharacter(rs, supp)
                 assert (mu, active) == active_set_min_norm(rs, supp), (t, iso, supp)
-                Ya = LieElement(q)
-                for ri in active:
-                    Ya = Ya + root_vector(rs, q, ri)
-                lam_opt = optimal_cocharacter(rs, Ya).lam
+                lam_opt = optimal_cocharacter(rs, element_from_support(rs, q, active)).lam
                 lam_rand = tuple(rng.randint(-3, 3) for _ in range(rs.rank))
-                # Y on the largest degree class of the support under lam_rand
-                classes = {}
-                for ri in supp:
-                    classes.setdefault(rs.pair(rs.roots[ri], lam_rand), []).append(ri)
-                part = max(classes.values(), key=len)
+                part = _largest_degree_class(rs, supp, lam_rand)
                 for lam, roots in [(lam_opt, active), (lam_rand, part),
                                    ((0,) * rs.rank, supp)]:
-                    Y = LieElement(q)
-                    for ri in roots:
-                        Y = Y + root_vector(rs, q, ri)
-                    verdict = kirwan_ness_torus_check(rs, Y, lam)
+                    verdict = kirwan_ness_torus_check(rs, element_from_support(rs, q, roots), lam)
                     assert verdict == fourier_motzkin_torus_check(rs, roots, lam), (t, iso, roots, lam)
                     verdicts.append((lam, verdict))
     zero = [v for lam, v in verdicts if not any(lam)]
     assert zero and not any(zero)  # lam = 0: the positive support is destabilizing
     assert {True, False} <= {v for lam, v in verdicts if any(lam)}
-
-
-def _sum_of(rs, field, roots, coeffs=None):
-    Y = LieElement(field)
-    for ri, c in zip(roots, coeffs or [1] * len(roots)):
-        Y = Y + root_vector(rs, field, ri, field.element(c))
-    return Y
 
 
 @pytest.mark.parametrize("t, iso, scale", [
@@ -400,12 +368,10 @@ def test_solver_matches_oracles_on_large_and_scaled_types(t, iso, scale):
         if scale is None:
             continue
         lam = tuple(rng.randint(-3, 3) for _ in range(rs.rank))
-        classes = {}
-        for ri in supp:
-            classes.setdefault(rs.pair(rs.roots[ri], lam), []).append(ri)
-        for roots, at in [(active, optimal_cocharacter(rs, _sum_of(rs, q, active)).lam),
-                          (max(classes.values(), key=len), lam)]:
-            assert (kirwan_ness_torus_check(rs, _sum_of(rs, q, roots), at)
+        Ya = element_from_support(rs, q, active)
+        for roots, at in [(active, optimal_cocharacter(rs, Ya).lam),
+                          (_largest_degree_class(rs, supp, lam), lam)]:
+            assert (kirwan_ness_torus_check(rs, element_from_support(rs, q, roots), at)
                     == fourier_motzkin_torus_check(rs, roots, at)), (roots, at)
 
 
@@ -419,15 +385,14 @@ def test_e8_certificates_pinned():
     digest = hashlib.sha256()
     for _ in range(40):
         supp = sorted(rng.sample(rs.positive_roots, rng.randint(8, 10)))
-        cert = optimal_cocharacter(rs, _sum_of(rs, q, supp, [rng.randint(1, 9) for _ in supp]))
-        torus = kirwan_ness_torus_check(rs, _sum_of(rs, q, cert.active_constraints), cert.lam)
+        coeffs = [rng.randint(1, 9) for _ in supp]
+        cert = optimal_cocharacter(rs, element_from_support(rs, q, supp, coeffs))
+        Ya = element_from_support(rs, q, cert.active_constraints)
+        torus = kirwan_ness_torus_check(rs, Ya, cert.lam)
         lam = tuple(rng.randint(-2, 2) for _ in range(rs.rank))
-        classes = {}
-        for ri in supp:
-            classes.setdefault(rs.pair(rs.roots[ri], lam), []).append(ri)
-        part = max(classes.values(), key=len)
+        Yp = element_from_support(rs, q, _largest_degree_class(rs, supp, lam))
         record = [cert.to_json(), {str(ri): str(w) for ri, w in cert.weights.items()},
-                  str(cert.vv), torus, kirwan_ness_torus_check(rs, _sum_of(rs, q, part), lam)]
+                  str(cert.vv), torus, kirwan_ness_torus_check(rs, Yp, lam)]
         digest.update(json.dumps(record, sort_keys=True).encode())
     assert digest.hexdigest() == (
         "b5759ea84df69d5bfeff5df9b7b2570734b32dd5464f09da88c82ca30e6b29c4")

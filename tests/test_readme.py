@@ -7,12 +7,12 @@ import contextlib
 import io
 import re
 import shlex
-from pathlib import Path
 
 from chevalley.cli import main
 
-ROOT = Path(__file__).resolve().parent.parent
-README = (ROOT / "README.md").read_text(encoding="utf-8")
+from conftest import REPO_ROOT
+
+README = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
 
 # the quick-tour lines whose comment starts with the value they return
 CHECKED = ("blocks.rows", "block_divisors(", "phi(")
@@ -35,7 +35,7 @@ def _claim(comment: str) -> str:
 
 
 def test_readme_cli_examples_exit_0(monkeypatch):
-    monkeypatch.chdir(ROOT)  # the corpus example names a path under the repo root
+    monkeypatch.chdir(REPO_ROOT)  # the corpus example names a path under the repo root
     lines = [line for line in _block("CLI", "sh").splitlines() if line.startswith("chevalley ")]
     assert lines
     for line in lines:
