@@ -20,16 +20,14 @@ import time
 import pytest
 
 from chevalley import (FunctionField, PrimeField, RationalField, bracket,
-                       brute_force_verify, build, coker_eta, graded_ad,
-                       lattice_image, optimal_cocharacter, phi_of,
+                       brute_force_verify, build, coker_eta, optimal_cocharacter,
                        regular_counterexample, regular_nilpotent,
-                       structure_constants, verify_phi_inverse, verify_rrao)
+                       structure_constants)
 from chevalley.corpus import run_corpus
-from chevalley.linalg import det
 
-from conftest import (REPO_ROOT, half_sum_of_positive_coroots, jacobiator,
-                      random_element, random_graded_element,
-                      random_polynomial_element, random_square_grading)
+from conftest import (REPO_ROOT, check_lattice_image, check_phi_homogeneity,
+                      check_phi_identities, half_sum_of_positive_coroots, jacobiator,
+                      random_element, random_polynomial_element, random_square_grading)
 
 # bad primes of the series that criterion 4's mod-p clause covers
 BAD_PRIMES = {"A": (), "D": (2,)}
@@ -178,58 +176,21 @@ def test_criterion_5_phi_functional_equations():
     start = time.monotonic()
     fields = [RationalField(2), RationalField(3), RationalField(5),
               RationalField(7), FunctionField(2), FunctionField(3), FunctionField(4)]
-    total = 0
     for t in ["A2", "B2", "C3"]:
         rs = build(t)
-        sc = structure_constants(rs)
-        rng = random.Random(f"acceptance5:{t}")
-        done = 0
-        while done < 200:
-            lam, k, degs = random_square_grading(rs, rng)
-            field = rng.choice(fields)
-            X = random_graded_element(rs, field, rng, degs[k])
-            if X.is_zero():
-                continue
-            v = tuple(rng.randint(-3, 3) for _ in range(rs.rank))
-            assert verify_phi_inverse(rs, sc, X, lam, k, field), (t, lam, k)
-            assert verify_rrao(rs, sc, X, lam, k, v, field), (t, lam, k, v)
-            done += 1
-        total += done
-    report(5, True, f"phi(-X) = phi(X) and the conjugation law hold on {total} "
+        check_phi_identities(rs, structure_constants(rs), random.Random(f"acceptance5:{t}"),
+                             fields, 200)
+    report(5, True, "phi(-X) = phi(X) and the conjugation law hold on 600 "
                     "random (X, v) instances across A2/B2/C3",
            time.monotonic() - start)
 
 
 def test_criterion_6_phi_homogeneity():
     start = time.monotonic()
-    rng = random.Random("acceptance6")
-    done = 0
-    types = ["A2", "B2", "C3"]
-    built = {t: (build(t), None) for t in types}
-    for t in types:
-        rs, _ = built[t]
-        built[t] = (rs, structure_constants(rs))
-    while done < 50:
-        t = rng.choice(types)
-        rs, sc = built[t]
-        field = rng.choice([RationalField(2), RationalField(3), FunctionField(2)])
-        lam, k, degs = random_square_grading(rs, rng)
-        X = random_graded_element(rs, field, rng, degs[k])
-        if X.is_zero():
-            continue
-        base = phi_of(rs, sc, X, lam, k, field)
-        if base.is_zero():
-            continue
-        total_dim = sum(len(degs.get(-i, [])) for i in range(1, k))
-        vc = rng.randint(-2, 3)
-        c = field.element(rng.choice([1, 3, 5]))
-        pi = field.uniformizer()
-        for _ in range(abs(vc)):
-            c = c * pi if vc > 0 else c / pi
-        scaled = phi_of(rs, sc, X.scaled(c), lam, k, field)
-        assert scaled.half_exponent - base.half_exponent == field.valuation(c) * total_dim
-        done += 1
-    report(6, True, f"half-exponent shift equals v(c) * sum of block sizes on {done} "
+    systems = [(rs, structure_constants(rs)) for rs in map(build, ["A2", "B2", "C3"])]
+    check_phi_homogeneity(random.Random("acceptance6"), systems,
+                          [RationalField(2), RationalField(3), FunctionField(2)], 50)
+    report(6, True, "half-exponent shift equals v(c) * sum of block sizes on 50 "
                     "random instances", time.monotonic() - start)
 
 
@@ -257,35 +218,13 @@ def test_criterion_8_lattice_snf():
     start = time.monotonic()
     rng = random.Random("acceptance8")
     done = 0
-    cases = [(q, t) for q in (2, 3, 4) for t in ("A2", "B2")]
-    systems = {}
+    systems = [(rs, structure_constants(rs)) for rs in map(build, ["A2", "B2"])]
+    cases = [(q, rs, sc) for q in (2, 3, 4) for rs, sc in systems]
     while done < 50:
-        q, t = cases[done % len(cases)]
-        if t not in systems:
-            rs = build(t)
-            systems[t] = (rs, structure_constants(rs))
-        rs, sc = systems[t]
-        F = FunctionField(q)
+        q, rs, sc = cases[done % len(cases)]
         lam, k, degs = random_square_grading(rs, rng)
-        X = random_polynomial_element(rs, F, rng, degs[k])
-        if X.is_zero():
-            continue
-        gbm = graded_ad(rs, sc, X, lam, k)
-        usable = False
-        for i in gbm.blocks:
-            if not gbm.blocks[i]:
-                continue
-            d = det(F, gbm.blocks[i])
-            vals = lattice_image(rs, sc, X, lam, k, i, 60)
-            if d:
-                usable = True
-                assert sum(vals) == F.valuation(d), (t, q, lam, k, i)
-                m_star = max(vals) + 1
-                assert lattice_image(rs, sc, X, lam, k, i, m_star) == vals
-                assert lattice_image(rs, sc, X, lam, k, i, m_star + 2) == vals
-            else:
-                assert None in vals
-        if usable:
+        X = random_polynomial_element(rs, FunctionField(q), rng, degs[k])
+        if not X.is_zero() and check_lattice_image(rs, sc, X, lam, k):
             done += 1
     report(8, True, f"divisor-sum = det valuation and m-stabilization on {done} "
                     "instances over GF(q)[t], q in 2/3/4", time.monotonic() - start)

@@ -19,7 +19,8 @@ from chevalley.linalg import det
 from chevalley.optimality import minimum_norm_cocharacter
 from chevalley.snf import sparse_rows
 
-from conftest import random_graded_element, random_polynomial_element, random_square_grading
+from conftest import (check_lattice_image, check_phi_homogeneity, check_phi_identities,
+                      random_graded_element, random_polynomial_element, random_square_grading)
 
 
 @pytest.fixture(scope="module")
@@ -147,20 +148,8 @@ def test_absvalue_multiplication():
 @pytest.mark.parametrize("t", ["A2", "B2", "C3"])
 def test_phi_inverse_and_rrao_randomized(t):
     rs = build(t)
-    sc = structure_constants(rs)
-    rng = random.Random(f"rrao-{t}")
     fields = [RationalField(2), RationalField(3), RationalField(7), FunctionField(4)]
-    done = 0
-    while done < 60:
-        lam, k, degs = random_square_grading(rs, rng)
-        field = rng.choice(fields)
-        X = random_graded_element(rs, field, rng, degs[k])
-        if X.is_zero():
-            continue
-        v = tuple(rng.randint(-3, 3) for _ in range(rs.rank))
-        assert verify_phi_inverse(rs, sc, X, lam, k, field)
-        assert verify_rrao(rs, sc, X, lam, k, v, field)
-        done += 1
+    check_phi_identities(rs, structure_constants(rs), random.Random(f"rrao-{t}"), fields, 60)
 
 
 def test_rrao_examples(sl3):
@@ -200,29 +189,9 @@ def test_torus_conjugate_keeps_cartan_components(sl3):
 
 
 def test_phi_homogeneity_random():
-    rng = random.Random(2024)
     rs = build("B2")
-    sc = structure_constants(rs)
-    done = 0
-    while done < 30:
-        lam, k, degs = random_square_grading(rs, rng)
-        field = rng.choice([RationalField(3), FunctionField(2)])
-        X = random_graded_element(rs, field, rng, degs[k])
-        if X.is_zero():
-            continue
-        base = phi_of(rs, sc, X, lam, k, field)
-        if base.is_zero():
-            continue
-        total_dim = sum(len(degs.get(-i, [])) for i in range(1, k))
-        vc = rng.randint(-2, 3)
-        c = field.one
-        pi = field.uniformizer()
-        for _ in range(abs(vc)):
-            c = c * pi if vc > 0 else c / pi
-        c = c * field.element(rng.choice([1, 3, 5]))
-        scaled = phi_of(rs, sc, X.scaled(c), lam, k, field)
-        assert scaled.half_exponent - base.half_exponent == field.valuation(c) * total_dim
-        done += 1
+    check_phi_homogeneity(random.Random(2024), [(rs, structure_constants(rs))],
+                          [RationalField(3), FunctionField(2)], 30)
 
 
 def test_phi_rejects_non_square_blocks():
@@ -346,25 +315,9 @@ def test_lattice_image_divisor_sum_and_stabilization():
             while done < 8:
                 lam, k, degs = random_square_grading(rs, rng)
                 X = random_polynomial_element(rs, F, rng, degs[k])
-                if X.is_zero():
-                    continue
-                gbm = graded_ad(rs, sc, X, lam, k)
-                for i in gbm.blocks:
-                    if not gbm.blocks[i]:
-                        continue
-                    d = det(F, gbm.blocks[i])
-                    vals_exact = lattice_image(rs, sc, X, lam, k, i, 50)
-                    if d:
-                        assert None not in vals_exact
-                        assert sum(vals_exact) == F.valuation(d)
-                        m_star = max(vals_exact) + 1
-                        for m in range(m_star, m_star + 3):
-                            assert lattice_image(rs, sc, X, lam, k, i, m) == vals_exact
-                        capped = lattice_image(rs, sc, X, lam, k, i, 1)
-                        assert capped == [min(v, 1) for v in vals_exact]
-                    else:
-                        assert None in vals_exact
-                done += 1
+                if not X.is_zero():
+                    check_lattice_image(rs, sc, X, lam, k)
+                    done += 1
 
 
 def test_lattice_image_requires_integral_coefficients(sl3):
