@@ -82,6 +82,8 @@ class RationalField:
             return Fraction(x)
         except ZeroDivisionError:
             raise ValueError(f"{x!r} has a zero denominator") from None
+        except ValueError:
+            raise ValueError(f"cannot parse coefficient {x!r} over {self!r}") from None
 
     def valuation(self, x) -> int:
         """p-adic valuation; undefined (raises) on 0."""

@@ -15,14 +15,17 @@ roots and propagated by the classical relations:
             + N_{c,a} N_{b,d}/(c+a,c+a) = 0
 
 The last identity, applied against the extraspecial pair of a+b,
-recurses on the height of the sum.
+recurses on the height of the sum.  The table is built on ints: the
+squared lengths over one common denominator, and each division by a
+length or by N exact (`rootsystem.exact_div`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from .rootsystem import RootSystem, integer
+from .rootsystem import RootSystem, exact_div
 
 # basis keys: ("E", root index) and ("H", cocharacter basis index)
 
@@ -154,6 +157,10 @@ class StructureConstants:
                     self._sum[i, j] = s
                     if i < npos and j < npos:
                         self._extraspecial.setdefault(s, (i, j))
+        # the squared lengths as ints over one common denominator: every
+        # relation below uses only their ratios
+        den = lcm(*(x.denominator for x in rs.len_sq))
+        self._len = [x.numerator * (den // x.denominator) for x in rs.len_sq]
         self._n: dict[tuple[int, int], int] = {}
         for i, j in self._sum:
             self._compute(i, j)
@@ -163,7 +170,7 @@ class StructureConstants:
         if val is not None:
             return val
         s = self._sum[i, j]
-        rs, neg, len_sq = self.rs, self.rs.negative, self.rs.len_sq
+        rs, neg, ell = self.rs, self.rs.negative, self._len
         npos = len(rs.positive_roots)
         if i < npos and j < npos:
             if i > j:
@@ -179,11 +186,11 @@ class StructureConstants:
             a, b, sign = (i, j, 1) if i < npos else (j, i, -1)
             if s < npos:
                 # N_{a,b} = -(s,s)/(a,a) N_{-b, s}
-                val = -len_sq[s] / len_sq[a] * self._compute(neg(b), s)
+                num, d = -ell[s] * self._compute(neg(b), s), ell[a]
             else:
                 # N_{a,b} = (s,s)/(b,b) N_{-s, a}
-                val = len_sq[s] / len_sq[b] * self._compute(neg(s), a)
-            val = integer(sign * val, "structure constant")
+                num, d = ell[s] * self._compute(neg(s), a), ell[b]
+            val = exact_div(sign * num, d, "structure constant")
         self._n[i, j] = val
         return val
 
@@ -191,17 +198,18 @@ class StructureConstants:
         """Special pair via the four-root identity against the
         extraspecial pair (a1, b1) of s = a + b; all terms involve sums
         of strictly smaller height."""
-        neg, len_sq = self.rs.negative, self.rs.len_sq
+        neg, ell = self.rs.negative, self._len
         a1, b1 = self._extraspecial[s]
         na, nb = neg(a), neg(b)
-        total = Fraction(0)
+        # the sum of the known terms as num / d
+        num, d = 0, 1
         t1 = self._sum.get((b1, na))  # b1 - a
         if t1 is not None:
-            total += Fraction(self._compute(b1, na) * self._compute(a1, nb), len_sq[t1])
+            num, d = num * ell[t1] + self._compute(b1, na) * self._compute(a1, nb) * d, d * ell[t1]
         t2 = self._sum.get((a1, na))  # a1 - a
         if t2 is not None:
-            total += Fraction(self._compute(na, a1) * self._compute(b1, nb), len_sq[t2])
-        return integer(total * len_sq[s] / self._compute(a1, b1), "structure constant")
+            num, d = num * ell[t2] + self._compute(na, a1) * self._compute(b1, nb) * d, d * ell[t2]
+        return exact_div(num * ell[s], d * self._compute(a1, b1), "structure constant")
 
     def root_sum(self, i: int, j: int) -> int | None:
         """Index of a_i + a_j; None when the sum is not a root."""

@@ -7,6 +7,10 @@ coweight lattice for adjoint groups (basis = fundamental coweights).
 The invariant form is normalized so long roots have squared length 2 in
 each irreducible factor; an optional per-factor positive rational scale
 exposes the norm-independence tests.
+
+The per-root tables are built on ints: the simple roots' squared
+lengths scaled by the lcm of their denominators, each coroot coordinate
+an exact integer division, and one Fraction per root for `len_sq`.
 """
 
 from __future__ import annotations
@@ -33,12 +37,19 @@ ROOT_COUNTS = {
 }
 
 
+def exact_div(num: int, den: int, what: str) -> int:
+    """num / den for ints, as an int; a remainder means an integrality
+    invariant of the root data broke."""
+    q, r = divmod(num, den)
+    if r:
+        raise RuntimeError(f"non-integral {what} {Fraction(num, den)}")
+    return q
+
+
 def integer(x, what: str) -> int:
-    """x as an int; a fraction means an integrality invariant of the
-    root data broke."""
-    if x.denominator != 1:
-        raise RuntimeError(f"non-integral {what} {x}")
-    return int(x)
+    """The rational x as an int; a fraction means an integrality
+    invariant of the root data broke."""
+    return exact_div(x.numerator, x.denominator, what)
 
 
 def _dynkin_data(series: str, rank: int):
@@ -163,20 +174,23 @@ class RootSystem:
             self.basis_pairing = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
         # per root, by root index: squared length, pairing row <a, basis_j>,
-        # and the coroot in the cocharacter basis
+        # and the coroot in the cocharacter basis; on ints, with ell_j the
+        # squared length of alpha_j times the lcm D of their denominators
+        den = lcm(*(form[j][j].denominator for j in range(n)))
+        ell = [form[j][j].numerator * (den // form[j][j].denominator) for j in range(n)]
         self.len_sq = []
         self.pairing_rows = []
         self.coroots = []
         for a in self.roots:
-            # <a, simple coroot j>, and from it (a, a) = sum_j a_j (a, alpha_j)
+            # <a, simple coroot j>, and from it 2D (a, a) = sum_j a_j <a, alpha_j^v> ell_j
             on_coroots = tuple(sum(x * c for x, c in zip(a, row)) for row in self.cartan)
-            la = sum(x * c * form[j][j] for j, (x, c) in enumerate(zip(a, on_coroots)) if x) / 2
+            two_d_la = sum(x * c * l for x, c, l in zip(a, on_coroots, ell) if x)
             # over the simple coroots a^v = sum_i a_i (alpha_i, alpha_i)/(a, a) alpha_i^v,
             # and alpha_i^v is row i of the Cartan matrix over the fundamental coweights
-            ks = [integer(x * form[i][i] / la, "coroot coordinate") for i, x in enumerate(a)]
+            ks = [exact_div(2 * x * l, two_d_la, "coroot coordinate") for x, l in zip(a, ell)]
             if isogeny == ADJOINT:
                 ks = [sum(k * row[j] for k, row in zip(ks, self.cartan)) for j in range(n)]
-            self.len_sq.append(la)
+            self.len_sq.append(Fraction(two_d_la, 2 * den))
             self.pairing_rows.append(on_coroots if isogeny == SIMPLY_CONNECTED else a)
             self.coroots.append(tuple(ks))
 

@@ -10,6 +10,14 @@ from chevalley.linalg import det
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
+# the types whose structure-constant and root tables are pinned, in both isogenies
+SC_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C3", "C4", "C5", "D4",
+            "D5", "D6", "E6", "E7", "E8", "F4", "G2", "A1xA1", "A2xA1", "B2xG2", "A3xC3"]
+ISOGENIES = ("simply_connected", "adjoint")
+# per-factor scales of the invariant form, with odd denominators and numerators
+SCALED_BUILDS = [("G2", [Fraction(3, 5)]), ("A2xG2", [Fraction(1, 3), Fraction(7, 2)]),
+                 ("B2xG2", [Fraction(2, 7), 5]), ("F4", [Fraction(5, 3)])]
+
 
 @pytest.fixture
 def qq():

@@ -237,6 +237,11 @@ def test_usage_errors_exit_2(tmp_path):
             # Q reads 1/2, GF(3) reads integers only
             (["kernel-check", "--type", "A2", "--support", "a1=1/2,a2", "--prime", "3"],
              "cannot parse coefficient '1/2' over GF(3)"),
+            # a coefficient that is no rational number fails over Q and Q_p first
+            (["kernel-check", "--type", "A2", "--support", "a1=x,a2", "--prime", "3"],
+             "cannot parse coefficient 'x' over Q"),
+            (["phi", "--type", "A2", "--support", "a1+a2=x", "--prime", "3"],
+             "cannot parse coefficient 'x' over Q(v_3)"),
             # a1 + a2 has degree 2 under the optimal lam = (1, 1), a1 and a2 degree 1
             (["phi", "--type", "A2", "--support", "a1,a2,a1+a2"],
              "Y must be concentrated in a single degree")]:

@@ -9,7 +9,7 @@ from chevalley import (PrimeField, RationalField, bracket, build, coroot_element
 from chevalley.fields import QQ
 from chevalley.lie import element_from_support
 
-from conftest import jacobiator, random_element
+from conftest import ISOGENIES, SC_TYPES, SCALED_BUILDS, jacobiator, random_element
 
 TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "F4", "G2"]
 
@@ -234,18 +234,24 @@ def test_structure_constant_regression_snapshots(systems):
 
 # SHA-256 of the to_json() dumps below, taken before the tables were keyed
 # by root index; any changed N_{a,b} or coroot turns this red
-SC_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C3", "C4", "C5", "D4",
-            "D5", "D6", "E6", "E7", "E8", "F4", "G2", "A1xA1", "A2xA1", "B2xG2", "A3xC3"]
 SC_SHA256 = "04a7c03fb811eea50e0897b45b2d63f69dbdf7fb09e67d513e03f2447d615280"
 
 
 def test_structure_constant_tables_pinned():
     h = hashlib.sha256()
     for t in SC_TYPES:
-        for isogeny in ("simply_connected", "adjoint"):
+        for isogeny in ISOGENIES:
             sc = structure_constants(build(t, isogeny))
             h.update(json.dumps(sc.to_json(), sort_keys=True).encode() + b"\n")
     assert h.hexdigest() == SC_SHA256
+
+
+@pytest.mark.parametrize("isogeny", ISOGENIES)
+@pytest.mark.parametrize("t, scale", SCALED_BUILDS)
+def test_structure_constants_do_not_depend_on_the_scale(t, scale, isogeny):
+    # the table is built from length ratios, which a per-factor scale keeps
+    scaled = structure_constants(build(t, isogeny, scale=scale))
+    assert scaled.to_json() == structure_constants(build(t, isogeny)).to_json()
 
 
 @pytest.mark.parametrize("t", ["A2", "B2", "G2", "A2xA1"])

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -6,6 +8,8 @@ import pytest
 
 from chevalley import build, parse_cartan_type
 from chevalley.rootsystem import ROOT_COUNTS
+
+from conftest import ISOGENIES, SC_TYPES, SCALED_BUILDS
 
 ALL_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "C3", "D4", "E6", "F4", "G2"]
 
@@ -191,6 +195,27 @@ def test_json_dump_shape():
     assert set(d["coroots"]) == {str(i) for i in range(8)}
 
 
+ROOT_TABLES_SHA256 = "4c84c83ef894901a8b8558237b934664e29de1c9028117d0f36ee4c3b2dd793f"
+
+
+def test_root_system_tables_pinned():
+    # every table the build derives, with the type of each squared length:
+    # optimality halves len_sq and reads its denominator, so it stays a Fraction
+    h = hashlib.sha256()
+    for (t, scale), isogeny in product([(t, None) for t in SC_TYPES] + SCALED_BUILDS, ISOGENIES):
+        rs = build(t, isogeny, scale=scale)
+        tables = {
+            "json": rs.to_json(),
+            "len_sq": [(type(x).__name__, str(x)) for x in rs.len_sq],
+            "pairing_rows": rs.pairing_rows,
+            "char_form": [[str(x) for x in row] for row in rs.char_form],
+            "gram_num": rs.gram_num,
+            "gram_den": rs.gram_den,
+        }
+        h.update(json.dumps(tables, sort_keys=True).encode() + b"\n")
+    assert h.hexdigest() == ROOT_TABLES_SHA256
+
+
 def test_integrality_guard_raises_under_O():
     # the root-data invariants raise RuntimeError, which `python -O` keeps
     from chevalley.rootsystem import integer
@@ -198,6 +223,19 @@ def test_integrality_guard_raises_under_O():
     assert integer(Fraction(6, 3), "Cartan entry") == 2
     with pytest.raises(RuntimeError, match="non-integral coroot coordinate 1/2"):
         integer(Fraction(1, 2), "coroot coordinate")
+
+
+def test_exact_division_raises_under_O():
+    # the integer build's divisions raise RuntimeError on a remainder, which `python -O` keeps
+    from chevalley.rootsystem import exact_div
+
+    q = exact_div(-12, 4, "structure constant")
+    assert q == -3 and type(q) is int
+    assert exact_div(6, -3, "structure constant") == -2
+    with pytest.raises(RuntimeError, match="non-integral coroot coordinate 1/2"):
+        exact_div(3, 6, "coroot coordinate")
+    with pytest.raises(RuntimeError, match="non-integral structure constant -7/3"):
+        exact_div(7, -3, "structure constant")
 
 
 @pytest.mark.parametrize("isogeny", ["simply_connected", "weird"])
