@@ -1,8 +1,10 @@
 """Command-line entry point: build systems, verify instances, emit JSON.
 
-Output is deterministic (sorted keys, no unseeded randomness); exit
-codes: 0 success, 1 verification failure, 2 usage error, 3 internal
-error.
+Every command that takes --support builds its instance with `_instance`:
+Y over the command's field, whose `element` parses the coefficient
+strings, and Y's own certificate.  Output is deterministic (sorted
+keys, no unseeded randomness); exit codes: 0 success, 1 verification
+failure, 2 usage error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -11,12 +13,11 @@ import argparse
 import json
 import math
 import random
-import re
 import sys
 
 from .badprimes import regular_counterexample_report
-from .corpus import run_corpus, standard_corpus
-from .fields import QQ, FunctionField, PrimeField, RationalField
+from .corpus import keeps_support_mod, run_corpus, standard_corpus
+from .fields import QQ, FunctionField, RationalField, is_prime
 from .gradedmap import (block_divisors, block_report, graded_ad, kernel_from_divisors,
                         lattice_image, verify_phi_inverse, verify_rrao)
 from .grading import grade
@@ -27,9 +28,6 @@ from .rootsystem import build
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
 INTERNAL_ERROR = 3
-
-# sign, integer (absent only before t), t, exponent: 3, -2t, t^2, -t, 2*t^3
-_COEFF_RE = re.compile(r"^(-?)(\d+|(?=t))(?:\*?(t)(?:\^(\d+))?)?$")
 
 
 def _parse_support(rs, text: str):
@@ -61,28 +59,11 @@ def _parse_support(rs, text: str):
     return roots, coeffs
 
 
-def _coeff_to_field(field, coeff: str):
-    """Parse a coefficient string over GF(p) or GF(q)(t); Q and Q_p take
-    the strings as they are (`field.element` reads "3" and "1/2")."""
-    if isinstance(field, FunctionField):
-        m = _COEFF_RE.match(coeff.replace(" ", ""))
-        if not m:
-            raise ValueError(f"cannot parse coefficient {coeff!r} over GF(q)(t)")
-        sign, digits, t, e = m.groups()
-        c = int(sign + (digits or "1"))
-        return field.poly([0] * int(e or 1) + [c]) if t else field.element(c)
-    try:
-        return field.element(int(coeff))
-    except ValueError:
-        raise ValueError(f"cannot parse coefficient {coeff!r} over {field!r}") from None
-
-
-def _instance(args, p=None):
-    """Root system, support, Y over Q (p-adic when p is given), Y's certificate."""
+def _instance(args, field):
+    """Root system, Y over field from --support, and Y's own certificate."""
     rs = build(args.type, args.isogeny)
-    roots, coeffs = _parse_support(rs, args.support)
-    Y = element_from_support(rs, QQ if p is None else RationalField(p), roots, coeffs)
-    return rs, roots, coeffs, Y, optimal_cocharacter(rs, Y)
+    Y = element_from_support(rs, field, *_parse_support(rs, args.support))
+    return rs, Y, optimal_cocharacter(rs, Y)
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
@@ -124,14 +105,14 @@ def cmd_constants(args):
 
 @_command("grade", *_SYSTEM, "--support")
 def cmd_grade(args):
-    rs, _, _, _, cert = _instance(args)
+    rs, _, cert = _instance(args, QQ)
     report = grade(rs, cert.lam)
     return {"certificate": cert.to_json(), "grading": report.to_json()}, 0
 
 
 @_command("optimal", *_SYSTEM, "--support", "--box-radius")
 def cmd_optimal(args):
-    rs, _, _, Y, cert = _instance(args)
+    rs, Y, cert = _instance(args, QQ)
     payload, code = cert.to_json(), 0
     if args.box_radius is not None:
         bf = payload["brute_force_checked"] = brute_force_verify(rs, Y, cert, args.box_radius)
@@ -142,17 +123,20 @@ def cmd_optimal(args):
 
 @_command("kernel-check", *_SYSTEM, "--support", "--prime")
 def cmd_kernel_check(args):
-    rs, roots, coeffs, Y, cert = _instance(args)
-    # D Y has integer coefficients and the same ranks over Q
+    rs, Y, cert = _instance(args, QQ)
+    p = args.prime
+    if p is not None and not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    if p is not None and not keeps_support_mod(Y, p):
+        raise ValueError(f"support degenerates mod {p}")
+    # D Y has integer coefficients and the same ranks over Q, and over
+    # GF(p) too, since p divides no denominator
     D = math.lcm(*(c.denominator for c in Y.coeffs.values()))
     gbm = graded_ad(rs, structure_constants(rs), Y.scaled(D), cert.lam, cert.k)
     divisors = block_divisors(gbm)
     kerns = {"Q": kernel_from_divisors(gbm, divisors)}
-    if args.prime is not None:
-        # parsed over GF(p) too, so a bad or collapsing support exits 2; then D = 1
-        fp = PrimeField(args.prime)
-        element_from_support(rs, fp, roots, [_coeff_to_field(fp, c) for c in coeffs])
-        kerns[f"F{args.prime}"] = kernel_from_divisors(gbm, divisors, args.prime)
+    if p is not None:
+        kerns[f"F{p}"] = kernel_from_divisors(gbm, divisors, p)
     ok = all(v["injective"] for kern in kerns.values() for v in kern.values())
     payload = {"certificate": cert.to_json(), "all_injective": ok,
                "fields": {name: {str(i): kern[i] for i in sorted(kern)}
@@ -162,7 +146,7 @@ def cmd_kernel_check(args):
 
 @_command("phi", *_SYSTEM, "--support", "--prime")
 def cmd_phi(args):
-    rs, _, _, Y, cert = _instance(args, 2 if args.prime is None else args.prime)
+    rs, Y, cert = _instance(args, RationalField(2 if args.prime is None else args.prime))
     gbm = graded_ad(rs, structure_constants(rs), Y, cert.lam, cert.k)
     return {"certificate": cert.to_json(), **block_report(Y.field, gbm)}, 0
 
@@ -171,7 +155,7 @@ def cmd_phi(args):
 def cmd_rrao_check(args):
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
-    rs, _, _, Y, cert = _instance(args, 2 if args.prime is None else args.prime)
+    rs, Y, cert = _instance(args, RationalField(2 if args.prime is None else args.prime))
     sc, field = structure_constants(rs), Y.field
     rng = random.Random(args.seed)
     degree_k = grade(rs, cert.lam).weight_spaces[cert.k]
@@ -202,17 +186,13 @@ def cmd_snf(args):
     m = 4 if args.trunc_m is None else args.trunc_m
     if m < 1:
         raise ValueError(f"truncation level --trunc-m must be >= 1, got {m}")
-    rs = build(args.type, args.isogeny)
+    rs, Y, cert = _instance(args, FunctionField(2 if args.q is None else args.q))
     sc = structure_constants(rs)
-    roots, coeffs = _parse_support(rs, args.support)
-    field = FunctionField(2 if args.q is None else args.q)
-    Y = element_from_support(rs, field, roots, [_coeff_to_field(field, c) for c in coeffs])
-    cert = optimal_cocharacter(rs, element_from_support(rs, QQ, roots))
     divisors = {}
     for i in range(1, cert.k):
         vals = lattice_image(rs, sc, Y, cert.lam, cert.k, i, m)
         divisors[str(i)] = ["inf" if v is None else v for v in vals]
-    payload = {"certificate": cert.to_json(), "q": field.residue_cardinality,
+    payload = {"certificate": cert.to_json(), "q": Y.field.residue_cardinality,
                "trunc_m": m, "divisor_valuations": divisors}
     return payload, 0
 

@@ -5,12 +5,14 @@ runner attaches the exact optimal cocharacter, builds the graded blocks
 once over Q and takes one Smith normal form over Z of each.  Those
 elementary divisors give the kernel theorem over Q and over every
 requested prime field, and the 2-adic phi exponent; the runner emits a
-JSON-able report.  Support coordinates and coefficients that are not
-JSON integers, unknown roots, primes that are not primes and names that
-are not strings raise ValueError.  Mod-p outcomes are asserted for
-type A only; for every other type (B/C/D/E/F/G) they are reported as
-data, never asserted, and a non-injective A/D/E outcome is flagged
-`counterexample_to_expected`.
+JSON-able report.  Y mod p counts as Y's instance only when it keeps
+Y's support (`keeps_support_mod`, which `chevalley kernel-check` applies
+too); otherwise the prime is reported as degenerate.  Support
+coordinates and coefficients that are not JSON integers, unknown roots,
+primes that are not primes and names that are not strings raise
+ValueError.  Mod-p outcomes are asserted for type A only; for every
+other type (B/C/D/E/F/G) they are reported as data, never asserted, and
+a non-injective A/D/E outcome is flagged `counterexample_to_expected`.
 """
 
 from __future__ import annotations
@@ -100,6 +102,12 @@ def _integers(values, what: str, prime: bool = False) -> list[int]:
     return values
 
 
+def keeps_support_mod(Y, p: int) -> bool:
+    """The mod-p reduction rule: Y mod p is Y's instance, with Y's support,
+    when p divides no numerator and no denominator of Y's coefficients."""
+    return all(c.numerator % p and c.denominator % p for c in Y.coeffs.values())
+
+
 def run_instance(rs: RootSystem, sc, entry: dict, primes) -> dict:
     """Verify one corpus entry; every computed fact lands in the report.
 
@@ -139,7 +147,7 @@ def run_instance(rs: RootSystem, sc, entry: dict, primes) -> dict:
     report["injective_over_Q"] = all(v["injective"] for v in kern.values())
     mod_p = {}
     for p in primes:
-        if any(c.numerator % p == 0 for c in Y.coeffs.values()):
+        if not keeps_support_mod(Y, p):
             mod_p[str(p)] = {"injective": None, "note": "support degenerates mod p"}
             continue
         inj = all(v["injective"] for v in kernel_from_divisors(gbm, divisors, p).values())

@@ -16,6 +16,7 @@ denominator; see RatFunc for when the gcd is skipped).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -426,6 +427,10 @@ class RatFunc:
         return f"({self.num!r})/({self.den!r})" if self.den.degree > 0 else f"{self.num!r}"
 
 
+# sign, integer (absent only before t), t, exponent: 3, -2t, t^2, -t, 2*t^3
+_MONOMIAL = re.compile(r"^(-?)(\d+|(?=t))(?:\*?(t)(?:\^(\d+))?)?$")
+
+
 class FunctionField:
     """GF(q)(t) with the t-adic valuation; residue field GF(q)."""
 
@@ -440,8 +445,15 @@ class FunctionField:
     def residue_cardinality(self) -> int:
         return self.base.order
 
-    def element(self, x: int) -> RatFunc:
-        return self.poly([x])
+    def element(self, x) -> RatFunc:
+        """An integer, or a monomial string c*t^e such as "3", "-2t" or "-t^2"."""
+        if not isinstance(x, str):
+            return self.poly([x])
+        m = _MONOMIAL.match(x.replace(" ", ""))
+        if not m:
+            raise ValueError(f"cannot parse coefficient {x!r} over GF(q)(t)")
+        sign, digits, t, e = m.groups()
+        return self.poly([0] * (int(e or 1) if t else 0) + [int(sign + (digits or "1"))])
 
     def poly(self, int_coeffs) -> RatFunc:
         """Polynomial with integer coefficients, reduced into GF(q); over

@@ -9,18 +9,22 @@ is needed at desk scale.
 from __future__ import annotations
 
 
-def rref(field, A):
-    """Reduced row echelon form; returns (R, pivot column list)."""
+def _gauss_jordan(field, A):
+    """One Gauss-Jordan pass: (R, pivot columns, +- the product of the pivots)."""
     R = [list(row) for row in A]
     rows = len(R)
     cols = len(R[0]) if rows else 0
     pivots = []
+    d = field.one
     r = 0
     for c in range(cols):
         pivot = next((i for i in range(r, rows) if R[i][c]), None)
         if pivot is None:
             continue
-        R[r], R[pivot] = R[pivot], R[r]
+        if pivot != r:
+            R[r], R[pivot] = R[pivot], R[r]
+            d = -d
+        d = d * R[r][c]
         inv = field.one / R[r][c]
         R[r] = [x * inv for x in R[r]]
         for i in range(rows):
@@ -31,7 +35,12 @@ def rref(field, A):
         r += 1
         if r == rows:
             break
-    return R, pivots
+    return R, pivots, d
+
+
+def rref(field, A):
+    """Reduced row echelon form; returns (R, pivot column list)."""
+    return _gauss_jordan(field, A)[:2]
 
 
 def rank(field, A):
@@ -41,31 +50,13 @@ def rank(field, A):
 
 
 def det(field, A):
-    """Determinant of a square matrix by fraction-full elimination."""
+    """Determinant of a square matrix: +- the product of the Gauss-Jordan
+    pivots, or 0 below full rank."""
     n = len(A)
     if any(len(row) != n for row in A):
         raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return field.one
-    M = [list(row) for row in A]
-    result = field.one
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if M[i][c]), None)
-        if pivot is None:
-            return field.zero
-        if pivot != c:
-            M[c], M[pivot] = M[pivot], M[c]
-            result = -result
-        result = result * M[c][c]
-        inv = field.one / M[c][c]
-        for i in range(c + 1, n):
-            if M[i][c]:
-                f = M[i][c] * inv
-                for j in range(c + 1, n):
-                    if M[c][j]:
-                        M[i][j] = M[i][j] - f * M[c][j]
-                M[i][c] = field.zero
-    return result
+    _, pivots, d = _gauss_jordan(field, A)
+    return d if len(pivots) == n else field.zero
 
 
 def kernel_basis(field, A):

@@ -6,9 +6,8 @@ import subprocess
 import sys
 
 from chevalley import FunctionField
-from chevalley.cli import _coeff_to_field, main
-from chevalley.cli import _instance, make_parser
-from chevalley.fields import QQ, RationalField
+from chevalley.cli import _instance, main, make_parser
+from chevalley.fields import QQ
 
 from conftest import REPO_ROOT
 
@@ -51,12 +50,17 @@ def test_kernel_check_example():
     assert code == 0
     assert json.loads(out)["fields"]["Q"]["1"] == {
         "rows": 2, "cols": 2, "rank": 2, "injective": True, "surjective": True}
-    # a coefficient divisible by p drops out of Y mod p; the rest stays nonzero
-    code, out, _ = run_cli("kernel-check", "--type", "D4", "--support", "a1=3,a3,a4",
-                           "--prime", "3")
-    payload = json.loads(out)
-    assert code == 1 and payload["fields"]["Q"]["1"]["rank"] == 6
-    assert payload["fields"]["F3"]["1"]["rank"] == 4
+    # 3 divides no numerator and no denominator of 1/2, a unit mod 3 as 2 is
+    a2 = ("kernel-check", "--type", "A2", "--prime", "3", "--support")
+    half, two = run_main(*a2, "a1+a2=1/2"), run_main(*a2, "a1+a2=2")
+    assert half == two and half[0] == 0
+    # a coefficient divisible by p drops a root from Y mod p, which is then
+    # no longer the instance certified over Q: a usage error, not a verdict
+    code, out, err = run_cli("kernel-check", "--type", "D4", "--support", "a1=3,a3,a4",
+                             "--prime", "3")
+    assert code == 2 and not out
+    assert [line for line in err.splitlines() if "error" in line] == [
+        "error: support degenerates mod 3"]
 
 
 def test_counterexample_example():
@@ -129,8 +133,14 @@ def test_snf_reads_minus_t_as_minus_one_t():
         assert outs[0] == outs[1] and outs[0][0] == 0, outs
     field = FunctionField(3)
     t = field.t()
-    assert _coeff_to_field(field, "-t") == -t
-    assert _coeff_to_field(field, "-t^2") == -(t * t)
+    assert field.element("-t") == -t
+    assert field.element("-t^2") == -(t * t)
+
+
+def test_snf_certifies_its_own_y():
+    # 2 = 0 in GF(2)(t): Y is a3 + a4, and so is the element its certificate is for
+    assert run_main("snf", "--type", "D4", "--support", "a1=2,a3,a4", "--q", "2") == run_main(
+        "snf", "--type", "D4", "--support", "a3,a4", "--q", "2")
 
 
 def test_internal_error_exits_3_without_traceback(monkeypatch, capsys):
@@ -234,9 +244,9 @@ def test_usage_errors_exit_2(tmp_path):
              "cannot parse coefficient '' over GF(q)(t)"),
             (["snf", "--type", "A2", "--support", "a1+a2=*t"],
              "cannot parse coefficient '*t' over GF(q)(t)"),
-            # Q reads 1/2, GF(3) reads integers only
-            (["kernel-check", "--type", "A2", "--support", "a1=1/2,a2", "--prime", "3"],
-             "cannot parse coefficient '1/2' over GF(3)"),
+            # 3 divides the denominator of 1/3, so Y mod 3 loses a1 + a2
+            (["kernel-check", "--type", "A2", "--support", "a1+a2=1/3", "--prime", "3"],
+             "support degenerates mod 3"),
             # a coefficient that is no rational number fails over Q and Q_p first
             (["kernel-check", "--type", "A2", "--support", "a1=x,a2", "--prime", "3"],
              "cannot parse coefficient 'x' over Q"),
@@ -371,7 +381,7 @@ def test_cli_outputs_pinned():
             code = main(argv)
         digest.update(json.dumps([argv, code, out.getvalue(), err.getvalue()]).encode())
     assert digest.hexdigest() == (
-        "5abd79c3162a7ebd6fadca3739e0d241291d6d94b308d41d165d217032d6f9e9")
+        "37b1b2a45e73c046c133834c1b2d5207bbf7fbf9935116554a0f7d338ac1fdb3")
 
 
 def test_rrao_check_with_no_trial_exits_2():
@@ -397,5 +407,5 @@ def test_support_separators():
 
 def test_instance_uses_the_one_plain_q():
     args = make_parser().parse_args(["grade", "--type", "A2", "--support", "a1+a2"])
-    assert _instance(args)[3].field is QQ
-    assert _instance(args, 3)[3].field == RationalField(3)
+    rs, Y, cert = _instance(args, QQ)
+    assert Y.field is QQ and cert.support == Y.support_roots() == [rs.root_index[(1, 1)]]

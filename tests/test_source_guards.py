@@ -1,5 +1,6 @@
 """Source guards: invariant checks in the package raise, so `python -O` keeps
-them, and `optimality` keeps its one elimination to itself."""
+them, `optimality` keeps its one elimination to itself, and each field
+parses its own coefficient strings."""
 
 import ast
 from pathlib import Path
@@ -17,7 +18,7 @@ def test_no_assert_statements(name):
 
 
 def _imported_modules(name):
-    """Dotted names of the chevalley modules that src/chevalley/<name> imports."""
+    """Dotted names of the modules (and imported names) of src/chevalley/<name>."""
     tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
     found = set()
     for node in ast.walk(tree):
@@ -36,3 +37,9 @@ def test_optimality_imports_neither_snf_nor_linalg():
     # is its own fraction-free solve
     assert not _imported_modules("optimality.py") & {"chevalley.snf", "chevalley.linalg"}
     assert "chevalley.linalg" in _imported_modules("rootsystem.py")  # the guard sees imports
+
+
+def test_cli_parses_no_coefficient_strings():
+    # every coefficient string goes to field.element of the field it lands in
+    assert "re" not in _imported_modules("cli.py")
+    assert "re" in _imported_modules("fields.py")  # the guard sees plain imports
