@@ -181,6 +181,16 @@ class FFElement:
         return f"FF{self.field.order}{self.coeffs}"
 
 
+def _integer(x, field) -> int:
+    """x as an int if it is an int or an integral Fraction; ValueError naming
+    x and the field otherwise.  A field of characteristic p holds no 1/2 or 2.5."""
+    if isinstance(x, int):
+        return x
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    raise ValueError(f"cannot embed {x!r} in {field!r}: not an integer")
+
+
 class FiniteField:
     """GF(q) for a prime power q, as F_p[x] mod an irreducible polynomial."""
 
@@ -213,8 +223,11 @@ class FiniteField:
                 return tuple(c.coeffs[0] for c in f.coeffs)
         raise RuntimeError(f"no irreducible polynomial of degree {n} over F_{p}")
 
-    def element(self, x: int) -> FFElement:
-        """Embed an integer via reduction mod p (the prime subfield)."""
+    def element(self, x) -> FFElement:
+        """Embed an integer, or an integral Fraction, via reduction mod p
+        (the prime subfield); ValueError for anything else."""
+        if not isinstance(x, int):
+            x = _integer(x, self)
         return FFElement(self, (x % self.char,) + (0,) * (self.degree - 1))
 
     def from_coeffs(self, coeffs) -> FFElement:
@@ -446,9 +459,10 @@ class FunctionField:
         return self.base.order
 
     def element(self, x) -> RatFunc:
-        """An integer, or a monomial string c*t^e such as "3", "-2t" or "-t^2"."""
+        """An integer, an integral Fraction, or a monomial string c*t^e such
+        as "3", "-2t" or "-t^2"; ValueError for anything else."""
         if not isinstance(x, str):
-            return self.poly([x])
+            return self.poly([_integer(x, self)])
         m = _MONOMIAL.match(x.replace(" ", ""))
         if not m:
             raise ValueError(f"cannot parse coefficient {x!r} over GF(q)(t)")

@@ -17,7 +17,10 @@ one distinct value at a time; Cohen GTM 138, 2.4) gives its rank over Q
 and mod every prime; over a valued field, one DVR pass per block feeds
 phi, `block_report` and `lattice_image` (capped at m).  Y = 0 lies in
 every degree: its blocks are all-zero rows, so phi(0) is 0 if some block
-has positive size, else 1.
+has positive size, else 1.  Work is shared within a call, never across
+calls: `verify_phi_inverse` and `verify_rrao` grade lam once and build
+each side's blocks from that grading, `lattice_image` builds block i
+alone, and an entry y N with N = +-1 is y or -y, with no field product.
 """
 
 from __future__ import annotations
@@ -97,8 +100,9 @@ def ad_blocks(sc: StructureConstants, Y: LieElement, pieces) -> list[list[dict]]
     (a in Y's support) lies in dst, and the Cartan part of [E_a, E_-a] is left out."""
     field = Y.field
     # each root's entries y_a N are made once per distinct N (|N| <= 3) and
-    # shared by all the blocks, which is safe as entries are immutable
-    support = [(key[1], y, {}) for key, y in Y.coeffs.items()]
+    # shared by all the blocks, which is safe as entries are immutable;
+    # N = +-1 needs no product
+    support = [(key[1], y, {1: y, -1: -y}) for key, y in Y.coeffs.items()]
     blocks = []
     for src, dst in pieces:
         dst_pos = {ri: r for r, ri in enumerate(dst)}
@@ -118,18 +122,28 @@ def ad_blocks(sc: StructureConstants, Y: LieElement, pieces) -> list[list[dict]]
     return blocks
 
 
-def graded_ad(rs: RootSystem, sc: StructureConstants, Y: LieElement, lam,
-              k: int) -> GradedBlockMap:
-    """Blocks of ad Y on the grading of lam; Y must be 0 or live in degree k >= 1."""
+def _grading(rs: RootSystem, Y: LieElement, lam, k: int, by_degree=None) -> dict[int, list[int]]:
+    """Root indices of each degree of lam, once Y is checked to be 0 or to
+    live in degree k >= 1; by_degree, when given, is lam's grading already made."""
     deg = single_degree(rs, Y, lam) if Y else k
     if deg != k or k < 1:
         raise ValueError(f"Y must be concentrated in degree k = {k} >= 1, found {deg}")
-    by_degree = grade(rs, lam).weight_spaces
+    return grade(rs, lam).weight_spaces if by_degree is None else by_degree
+
+
+def _graded_blocks(sc: StructureConstants, Y: LieElement, k: int, by_degree) -> GradedBlockMap:
+    """The blocks of ad Y on a grading that _grading has checked Y against."""
     dom = {i: by_degree.get(-i, []) for i in range(1, k)}
     cod = {i: by_degree.get(k - i, []) for i in range(1, k)}
     blocks = ad_blocks(sc, Y, [(dom[i], cod[i]) for i in range(1, k)])
     return GradedBlockMap(k=k, rows=dict(zip(range(1, k), blocks)), domain_basis=dom,
                           codomain_basis=cod, zero=Y.field.zero)
+
+
+def graded_ad(rs: RootSystem, sc: StructureConstants, Y: LieElement, lam,
+              k: int) -> GradedBlockMap:
+    """Blocks of ad Y on the grading of lam; Y must be 0 or live in degree k >= 1."""
+    return _graded_blocks(sc, Y, k, _grading(rs, Y, lam, k))
 
 
 def _kernel_entry(gbm: GradedBlockMap, i: int, rank: int) -> dict:
@@ -182,17 +196,24 @@ def phi(field, gbm: GradedBlockMap) -> AbsValue:
     return AbsValue(q, e)
 
 
+def _phi_on(sc: StructureConstants, X: LieElement, k: int, by_degree, field) -> AbsValue:
+    """phi of X on a grading that _grading has checked X against."""
+    return phi(field if field is not None else X.field, _graded_blocks(sc, X, k, by_degree))
+
+
 def phi_of(rs: RootSystem, sc: StructureConstants, X: LieElement, lam, k: int,
            field=None) -> AbsValue:
     """phi of a degree-k element (X determines its own blocks)."""
-    return phi(field if field is not None else X.field, graded_ad(rs, sc, X, lam, k))
+    return _phi_on(sc, X, k, _grading(rs, X, lam, k), field)
 
 
 def verify_phi_inverse(rs: RootSystem, sc: StructureConstants, X: LieElement,
                        lam, k: int, field=None) -> bool:
-    """phi(-X) = phi(X): the exponent is blind to the sign."""
-    a = phi_of(rs, sc, X, lam, k, field)
-    b = phi_of(rs, sc, -X, lam, k, field)
+    """phi(-X) = phi(X): the exponent is blind to the sign.  lam is graded
+    once; each side is checked against it and factored on its own blocks."""
+    by_degree = _grading(rs, X, lam, k)
+    a = _phi_on(sc, X, k, by_degree, field)
+    b = _phi_on(sc, -X, k, _grading(rs, -X, lam, k, by_degree), field)
     return a == b
 
 
@@ -203,6 +224,7 @@ def torus_conjugate(rs: RootSystem, X: LieElement, v) -> LieElement:
     rs.check_coords(v, "the valuation vector v")
     field = X.field
     pi = field.uniformizer()
+    powers = [pi]  # powers[j] = pi**(j + 1), extended on demand
     out = {}
     for key, val in X.coeffs.items():
         if key[0] == "H":
@@ -211,9 +233,9 @@ def torus_conjugate(rs: RootSystem, X: LieElement, v) -> LieElement:
         e = sum(map(mul, rs.pairing_rows[key[1]], v))
         if e:
             # one product or quotient by pi**|e|: a single normalization
-            power = pi
-            for _ in range(abs(e) - 1):
-                power = power * pi
+            while len(powers) < abs(e):
+                powers.append(powers[-1] * pi)
+            power = powers[abs(e) - 1]
             val = val * power if e > 0 else val / power
         out[key] = val
     return LieElement(field, out)
@@ -225,10 +247,12 @@ def verify_rrao(rs: RootSystem, sc: StructureConstants, X: LieElement, lam,
 
     m is the torus element of valuation v; the exponent shift is twice
     the delta exponent of the (1, k) slice.  Infinite exponents must
-    match on both sides.
+    match on both sides.  lam is graded once, as in verify_phi_inverse.
     """
-    before = phi_of(rs, sc, X, lam, k, field)
-    after = phi_of(rs, sc, torus_conjugate(rs, X, v), lam, k, field)
+    by_degree = _grading(rs, X, lam, k)
+    before = _phi_on(sc, X, k, by_degree, field)
+    conj = torus_conjugate(rs, X, v)
+    after = _phi_on(sc, conj, k, _grading(rs, conj, lam, k, by_degree), field)
     if before.is_zero():
         return after.is_zero()
     shift = 2 * delta_exponent(rs, lam, 1, k, v) if k > 1 else 0
@@ -253,10 +277,13 @@ def lattice_image(rs: RootSystem, sc: StructureConstants, Y: LieElement, lam,
     for val in Y.coeffs.values():
         if field.valuation(val) < 0:
             raise ValueError("Y must be integral at the uniformizer")
-    gbm = graded_ad(rs, sc, Y, lam, k)
-    if i not in gbm.rows:
+    by_degree = _grading(rs, Y, lam, k)
+    if not 1 <= i < k:
         raise ValueError(f"block index i = {i} outside 1..{k - 1}")
-    divisors = dvr_divisor_valuations(field, gbm.rows[i], len(gbm.domain_basis[i]))
+    # block i alone: g(-i) -> g(k-i)
+    dom = by_degree.get(-i, [])
+    (rows,) = ad_blocks(sc, Y, [(dom, by_degree.get(k - i, []))])
+    divisors = dvr_divisor_valuations(field, rows, len(dom))
     return [v if v is INF else min(v, m) for v in divisors]
 
 

@@ -76,6 +76,8 @@ def integral_coords(xs, message: str) -> tuple[int, ...]:
     """xs as a tuple of ints; ValueError(message) if a coordinate is not
     an integer, which a truncating int() would hide."""
     xs = tuple(xs)
+    if all(type(c) is int for c in xs):  # the common case; a bool is not an int here
+        return xs
     if any(Fraction(c).denominator != 1 for c in xs):
         raise ValueError(message)
     return tuple(int(c) for c in xs)

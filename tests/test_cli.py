@@ -367,6 +367,10 @@ def _pinned_argv():
          "--trials", "4"],
         ["optimal", "--type", "Z9", "--support", "a1"],
         ["optimal", "--type", "A2", "--support", "a9"],
+        # k = 3: snf builds two blocks, one lattice_image call each
+        ["snf", "--type", "C3", "--support", "a2+a3=t,a1+a2+a3=t^2", "--q", "4"],
+        ["rrao-check", "--type", "E6", "--support", "a1,a6", "--prime", "2", "--seed", "3",
+         "--trials", "3"],
     ]
     return argv
 
@@ -381,7 +385,7 @@ def test_cli_outputs_pinned():
             code = main(argv)
         digest.update(json.dumps([argv, code, out.getvalue(), err.getvalue()]).encode())
     assert digest.hexdigest() == (
-        "37b1b2a45e73c046c133834c1b2d5207bbf7fbf9935116554a0f7d338ac1fdb3")
+        "cf2b3321eb9c9597da04a92fedee191aa251d2947f6f922e7db864490df0b450")
 
 
 def test_rrao_check_with_no_trial_exits_2():

@@ -1,8 +1,11 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from chevalley import build
+from chevalley.corpus import element_from_support
 from chevalley.fields import (FiniteField, FunctionField, Polynomial, PrimeField,
                               RatFunc, RationalField, factor_prime_power, has_valuation)
 from chevalley.fields import is_prime
@@ -242,6 +245,28 @@ def test_field_operations_refuse_what_has_no_value():
     k = FunctionField(2)
     with pytest.raises(ZeroDivisionError, match="division by zero rational function"):
         k.t() / k.element(0)
+
+
+@pytest.mark.parametrize("make, q", [(PrimeField, 3), (FiniteField, 4), (FunctionField, 3)])
+def test_element_reduces_integers_and_refuses_the_rest(make, q):
+    """Ints and integral Fractions reduce mod p; a field of characteristic
+    p has no 1/2 or 2.5, so those raise, naming the value and the field."""
+    field = make(q)
+    for x in (5, -4, Fraction(10, 2), Fraction(-9, 3)):
+        assert field.element(x) == field.element(int(x) % field.char)
+    for bad in (Fraction(1, 2), 2.5, 2.0, None):
+        with pytest.raises(ValueError, match=rf"cannot embed {re.escape(repr(bad))} in "
+                                             rf"{re.escape(repr(field))}"):
+            field.element(bad)
+
+
+def test_element_from_support_refuses_a_non_integral_coefficient_mod_p():
+    rs = build("A2")
+    for field in (PrimeField(3), FunctionField(3)):
+        with pytest.raises(ValueError, match=r"cannot embed Fraction\(1, 2\)"):
+            element_from_support(rs, field, [(1, 0)], [Fraction(1, 2)])
+        Y = element_from_support(rs, field, [(1, 0)], [Fraction(4, 2)])
+        assert Y.coeffs == {("E", rs.root_index[(1, 0)]): field.element(2)}
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])

@@ -17,7 +17,7 @@ from chevalley.lie import LieElement
 from chevalley.fields import QQ, Polynomial, RatFunc
 from chevalley.linalg import det
 from chevalley.optimality import minimum_norm_cocharacter
-from chevalley.snf import sparse_rows
+from chevalley.snf import dvr_divisor_valuations, sparse_rows
 
 from conftest import (check_lattice_image, check_phi_homogeneity, check_phi_identities,
                       random_graded_element, random_polynomial_element, random_square_grading)
@@ -335,6 +335,53 @@ def test_lattice_image_requires_integral_coefficients(sl3):
         Y = root_vector(rs, field, rs.root_index[(1, 1)])
         with pytest.raises(ValueError, match="need a valued field"):
             lattice_image(rs, sc, Y, (1, 1), 2, 1, 3)
+
+
+def test_verdicts_check_degree_and_k_before_sharing_a_grading(sl3):
+    """phi_of, both functional equations and lattice_image grade lam once
+    per call; each still refuses a mixed-degree X, and k = 0, as graded_ad does."""
+    rs, sc = sl3
+    F = FunctionField(2)
+    X = root_vector(rs, F, rs.root_index[(1, 1)])
+    mixed = X + root_vector(rs, F, rs.root_index[(1, 0)])  # degrees 2 and 1 at (1, 1)
+    calls = (lambda Y, k: phi_of(rs, sc, Y, (1, 1), k),
+             lambda Y, k: verify_phi_inverse(rs, sc, Y, (1, 1), k),
+             lambda Y, k: verify_rrao(rs, sc, Y, (1, 1), k, (1, 0)),
+             lambda Y, k: lattice_image(rs, sc, Y, (1, 1), k, 1, 3))
+    for call in calls:
+        with pytest.raises(ValueError, match="single degree"):
+            call(mixed, 2)
+        with pytest.raises(ValueError, match="degree k = 0 >= 1, found 2"):
+            call(X, 0)
+    # the block index is checked against k itself: blocks are 1..k-1
+    for i in (0, 2, 5):
+        with pytest.raises(ValueError, match=f"block index i = {i} outside 1..1"):
+            lattice_image(rs, sc, X, (1, 1), 2, i, 3)
+
+
+@pytest.mark.parametrize("t", ["C3", "F4"])
+def test_lattice_image_block_matches_full_build(t):
+    """lattice_image builds block i alone; on seeded square-graded X with
+    k >= 3 over GF(2)(t) and GF(4)(t) it equals the capped divisors of
+    block i of graded_ad's full build, for every i."""
+    rs = build(t)
+    sc = structure_constants(rs)
+    rng = random.Random(f"lattice-block:{t}")
+    for q in (2, 4):
+        F = FunctionField(q)
+        done = 0
+        while done < 4:
+            lam, k, degs = random_square_grading(rs, rng)
+            X = random_polynomial_element(rs, F, rng, degs[k])
+            if k < 3 or X.is_zero():
+                continue
+            done += 1
+            gbm = graded_ad(rs, sc, X, lam, k)
+            for i in range(1, k):
+                full = dvr_divisor_valuations(F, gbm.rows[i], len(gbm.domain_basis[i]))
+                for m in (1, 2, 64):
+                    assert lattice_image(rs, sc, X, lam, k, i, m) == [
+                        v if v is None else min(v, m) for v in full], (t, q, lam, k, i, m)
 
 
 def _divisor_oracle_instances():
