@@ -231,7 +231,7 @@ class FiniteField:
         return FFElement(self, (x % self.char,) + (0,) * (self.degree - 1))
 
     def from_coeffs(self, coeffs) -> FFElement:
-        coeffs = tuple(int(c) % self.char for c in coeffs)
+        coeffs = tuple(_integer(c, self) % self.char for c in coeffs)
         if len(coeffs) != self.degree:
             raise ValueError("wrong coefficient tuple length")
         return FFElement(self, coeffs)

@@ -18,9 +18,10 @@ and mod every prime; over a valued field, one DVR pass per block feeds
 phi, `block_report` and `lattice_image` (capped at m).  Y = 0 lies in
 every degree: its blocks are all-zero rows, so phi(0) is 0 if some block
 has positive size, else 1.  Work is shared within a call, never across
-calls: `verify_phi_inverse` and `verify_rrao` grade lam once and build
-each side's blocks from that grading, `lattice_image` builds block i
-alone, and an entry y N with N = +-1 is y or -y, with no field product.
+calls: `verify_phi_inverse` and `verify_rrao` check X's degree, grade
+lam once and build both sides' blocks from it (-X and Ad_m X keep X's
+support), `lattice_image` builds block i alone, and an entry y N with
+N = +-1 is y or -y, with no field product.
 """
 
 from __future__ import annotations
@@ -122,13 +123,13 @@ def ad_blocks(sc: StructureConstants, Y: LieElement, pieces) -> list[list[dict]]
     return blocks
 
 
-def _grading(rs: RootSystem, Y: LieElement, lam, k: int, by_degree=None) -> dict[int, list[int]]:
+def _grading(rs: RootSystem, Y: LieElement, lam, k: int) -> dict[int, list[int]]:
     """Root indices of each degree of lam, once Y is checked to be 0 or to
-    live in degree k >= 1; by_degree, when given, is lam's grading already made."""
+    live in degree k >= 1."""
     deg = single_degree(rs, Y, lam) if Y else k
     if deg != k or k < 1:
         raise ValueError(f"Y must be concentrated in degree k = {k} >= 1, found {deg}")
-    return grade(rs, lam).weight_spaces if by_degree is None else by_degree
+    return grade(rs, lam).weight_spaces
 
 
 def _graded_blocks(sc: StructureConstants, Y: LieElement, k: int, by_degree) -> GradedBlockMap:
@@ -210,11 +211,10 @@ def phi_of(rs: RootSystem, sc: StructureConstants, X: LieElement, lam, k: int,
 def verify_phi_inverse(rs: RootSystem, sc: StructureConstants, X: LieElement,
                        lam, k: int, field=None) -> bool:
     """phi(-X) = phi(X): the exponent is blind to the sign.  lam is graded
-    once; each side is checked against it and factored on its own blocks."""
+    once, and -X, with X's support, lives in X's degree; each side is
+    factored on its own blocks."""
     by_degree = _grading(rs, X, lam, k)
-    a = _phi_on(sc, X, k, by_degree, field)
-    b = _phi_on(sc, -X, k, _grading(rs, -X, lam, k, by_degree), field)
-    return a == b
+    return _phi_on(sc, X, k, by_degree, field) == _phi_on(sc, -X, k, by_degree, field)
 
 
 def torus_conjugate(rs: RootSystem, X: LieElement, v) -> LieElement:
@@ -247,12 +247,12 @@ def verify_rrao(rs: RootSystem, sc: StructureConstants, X: LieElement, lam,
 
     m is the torus element of valuation v; the exponent shift is twice
     the delta exponent of the (1, k) slice.  Infinite exponents must
-    match on both sides.  lam is graded once, as in verify_phi_inverse.
+    match on both sides.  lam is graded once, as in verify_phi_inverse:
+    Ad_m X scales X's coefficients by powers of pi, so it keeps X's support.
     """
     by_degree = _grading(rs, X, lam, k)
     before = _phi_on(sc, X, k, by_degree, field)
-    conj = torus_conjugate(rs, X, v)
-    after = _phi_on(sc, conj, k, _grading(rs, conj, lam, k, by_degree), field)
+    after = _phi_on(sc, torus_conjugate(rs, X, v), k, by_degree, field)
     if before.is_zero():
         return after.is_zero()
     shift = 2 * delta_exponent(rs, lam, 1, k, v) if k > 1 else 0

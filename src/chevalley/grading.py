@@ -120,11 +120,10 @@ def single_degree(rs: RootSystem, Y: LieElement, lam):
     return degs.pop()
 
 
-def m_of(rs: RootSystem, Y: LieElement, lam) -> int:
-    """Least filtration degree: min <a, lam> over the support of Y.
-
-    Requires Y nonzero and inside the unipotent radical of lam (all
-    support degrees >= 1).
+def m_of(rs: RootSystem, Y: LieElement, lam) -> Fraction | int:
+    """Least filtration degree: min <a, lam> over the support of Y, kept
+    exact (a Fraction for a rational lam).  Requires Y nonzero and inside
+    the unipotent radical of lam (all support degrees >= 1).
     """
     if Y.is_zero():
         raise ValueError("m is undefined for Y = 0")
@@ -132,7 +131,7 @@ def m_of(rs: RootSystem, Y: LieElement, lam) -> int:
     k = min(degs)
     if k < 1:
         raise ValueError("Y is not in the unipotent radical of lambda")
-    return int(k)
+    return k
 
 
 def instability_ratio_sq(rs: RootSystem, Y: LieElement, lam) -> Fraction:

@@ -16,14 +16,14 @@ roots and propagated by the classical relations:
 
 The last identity, applied against the extraspecial pair of a+b,
 recurses on the height of the sum.  The table is built on ints: the
-squared lengths over one common denominator, and each division by a
-length or by N exact (`rootsystem.exact_div`).
+relations use only ratios of squared lengths, so they read the root
+system's integer numerators `rs.len_num` over their one denominator, and
+each division by a length or by N is exact (`rootsystem.exact_div`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .rootsystem import RootSystem, exact_div
 
@@ -157,10 +157,6 @@ class StructureConstants:
                     self._sum[i, j] = s
                     if i < npos and j < npos:
                         self._extraspecial.setdefault(s, (i, j))
-        # the squared lengths as ints over one common denominator: every
-        # relation below uses only their ratios
-        den = lcm(*(x.denominator for x in rs.len_sq))
-        self._len = [x.numerator * (den // x.denominator) for x in rs.len_sq]
         self._n: dict[tuple[int, int], int] = {}
         for i, j in self._sum:
             self._compute(i, j)
@@ -170,7 +166,7 @@ class StructureConstants:
         if val is not None:
             return val
         s = self._sum[i, j]
-        rs, neg, ell = self.rs, self.rs.negative, self._len
+        rs, neg, ell = self.rs, self.rs.negative, self.rs.len_num
         npos = len(rs.positive_roots)
         if i < npos and j < npos:
             if i > j:
@@ -198,7 +194,7 @@ class StructureConstants:
         """Special pair via the four-root identity against the
         extraspecial pair (a1, b1) of s = a + b; all terms involve sums
         of strictly smaller height."""
-        neg, ell = self.rs.negative, self._len
+        neg, ell = self.rs.negative, self.rs.len_num
         a1, b1 = self._extraspecial[s]
         na, nb = neg(a), neg(b)
         # the sum of the known terms as num / d

@@ -152,14 +152,16 @@ def _support_gram(rs: RootSystem, support):
     """(reps, [D h_j], D, K): the support deduplicated by pairing row (root
     indices), and the Gram of the nu(a_j) = h_j coroot(a_j), h_j = (a_j, a_j)/2,
     scaled to integers by D, the lcm of the denominators of the h_j:
-    K[i][j] = D <a_i, nu(a_j)> = D h_j <a_i, coroot(a_j)>."""
+    K[i][j] = D <a_i, nu(a_j)> = D h_j <a_i, coroot(a_j)>.  With
+    h_j = len_num / (2 len_den), that lcm is 2 len_den over one gcd."""
     first = {}
     for ri in support:
         first.setdefault(rs.pairing_rows[ri], ri)
     reps = list(first.values())
-    halves = [rs.len_sq[ri] / 2 for ri in reps]
-    D = lcm(*(h.denominator for h in halves))
-    hs = [h.numerator * (D // h.denominator) for h in halves]
+    nums = [rs.len_num[ri] for ri in reps]
+    g = gcd(2 * rs.len_den, *nums)
+    hs = [x // g for x in nums]
+    D = 2 * rs.len_den // g
     K = [[h * sum(map(mul, row, rs.coroots[ri])) for h, ri in zip(hs, reps)] for row in first]
     return reps, hs, D, K
 

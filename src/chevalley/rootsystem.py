@@ -10,13 +10,16 @@ exposes the norm-independence tests.
 
 The per-root tables are built on ints: the simple roots' squared
 lengths scaled by the lcm of their denominators, each coroot coordinate
-an exact integer division, and one Fraction per root for `len_sq`.
+an exact integer division, and each squared length an int over one
+common denominator (`len_num`, `len_den`; `len_sq` is their Fraction
+view, which no other module reads).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .fields import QQ
 from .linalg import rref
@@ -44,12 +47,6 @@ def exact_div(num: int, den: int, what: str) -> int:
     if r:
         raise RuntimeError(f"non-integral {what} {Fraction(num, den)}")
     return q
-
-
-def integer(x, what: str) -> int:
-    """The rational x as an int; a fraction means an integrality
-    invariant of the root data broke."""
-    return exact_div(x.numerator, x.denominator, what)
 
 
 def _dynkin_data(series: str, rank: int):
@@ -109,7 +106,11 @@ class RootSystem:
     def __init__(self, cartan_type, isogeny, scale=None):
         if isinstance(cartan_type, str):
             cartan_type = parse_cartan_type(cartan_type)
-        cartan_type = [(str(s).upper(), int(r)) for s, r in cartan_type]
+        cartan_type = [(str(s).upper(), r) for s, r in cartan_type]
+        for s, r in cartan_type:
+            if Fraction(r).denominator != 1:  # int() would truncate 2.5 to a valid rank
+                raise ValueError(f"invalid Cartan type {s}{r}")
+        cartan_type = [(s, int(r)) for s, r in cartan_type]
         if not cartan_type:
             raise ValueError("empty Cartan type")
         dynkin = [_dynkin_data(series, r) for series, r in cartan_type]
@@ -128,7 +129,6 @@ class RootSystem:
         # symmetric form on the character space, long roots squared length 2,
         # then scaled per factor
         form = [[Fraction(0)] * n for _ in range(n)]
-        self.cartan = [[0] * n for _ in range(n)]
         offset = 0
         for (edges, lengths), s in zip(dynkin, scale):
             for i, length in enumerate(lengths):
@@ -139,9 +139,9 @@ class RootSystem:
                 form[offset + j][offset + i] = v
             offset += len(lengths)
         self.char_form = form
-        for i in range(n):
-            for j in range(n):
-                self.cartan[i][j] = integer(2 * form[i][j] / form[i][i], "Cartan entry")
+        ratios = [[2 * f / row[i] for f in row] for i, row in enumerate(form)]  # <alpha_j, alpha_i^v>
+        self.cartan = [[exact_div(c.numerator, c.denominator, "Cartan entry") for c in row]
+                       for row in ratios]
 
         # roots, factor by factor, positives first sorted by (height, coords)
         all_roots = []
@@ -167,18 +167,14 @@ class RootSystem:
         if len(self.roots) != expected:
             raise RuntimeError(f"root count {len(self.roots)} != classical {expected}")
 
-        # pairing of roots against the cocharacter lattice basis
-        if isogeny == SIMPLY_CONNECTED:
-            self.basis_pairing = [[self.cartan[j][i] for j in range(n)] for i in range(n)]
-        else:
-            self.basis_pairing = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
         # per root, by root index: squared length, pairing row <a, basis_j>,
         # and the coroot in the cocharacter basis; on ints, with ell_j the
-        # squared length of alpha_j times the lcm D of their denominators
+        # squared length of alpha_j times the lcm D of their denominators,
+        # and (a, a) = len_num[a] / len_den with len_den = 2D
         den = lcm(*(form[j][j].denominator for j in range(n)))
         ell = [form[j][j].numerator * (den // form[j][j].denominator) for j in range(n)]
-        self.len_sq = []
+        self.len_den = 2 * den
+        self.len_num = []
         self.pairing_rows = []
         self.coroots = []
         for a in self.roots:
@@ -190,9 +186,12 @@ class RootSystem:
             ks = [exact_div(2 * x * l, two_d_la, "coroot coordinate") for x, l in zip(a, ell)]
             if isogeny == ADJOINT:
                 ks = [sum(k * row[j] for k, row in zip(ks, self.cartan)) for j in range(n)]
-            self.len_sq.append(Fraction(two_d_la, 2 * den))
+            self.len_num.append(two_d_la)
             self.pairing_rows.append(on_coroots if isogeny == SIMPLY_CONNECTED else a)
             self.coroots.append(tuple(ks))
+        self.len_sq = [Fraction(x, self.len_den) for x in self.len_num]
+        # pairing of the simple roots against the cocharacter lattice basis
+        self.basis_pairing = [self.pairing_rows[s] for s in self.simple_roots]
 
         # Gram matrix of the cocharacter basis for the dual invariant form
         if isogeny == SIMPLY_CONNECTED:
@@ -242,11 +241,7 @@ class RootSystem:
     def pair(self, a, lam) -> Fraction | int:
         """Canonical pairing <a, lam> of the root a with a cocharacter."""
         self.check_coords(lam, "the cocharacter")
-        acc = 0
-        for p, lj in zip(self.pairing_rows[self.root_index[tuple(a)]], lam):
-            if p and lj:
-                acc += p * lj
-        return acc
+        return sum(map(mul, self.pairing_rows[self.root_index[tuple(a)]], lam))
 
     def coroot(self, a) -> tuple[int, ...]:
         """Coordinates of the coroot of a in the cocharacter basis."""

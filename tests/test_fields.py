@@ -260,6 +260,15 @@ def test_element_reduces_integers_and_refuses_the_rest(make, q):
             field.element(bad)
 
 
+def test_from_coeffs_refuses_a_non_integer():
+    # int() would truncate 1/2 and 2.5 to 0 and 2, both 0 in GF(4)
+    f4 = FiniteField(4)
+    for bad in (Fraction(1, 2), 2.5):
+        with pytest.raises(ValueError, match=re.escape(f"cannot embed {bad!r} in {f4!r}")):
+            f4.from_coeffs((bad, 2))
+    assert f4.from_coeffs((Fraction(4, 2), 3)) == f4.from_coeffs((0, 1))
+
+
 def test_element_from_support_refuses_a_non_integral_coefficient_mod_p():
     rs = build("A2")
     for field in (PrimeField(3), FunctionField(3)):

@@ -100,6 +100,15 @@ def test_m_of_examples():
     assert instability_ratio_sq(sl3, Y, (1, 1)) == Fraction(1, 2)
 
 
+def test_m_of_keeps_a_rational_minimum():
+    # rho is scale-invariant: lam = (3/4,) gives m = 3/2 and the ratio of lam = (1,)
+    q = RationalField()
+    sl2 = build("A1")
+    E = root_vector(sl2, q, sl2.simple_roots[0])
+    assert m_of(sl2, E, (Fraction(3, 4),)) == Fraction(3, 2)
+    assert instability_ratio_sq(sl2, E, (Fraction(3, 4),)) == instability_ratio_sq(sl2, E, (1,)) == 2
+
+
 def test_m_of_errors():
     q = RationalField()
     rs = build("A2")

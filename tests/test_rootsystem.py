@@ -200,7 +200,7 @@ ROOT_TABLES_SHA256 = "4c84c83ef894901a8b8558237b934664e29de1c9028117d0f36ee4c3b2
 
 def test_root_system_tables_pinned():
     # every table the build derives, with the type of each squared length:
-    # optimality halves len_sq and reads its denominator, so it stays a Fraction
+    # len_sq is the Fraction view of the integer table len_num / len_den
     h = hashlib.sha256()
     for (t, scale), isogeny in product([(t, None) for t in SC_TYPES] + SCALED_BUILDS, ISOGENIES):
         rs = build(t, isogeny, scale=scale)
@@ -216,13 +216,17 @@ def test_root_system_tables_pinned():
     assert h.hexdigest() == ROOT_TABLES_SHA256
 
 
-def test_integrality_guard_raises_under_O():
-    # the root-data invariants raise RuntimeError, which `python -O` keeps
-    from chevalley.rootsystem import integer
-
-    assert integer(Fraction(6, 3), "Cartan entry") == 2
-    with pytest.raises(RuntimeError, match="non-integral coroot coordinate 1/2"):
-        integer(Fraction(1, 2), "coroot coordinate")
+def test_basis_pairing_and_length_table():
+    # basis_pairing[i][j] = <alpha_i, basis_j>: the simple coroots' Cartan
+    # entries when simply connected, the fundamental coweights' delta when
+    # adjoint; and len_sq is the integer table len_num over len_den
+    for (t, scale), isogeny in product([(t, None) for t in SC_TYPES] + SCALED_BUILDS, ISOGENIES):
+        rs = build(t, isogeny, scale=scale)
+        for i, j in product(range(rs.rank), repeat=2):
+            expected = rs.cartan[j][i] if isogeny == "simply_connected" else int(i == j)
+            assert rs.basis_pairing[i][j] == expected, (t, isogeny, i, j)
+        assert all(type(x) is int for x in rs.len_num) and type(rs.len_den) is int
+        assert [Fraction(x, rs.len_den) for x in rs.len_num] == rs.len_sq, (t, isogeny)
 
 
 def test_exact_division_raises_under_O():
@@ -245,6 +249,8 @@ def test_exact_division_raises_under_O():
     ([("z", 9)], "invalid Cartan type Z9"),
     ("", "cannot parse Cartan type ''"),
     ([], "empty Cartan type"),
+    ([("A", 2.5)], "invalid Cartan type A2.5"),  # not truncated to A2
+    ([("a", Fraction(5, 2))], "invalid Cartan type A5/2"),
 ])
 def test_build_error_messages_and_their_order(cartan_type, message, isogeny):
     # a bad type is reported before a bad isogeny

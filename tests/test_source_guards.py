@@ -1,6 +1,6 @@
 """Source guards: invariant checks in the package raise, so `python -O` keeps
-them, `optimality` keeps its one elimination to itself, and each field
-parses its own coefficient strings."""
+them, `optimality` keeps its one elimination to itself, only `rootsystem`
+derives squared lengths, and each field parses its own coefficient strings."""
 
 import ast
 from pathlib import Path
@@ -37,6 +37,19 @@ def test_optimality_imports_neither_snf_nor_linalg():
     # is its own fraction-free solve
     assert not _imported_modules("optimality.py") & {"chevalley.snf", "chevalley.linalg"}
     assert "chevalley.linalg" in _imported_modules("rootsystem.py")  # the guard sees imports
+
+
+def _modules_reading(attr):
+    """Names of the modules of src/chevalley/ that read `<expr>.attr`."""
+    return {p.name for p in SRC.glob("*.py")
+            if any(isinstance(node, ast.Attribute) and node.attr == attr
+                   for node in ast.walk(ast.parse(p.read_text(encoding="utf-8"))))}
+
+
+def test_only_rootsystem_reads_len_sq():
+    # every other module reads the integer table len_num / len_den, so no
+    # module re-derives the squared lengths from len_sq's Fractions
+    assert _modules_reading("len_sq") == {"rootsystem.py"}  # the guard sees its own reads
 
 
 def test_cli_parses_no_coefficient_strings():
