@@ -1,9 +1,11 @@
 """Cocharacter gradings, filtration invariants and modulus exponents.
 
 A cocharacter lam grades the Lie algebra by <a, lam> on root spaces and
-0 on the Cartan.  m_of is the least filtration degree of a nilpotent
-element; delta_exponent is the valuation exponent of the modulus
-character of a torus element on a filtration slice.
+0 on the Cartan; grade pairs lam with the simple roots only and adds one
+simple degree per positive root along the root system's height parents.
+m_of is the least filtration degree of a nilpotent element;
+delta_exponent is the valuation exponent of the modulus character of a
+torus element on a filtration slice.
 """
 
 from __future__ import annotations
@@ -85,13 +87,16 @@ def integral_coords(xs, message: str) -> tuple[int, ...]:
 
 def grade(rs: RootSystem, lam) -> GradingReport:
     """Assign every root to its degree <a, lam>; lam must be integral.
-    Only the positive roots are paired with lam: -a has degree -<a, lam>.
+    Only the simple roots are paired with lam: a positive root's degree is
+    its height parent's plus one simple root's, and -a has degree -<a, lam>.
     Each degree's root indices come out increasing, as the positives are
     visited in index order and the negatives follow them in the same order."""
     lam = integral_coords(lam, "grading requires an integral cocharacter")
     rs.check_coords(lam, "lam")
-    rows = rs.pairing_rows
-    degrees = [sum(map(mul, rows[i], lam)) for i in rs.positive_roots]
+    simple = [sum(map(mul, rs.pairing_rows[i], lam)) for i in rs.simple_roots]
+    degrees = []
+    for parent, j in rs.height_parents:
+        degrees.append(simple[j] if parent is None else degrees[parent] + simple[j])
     spaces: dict[int, list[int]] = {}
     for i, d in enumerate(degrees):
         spaces.setdefault(d, []).append(i)

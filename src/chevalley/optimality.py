@@ -8,9 +8,12 @@ v = 0.  Wolfe's nearest-point algorithm finds v exactly on integers,
 with one final division: the Gram of the nu(a) is scaled to integers,
 the weights stay integers over one common denominator, each corral is
 solved by the fraction-free `solve`, and one Fraction is built per
-output value.  The Kirwan-Ness torus check asks the same question of
-the nu(a) projected onto lam-perp.  At the optimum itself that check is
-read off the certificate's own Wolfe run (certified_torus_check).
+output value.  lam and k come off the same integers: lam is the
+min-norm point's integer coordinates over their gcd, and k its least
+support pairing, by one exact division.  The Kirwan-Ness torus check
+asks the same question of the nu(a) projected onto lam-perp.  At the
+optimum itself that check is read off the certificate's own Wolfe run
+(certified_torus_check).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .gradedmap import ad_blocks
-from .grading import CocharRational, grade, m_of, single_degree
+from .grading import CocharRational, grade, single_degree
 from .lie import LieElement
 from .rootsystem import RootSystem
 
@@ -167,12 +170,13 @@ def _support_gram(rs: RootSystem, support):
 
 
 def _min_norm(rs: RootSystem, support):
-    """One Wolfe run on the support: (mu, active roots, weights, vv).
+    """One Wolfe run on the support: (mu, active roots, lam, k, weights, vv).
 
     mu = v / (v, v) with v = sum x_i nu(a_i) the min-norm point, so
-    (mu, mu) = 1 / vv exactly; the weights x are keyed by the root
-    indices of the deduplicated support.  Everything up to the output
-    Fractions is on integers, and m_Y(mu) = 1 is checked here."""
+    (mu, mu) = 1 / vv exactly; lam = k mu is its primitive integral
+    multiple and k = min <a, lam> over the support; the weights x are
+    keyed by the root indices of the deduplicated support.  Everything up
+    to the output Fractions is on integers, and m_Y(mu) = 1 is checked here."""
     if not support:
         raise ValueError("empty support")
     reps, hs, D, K = _support_gram(rs, support)
@@ -192,9 +196,14 @@ def _min_norm(rs: RootSystem, support):
     if min(pairings) != vv:
         raise RuntimeError("optimal mu violates the normalization m_Y(mu) = 1")
     active = [ri for ri, p in zip(support, pairings) if p == vv]
+    # lam = V / g is primitive, and its least support pairing is vv / (den g)
+    g = gcd(*V)
+    k, rem = divmod(vv, den * g)
+    if rem:
+        raise RuntimeError("the least support pairing of lambda is not an integer")
     mu = CocharRational(tuple(Fraction(c * den, vv) for c in V), Fraction(den * den * D, vv))
     weights = {ri: Fraction(w, den) for ri, w in zip(reps, x)}
-    return mu, active, weights, Fraction(vv, den * den * D)
+    return mu, active, tuple(c // g for c in V), k, weights, Fraction(vv, den * den * D)
 
 
 def minimum_norm_cocharacter(rs: RootSystem, support: list[int]) -> tuple[CocharRational, list[int]]:
@@ -213,11 +222,7 @@ def optimal_cocharacter(rs: RootSystem, Y: LieElement) -> OptimalityCertificate:
         raise ValueError("need a nonzero element supported on root vectors")
     if any(not rs.is_positive(rs.roots[ri]) for ri in supp):
         raise ValueError("support must consist of positive roots (standard position)")
-    mu, active, weights, vv = _min_norm(rs, supp)
-    lam, _ = mu.primitive_multiple()
-    k = m_of(rs, Y, lam)
-    if any(l != k * c for l, c in zip(lam, mu.coords)):
-        raise RuntimeError("lambda is not k * mu")
+    mu, active, lam, k, weights, vv = _min_norm(rs, supp)
     cert = OptimalityCertificate(mu=mu, lam=lam, k=k, active_constraints=active,
                                  support=supp, weights=weights, vv=vv)
     _check_kkt(cert)
@@ -321,7 +326,8 @@ def sl2_completion_check(rs: RootSystem, sc, Y: LieElement,
     denominators; graded_ad's fill plus one Cartan row per coordinate).
     By Morozov's lemma (Jacobson, Lie Algebras, 1962, III 11) ad Y is
     injective on g(-k) once the triple exists, so a dependent column is
-    a no; that needs lam = k mu, or ValueError.
+    a no; that needs lam = k mu, and Y concentrated in degree k once g(-k)
+    is nonzero, or ValueError.
     """
     k = cert.k
     if any(l * c.denominator != k * c.numerator for l, c in zip(cert.lam, cert.mu.coords)):
@@ -332,6 +338,8 @@ def sl2_completion_check(rs: RootSystem, sc, Y: LieElement,
     src = spaces.get(-k)
     if not src:
         return False
+    if Y.cartan_part() or not set(spaces.get(k, ())).issuperset(Y.support_roots()):
+        raise ValueError(f"Y must be concentrated in degree k = {k}")
     D = lcm(*(y.denominator for y in Y.coeffs.values()))
     [rows] = ad_blocks(sc, Y, [(src, spaces.get(0, []))])
     M = [[0] * (len(src) + 1) for row in rows if row]

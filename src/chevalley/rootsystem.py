@@ -12,11 +12,14 @@ The per-root tables are built on ints: the simple roots' squared
 lengths scaled by the lcm of their denominators, each coroot coordinate
 an exact integer division, and each squared length an int over one
 common denominator (`len_num`, `len_den`; `len_sq` is their Fraction
-view, which no other module reads).
+view, which no other module reads).  The same loop records each positive
+root's height parent (`height_parents`): a - alpha_j for the first simple
+root with <a, alpha_j^v> > 0, so a grading adds one simple degree per root.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -88,7 +91,7 @@ def _close_under_reflections(cartan, rank):
     while frontier:
         beta = frontier.pop()
         for i in range(rank):
-            p = sum(beta[j] * cartan[i][j] for j in range(rank))
+            p = sum(map(mul, beta, cartan[i]))
             if p == 0:
                 continue
             img = list(beta)
@@ -177,9 +180,19 @@ class RootSystem:
         self.len_num = []
         self.pairing_rows = []
         self.coroots = []
-        for a in self.roots:
+        # per positive root a, (index of a - alpha_j, j), or (None, j) when
+        # a = alpha_j: the first j with <a, alpha_j^v> > 0 makes a - alpha_j
+        # a root or 0, and a root of lower height, so of lower index
+        self.height_parents = []
+        for i, a in enumerate(self.roots):
             # <a, simple coroot j>, and from it 2D (a, a) = sum_j a_j <a, alpha_j^v> ell_j
-            on_coroots = tuple(sum(x * c for x, c in zip(a, row)) for row in self.cartan)
+            on_coroots = tuple(sum(map(mul, a, row)) for row in self.cartan)
+            if i < len(positives):
+                j = next((j for j, c in enumerate(on_coroots) if c > 0), None)
+                parent = None if j is None else a[:j] + (a[j] - 1,) + a[j + 1:]
+                if parent is None or any(parent) and parent not in self.root_index:
+                    raise RuntimeError(f"no simple root alpha_j with {a} - alpha_j a root or 0")
+                self.height_parents.append((self.root_index.get(parent), j))
             two_d_la = sum(x * c * l for x, c, l in zip(a, on_coroots, ell) if x)
             # over the simple coroots a^v = sum_i a_i (alpha_i, alpha_i)/(a, a) alpha_i^v,
             # and alpha_i^v is row i of the Cartan matrix over the fundamental coweights
@@ -317,13 +330,15 @@ class RootSystem:
 
 
 def parse_cartan_type(text: str):
-    """Parse "A2", "G2", or products like "A2xA1"."""
+    """Parse "A2", "G2", or products like "A2xA1": each factor one ASCII
+    letter and an ASCII-digit rank, so "A1_0", "A+2", "A 2" and "A2.5"
+    raise ValueError rather than reaching int()."""
     factors = []
     for part in text.replace("X", "x").split("x"):
-        part = part.strip()
-        if len(part) < 2 or not part[0].isalpha():
+        match = re.fullmatch(r"([A-Za-z])([0-9]+)", part.strip())
+        if match is None:
             raise ValueError(f"cannot parse Cartan type {text!r}")
-        factors.append((part[0].upper(), int(part[1:])))
+        factors.append((match[1].upper(), int(match[2])))
     return factors
 
 

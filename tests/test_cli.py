@@ -169,6 +169,14 @@ def test_support_coefficient_parsing():
     assert json.loads(out)["k"] == 2
 
 
+def test_unparsable_type_is_named():
+    # the message names the type, where int() on the rank would name
+    # neither, or read "A1_0" as A10
+    for text in ("A2.5", "A1_0"):
+        code, out, err = run_main("roots", "--type", text)
+        assert code == 2 and not out and f"cannot parse Cartan type {text!r}" in err, err
+
+
 def test_usage_errors_exit_2(tmp_path):
     bad_corpora = []
     for n, patch in enumerate([{"coefficients": [2.5]}, {"coefficients": ["1/2"]},

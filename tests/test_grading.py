@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -8,6 +9,8 @@ from chevalley import (RationalField, build, delta_exponent, grade,
                        root_vector, structure_constants, torus_conjugate, verify_rrao)
 from chevalley.grading import CocharRational, degrees_of, single_degree
 from chevalley.lie import element_from_support
+
+from conftest import ISOGENIES, SC_TYPES, SCALED_BUILDS
 
 
 def test_grade_sl2():
@@ -34,6 +37,23 @@ def test_grade_dimension_totals():
             lam = tuple(rng.randint(-3, 3) for _ in range(rs.rank))
             rep = grade(rs, lam)
             assert sum(rep.dims.values()) + rs.rank == rs.dim()
+
+
+def test_grade_matches_direct_pairing():
+    # the height-parent recurrence against one dot product per root, for
+    # zero and seeded lam on every pinned and scaled build (E7, E8 and
+    # products among them): the same lists, in the same order
+    rng = random.Random("grade-direct-pairing")
+    for (t, scale), isogeny in product([(t, None) for t in SC_TYPES] + SCALED_BUILDS, ISOGENIES):
+        rs = build(t, isogeny, scale=scale)
+        lams = [(0,) * rs.rank] + [tuple(rng.randint(-5, 5) for _ in range(rs.rank))
+                                   for _ in range(3)]
+        for lam in lams:
+            expected = {}
+            for i, row in enumerate(rs.pairing_rows):
+                expected.setdefault(sum(r * l for r, l in zip(row, lam)), []).append(i)
+            spaces = grade(rs, lam).weight_spaces
+            assert list(spaces.items()) == list(expected.items()), (t, scale, isogeny, lam)
 
 
 def test_grade_zero_cocharacter():

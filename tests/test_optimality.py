@@ -127,6 +127,27 @@ def test_normalization_and_kkt_every_instance():
 
 
 @pytest.mark.parametrize("isogeny", ["simply_connected", "adjoint"])
+def test_integer_readout_matches_primitive_multiple(isogeny):
+    # lam and k are read off Wolfe's integers; the Fraction round trip they
+    # replace (primitive multiple of mu, then m_Y(lam)) must give the same
+    # pair, on the standard instances and on seeded E7 and E8 supports
+    rng = random.Random(f"integer-readout:{isogeny}")
+    q = RationalField()
+    for t in ["A4", "A5", "A6", "B3", "C3", "D4", "G2", "F4", "E6", "E7", "E8"]:
+        rs = build(t, isogeny)
+        entries = [(e["support"], e["coefficients"]) for e in standard_instances(t)]
+        if t in ("E7", "E8"):
+            entries += [(rng.sample(rs.positive_roots, rng.randint(1, 8)), None)
+                        for _ in range(40)]
+        for support, coefficients in entries:
+            Y = element_from_support(rs, q, support, coefficients)
+            cert = optimal_cocharacter(rs, Y)
+            assert cert.lam == cert.mu.primitive_multiple()[0], (t, support)
+            assert cert.k == m_of(rs, Y, cert.lam) and type(cert.k) is int, (t, support)
+            assert all(l == cert.k * c for l, c in zip(cert.lam, cert.mu.coords)), (t, support)
+
+
+@pytest.mark.parametrize("isogeny", ["simply_connected", "adjoint"])
 def test_one_wolfe_run_certificate_matches_torus_check(isogeny):
     # run_instance reads torus_check off the certificate's Wolfe run; the
     # general check at cert.lam must agree, and the weights must rebuild mu
@@ -514,6 +535,20 @@ def test_sl2_completion_check_matches_dense_oracle():
                                      active_constraints=[], support=Y.support_roots())
         assert not sl2_completion_check(rs, sc, Y, cert)
         assert not sl2_completion_oracle(rs, sc, Y, cert)
+
+
+def test_sl2_completion_check_rejects_y_outside_degree_k():
+    # A2 with support a1, a1+a2, a2: the torus optimum is lam = (1, 1) with
+    # k = 1, and a1+a2 has degree 2, outside the block's codomain g(0);
+    # like graded_ad, the check raises ValueError
+    rs = build("A2")
+    sc = structure_constants(rs)
+    q = RationalField()
+    Y = element_from_support(rs, q, [rs.root_index[a] for a in [(1, 0), (1, 1), (0, 1)]])
+    cert = optimal_cocharacter(rs, Y)
+    assert (cert.lam, cert.k) == ((1, 1), 1)
+    with pytest.raises(ValueError, match="concentrated in degree k = 1"):
+        sl2_completion_check(rs, sc, Y, cert)
 
 
 def test_sl2_completion_check_needs_lam_equal_k_mu():

@@ -32,9 +32,38 @@ def test_invalid_types():
 
 def test_parse_products():
     assert parse_cartan_type("A2xA1") == [("A", 2), ("A", 1)]
+    assert parse_cartan_type(" b3 X g2 ") == [("B", 3), ("G", 2)]
     rs = build("A1xA1")
     assert len(rs.roots) == 4
     assert rs.rank == 2
+
+
+@pytest.mark.parametrize("text", ["A1_0", "A+2", "A 2", "A2.5", "A-2", "A\u0663", "A\u00b2",
+                                  "A", "2A", "A2xB", "A2x"])
+def test_parse_cartan_type_reads_one_letter_and_ascii_digits(text):
+    # int() would read "A1_0" as A10 and "A+2", "A 2" and an Arabic-Indic
+    # digit as a rank; every factor is one letter and ASCII digits instead
+    with pytest.raises(ValueError) as exc:
+        parse_cartan_type(text)
+    assert str(exc.value) == f"cannot parse Cartan type {text!r}"
+    with pytest.raises(ValueError, match="cannot parse Cartan type"):
+        build(text)
+
+
+@pytest.mark.parametrize("t", SC_TYPES)
+def test_height_parents(t):
+    # each positive root is its parent plus the simple root alpha_j, the
+    # first with <a, alpha_j^v> > 0; a parent comes before its child
+    for isogeny in ISOGENIES:
+        rs = build(t, isogeny)
+        assert len(rs.height_parents) == len(rs.positive_roots)
+        for i, (parent, j) in enumerate(rs.height_parents):
+            a = rs.roots[i]
+            on_coroots = [sum(x * c for x, c in zip(a, row)) for row in rs.cartan]
+            assert j == min(j for j, c in enumerate(on_coroots) if c > 0)
+            below = (0,) * rs.rank if parent is None else rs.roots[parent]
+            assert parent is None or parent < i
+            assert tuple(x + (n == j) for n, x in enumerate(below)) == a
 
 
 @pytest.mark.parametrize("t", ALL_TYPES)
