@@ -9,9 +9,14 @@ Three kinds of field feed the Lie-algebra machinery:
 * rational functions GF(q)(t) with the t-adic valuation (the exact
   sub-model of the Laurent series field GF(q)((t))).
 
-No floating point anywhere: elements are Fractions, coefficient tuples
-mod p, or polynomial quotients in normal form (gcd 1, monic
-denominator; see RatFunc for when the gcd is skipped).
+No floating point anywhere: elements are Fractions, int codes of GF(q),
+or polynomial quotients in normal form (gcd 1, monic denominator; see
+RatFunc for when the gcd is skipped).  The code of an element of GF(p^n)
+is the int in [0, q) whose base-p digits are its coefficients over F_p.
+A Polynomial over GF(q) holds one code per coefficient, and +, -, *,
+divmod, the gcd and the valuations run on those ints through the
+field's primitives (FiniteField), with no FFElement per coefficient;
+FFElements are built only when .coeffs is read.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import product
+from operator import xor
 
 
 # Miller-Rabin to the 13 primes up to 41 as bases is exact below _PSI_13, the
@@ -118,13 +124,18 @@ QQ = RationalField()  # the rationals without a valuation
 
 
 class FFElement:
-    """Element of GF(p^n), stored as a coefficient tuple over F_p."""
+    """Element of GF(p^n), stored as its code in [0, q): the base-p digits
+    of the code are its coefficients over F_p, constant term first."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "code")
 
-    def __init__(self, field: "FiniteField", coeffs: tuple[int, ...]):
+    def __init__(self, field: "FiniteField", code: int):
         self.field = field
-        self.coeffs = coeffs
+        self.code = code
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        return self.field._digits(self.code)
 
     def _check(self, other):
         if self.field is not other.field and self.field != other.field:
@@ -132,52 +143,40 @@ class FFElement:
 
     def __add__(self, other):
         self._check(other)
-        p = self.field.char
-        return FFElement(self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return FFElement(self.field, self.field._add(self.code, other.code))
 
     def __sub__(self, other):
         self._check(other)
-        p = self.field.char
-        return FFElement(self.field, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return FFElement(self.field, self.field._sub(self.code, other.code))
 
     def __neg__(self):
-        p = self.field.char
-        return FFElement(self.field, tuple((-a) % p for a in self.coeffs))
+        return FFElement(self.field, self.field._neg(self.code))
 
     def __mul__(self, other):
         self._check(other)
-        return self.field._mul(self, other)
+        return FFElement(self.field, self.field._mul(self.code, other.code))
 
     def __truediv__(self, other):
         self._check(other)
-        return self.field._mul(self, other.inverse())
+        return FFElement(self.field, self.field._mul(self.code, other.inverse().code))
 
     def inverse(self) -> "FFElement":
-        if not self:
+        if not self.code:
             raise ZeroDivisionError("inverse of 0 in a finite field")
-        # a**(q-2) = a**-1; fine at our field sizes
-        result = self.field.one
-        base = self
-        e = self.field.order - 2
-        while e:
-            if e & 1:
-                result = self.field._mul(result, base)
-            base = self.field._mul(base, base)
-            e >>= 1
-        return result
+        return FFElement(self.field, self.field._inv(self.code))
 
     def __eq__(self, other):
-        return isinstance(other, FFElement) and other.field == self.field and other.coeffs == self.coeffs
+        return isinstance(other, FFElement) and other.code == self.code and other.field == self.field
 
     def __hash__(self):
-        return hash((self.field.order, self.coeffs))
+        return hash((self.field.order, self.code))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return self.code != 0
 
     def __repr__(self):
         if self.field.degree == 1:
-            return f"{self.coeffs[0]}"
+            return f"{self.code}"
         return f"FF{self.field.order}{self.coeffs}"
 
 
@@ -191,8 +190,18 @@ def _integer(x, field) -> int:
     raise ValueError(f"cannot embed {x!r} in {field!r}: not an integer")
 
 
+# GF(p^n) with n > 1 and q up to this multiplies through exp/log tables of a
+# generator, built in O(q) at construction; a larger q multiplies digit by digit
+_TABLE_MAX = 1 << 8
+
+
 class FiniteField:
-    """GF(q) for a prime power q, as F_p[x] mod an irreducible polynomial."""
+    """GF(q) for a prime power q, as F_p[x] mod an irreducible polynomial.
+
+    Arithmetic runs on codes (see FFElement) through five primitives set
+    here, _add, _sub, _neg, _mul and _inv: mod p for a prime field, XOR
+    for the addition of GF(2^n), digit by digit for other n > 1, and the
+    product of GF(p^n) through exp/log tables while q <= _TABLE_MAX."""
 
     def __init__(self, q: int):
         p, n = factor_prime_power(q)
@@ -200,8 +209,29 @@ class FiniteField:
         self.char = p
         self.degree = n
         self.modulus = self._find_modulus(p, n)  # monic, coeff list of length n+1
-        self.zero = FFElement(self, (0,) * n)
-        self.one = FFElement(self, (1,) + (0,) * (n - 1))
+        if n == 1:
+            self._add = lambda a, b: (a + b) % p
+            self._sub = lambda a, b: (a - b) % p
+            self._neg = lambda a: -a % p
+            self._mul = lambda a, b: a * b % p
+            self._inv = lambda a: pow(a, -1, p)
+        else:
+            if p == 2:
+                self._add = self._sub = xor
+                self._neg = lambda a: a
+            else:
+                self._add = lambda a, b: self._digitwise(a, b, 1)
+                self._sub = lambda a, b: self._digitwise(a, b, -1)
+                self._neg = lambda a: self._digitwise(0, a, -1)
+            if q <= _TABLE_MAX:
+                exp, log = self._log_tables()
+                self._mul = lambda a, b: exp[log[a] + log[b]] if a and b else 0
+                self._inv = lambda a: exp[q - 1 - log[a]]
+            else:
+                self._mul = self._schoolbook
+                self._inv = lambda a: self._power(a, q - 2)
+        self.zero = FFElement(self, 0)
+        self.one = FFElement(self, 1)
 
     @staticmethod
     def _find_modulus(p: int, n: int) -> tuple[int, ...]:
@@ -209,9 +239,9 @@ class FiniteField:
             return (0, 1)  # x, unused
         # first monic irreducible f, constant term fastest; Rabin: gcd(x^(p^d) - x, f) = 1, d <= n/2
         fp = FiniteField(p)
-        x = Polynomial(fp, [fp.zero, fp.one])
+        x = Polynomial(fp, [0, 1])
         for coeffs in product(range(p), repeat=n):
-            f = Polynomial(fp, [fp.element(c) for c in coeffs[::-1]] + [fp.one])
+            f = Polynomial(fp, coeffs[::-1] + (1,))
             r = x
             for _ in range(n // 2):
                 base = r
@@ -220,44 +250,90 @@ class FiniteField:
                 if poly_gcd(r - x, f).degree:
                     break
             else:
-                return tuple(c.coeffs[0] for c in f.coeffs)
+                return f.codes
         raise RuntimeError(f"no irreducible polynomial of degree {n} over F_{p}")
+
+    def _digits(self, code: int) -> tuple[int, ...]:
+        p, out = self.char, []
+        for _ in range(self.degree):
+            code, d = divmod(code, p)
+            out.append(d)
+        return tuple(out)
+
+    def _digitwise(self, a: int, b: int, sign: int) -> int:
+        """The code of a + sign*b, digit by digit mod p."""
+        p, out, scale = self.char, 0, 1
+        while a or b:
+            a, x = divmod(a, p)
+            b, y = divmod(b, p)
+            out += (x + sign * y) % p * scale
+            scale *= p
+        return out
+
+    def _schoolbook(self, a: int, b: int) -> int:
+        """The code of a*b: the digit product, reduced mod the monic modulus."""
+        p, n, m = self.char, self.degree, self.modulus
+        prod = [0] * (2 * n - 1)
+        da = self._digits(a)
+        for i, y in enumerate(self._digits(b)):  # b = g when the tables are built: sparse
+            if y:
+                for j, x in enumerate(da, i):
+                    prod[j] += x * y
+        for i in range(2 * n - 2, n - 1, -1):
+            c = prod[i] % p
+            if c:
+                for j in range(n):
+                    prod[i - n + j] -= c * m[j]
+        code = 0
+        for c in reversed(prod[:n]):
+            code = code * p + c % p
+        return code
+
+    def _power(self, a: int, e: int) -> int:
+        result = 1
+        while e:
+            if e & 1:
+                result = self._schoolbook(result, a)
+            a = self._schoolbook(a, a)
+            e >>= 1
+        return result
+
+    def _log_tables(self) -> tuple[list[int], list[int]]:
+        """exp and log of the first generator g of GF(q)* in code order from
+        x: exp[k] = g**k for 0 <= k < 2(q - 1), so log[a] + log[b] indexes
+        it, and log[exp[k]] = k (log[0] is never read).  g generates when
+        g**((q - 1)/r) != 1 for every prime r dividing q - 1."""
+        q = self.order
+        primes = [r for r in range(2, q) if (q - 1) % r == 0 and is_prime(r)]
+        g = next(g for g in range(self.char, q)
+                 if all(self._power(g, (q - 1) // r) != 1 for r in primes))
+        exp = [1]
+        for _ in range(q - 2):
+            exp.append(self._schoolbook(exp[-1], g))
+        log = [0] * q
+        for k, a in enumerate(exp):
+            log[a] = k
+        return exp + exp, log
 
     def element(self, x) -> FFElement:
         """Embed an integer, or an integral Fraction, via reduction mod p
         (the prime subfield); ValueError for anything else."""
         if not isinstance(x, int):
             x = _integer(x, self)
-        return FFElement(self, (x % self.char,) + (0,) * (self.degree - 1))
+        return FFElement(self, x % self.char)
 
     def from_coeffs(self, coeffs) -> FFElement:
-        coeffs = tuple(_integer(c, self) % self.char for c in coeffs)
+        coeffs = [_integer(c, self) % self.char for c in coeffs]
         if len(coeffs) != self.degree:
             raise ValueError("wrong coefficient tuple length")
-        return FFElement(self, coeffs)
+        code = 0
+        for c in reversed(coeffs):
+            code = code * self.char + c
+        return FFElement(self, code)
 
     def elements(self):
-        # first coefficient varying fastest
-        for coeffs in product(range(self.char), repeat=self.degree):
-            yield FFElement(self, coeffs[::-1])
-
-    def _mul(self, a: FFElement, b: FFElement) -> FFElement:
-        p, n = self.char, self.degree
-        if n == 1:
-            return FFElement(self, ((a.coeffs[0] * b.coeffs[0]) % p,))
-        prod = [0] * (2 * n - 1)
-        for i, ai in enumerate(a.coeffs):
-            if ai:
-                for j, bj in enumerate(b.coeffs):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        # reduce mod the monic modulus of degree n
-        for i in range(2 * n - 2, n - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(n):
-                    prod[i - n + j] = (prod[i - n + j] - c * self.modulus[j]) % p
-        return FFElement(self, tuple(prod[:n]))
+        # first coefficient varying fastest: code order
+        return (FFElement(self, code) for code in range(self.order))
 
     def __eq__(self, other):
         return isinstance(other, FiniteField) and other.order == self.order
@@ -276,72 +352,120 @@ def PrimeField(p: int) -> FiniteField:
     return FiniteField(p)
 
 
-class Polynomial:
-    """Dense polynomial in t over a FiniteField, trailing zeros trimmed."""
+def _trim(codes: list) -> tuple[int, ...]:
+    while codes and not codes[-1]:
+        codes.pop()
+    return tuple(codes)
 
-    __slots__ = ("base", "coeffs")
+
+def _poly(base: FiniteField, codes: list) -> "Polynomial":
+    """The Polynomial of a list of codes, with no check of the codes."""
+    f = object.__new__(Polynomial)
+    f.base = base
+    f.codes = _trim(codes)
+    return f
+
+
+class Polynomial:
+    """Dense polynomial in t over a FiniteField, trailing zeros trimmed,
+    stored as the tuple of its coefficients' codes (see FFElement).  The
+    coefficients come in as FFElements of base or as codes in [0, q);
+    .coeffs builds their FFElements on each access.  Every binary operation
+    checks once that both operands lie over the same field."""
+
+    __slots__ = ("base", "codes")
 
     def __init__(self, base: FiniteField, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
+        codes = []
+        for c in coeffs:
+            if isinstance(c, FFElement):
+                if c.field is not base and c.field != base:
+                    raise ValueError("elements of different finite fields")
+                c = c.code
+            elif not (isinstance(c, int) and 0 <= c < base.order):
+                raise ValueError(f"{c!r} is neither an element nor a code of {base!r}")
+            codes.append(c)
         self.base = base
-        self.coeffs = tuple(coeffs)
+        self.codes = _trim(codes)
+
+    @property
+    def coeffs(self) -> tuple[FFElement, ...]:
+        return tuple(FFElement(self.base, c) for c in self.codes)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
+        return len(self.codes) - 1  # -1 for the zero polynomial
+
+    def _same(self, other) -> FiniteField:
+        if other.base is not self.base and other.base != self.base:
+            raise ValueError("elements of different finite fields")
+        return self.base
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.codes)
 
     def __eq__(self, other):
-        return isinstance(other, Polynomial) and other.base == self.base and other.coeffs == self.coeffs
+        return isinstance(other, Polynomial) and other.base == self.base and other.codes == self.codes
 
     def __hash__(self):
-        return hash((self.base.order, self.coeffs))
+        return hash((self.base.order, self.codes))
 
     def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = self.base.zero
-        a = list(self.coeffs) + [z] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [z] * (n - len(other.coeffs))
-        return Polynomial(self.base, [x + y for x, y in zip(a, b)])
+        base = self._same(other)
+        a, b = self.codes, other.codes
+        if len(a) < len(b):
+            a, b = b, a
+        return _poly(base, list(map(base._add, a, b)) + list(a[len(b):]))
 
     def __neg__(self):
-        return Polynomial(self.base, [-c for c in self.coeffs])
+        return _poly(self.base, list(map(self.base._neg, self.codes)))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if not self or not other:
-            return Polynomial(self.base, [])
-        z = self.base.zero
-        prod = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    prod[i + j] = prod[i + j] + a * b
-        return Polynomial(self.base, prod)
+        base = self._same(other)
+        a, b = self.codes, other.codes
+        if not a or not b:
+            return _poly(base, [])
+        if b == (1,):  # 1, the usual denominator, multiplies for free
+            return self
+        if a == (1,):
+            return other
+        prod = [0] * (len(a) + len(b) - 1)
+        add, mul = base._add, base._mul
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    if y:
+                        prod[j] = add(prod[j], mul(x, y))
+        return _poly(base, prod)
+
+    def _scale(self, c: int) -> "Polynomial":
+        """self times the nonzero code c."""
+        mul = self.base._mul
+        return _poly(self.base, [mul(x, c) for x in self.codes])
 
     def __divmod__(self, other):
-        if not other:
+        base = self._same(other)
+        b = other.codes
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        z = self.base.zero
-        rem = list(self.coeffs)
-        qdeg = len(rem) - len(other.coeffs)
+        rem = list(self.codes)
+        m = len(b) - 1
+        qdeg = len(rem) - 1 - m
         if qdeg < 0:
-            return Polynomial(self.base, []), self
-        quot = [z] * (qdeg + 1)
-        lead_inv = other.coeffs[-1].inverse()
+            return _poly(base, []), self
+        quot = [0] * (qdeg + 1)
+        lead_inv, mul, sub = base._inv(b[-1]), base._mul, base._sub
         for i in range(qdeg, -1, -1):
-            if rem[len(other.coeffs) - 1 + i]:  # a zero leading remainder skips a step
-                c = rem[len(other.coeffs) - 1 + i] * lead_inv
-                quot[i] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[i + j] = rem[i + j] - c * b
-        return Polynomial(self.base, quot), Polynomial(self.base, rem)
+            if rem[m + i]:  # a zero leading remainder skips a step
+                c = quot[i] = mul(rem[m + i], lead_inv)
+                for j, y in enumerate(b, i):
+                    if y:
+                        rem[j] = sub(rem[j], mul(c, y))
+        del rem[m:]
+        return _poly(base, quot), _poly(base, rem)
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -351,16 +475,18 @@ class Polynomial:
 
     def t_valuation(self) -> int:
         """Index of the lowest nonzero coefficient; undefined on 0."""
-        if not self:
+        codes = self.codes
+        if not codes:
             raise ZeroDivisionError("t-valuation of 0 is undefined")
+        if codes[0]:
+            return 0
         # the leading coefficient is nonzero, so some coefficient is
-        return next(i for i, c in enumerate(self.coeffs) if c)
+        return next(i for i, c in enumerate(codes) if c)
 
     def monic(self) -> "Polynomial":
-        if not self:
+        if not self.codes or self.codes[-1] == 1:
             return self
-        inv = self.coeffs[-1].inverse()
-        return Polynomial(self.base, [c * inv for c in self.coeffs])
+        return self._scale(self.base._inv(self.codes[-1]))
 
     def __repr__(self):
         if not self:
@@ -393,20 +519,20 @@ class RatFunc:
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not normalized:
-            base = den.base
+            base = num._same(den)
             if not num:
-                den = Polynomial(base, [base.one])
+                den = _poly(base, [1])
             else:
                 if den.degree > 0:
                     g = poly_gcd(num, den)
                     if g.degree > 0:
                         num = num // g
                         den = den // g
-                lead = den.coeffs[-1]
-                if lead.coeffs != base.one.coeffs:
-                    lead_inv = lead.inverse()
-                    num = Polynomial(base, [c * lead_inv for c in num.coeffs])
-                    den = Polynomial(base, [c * lead_inv for c in den.coeffs])
+                lead = den.codes[-1]
+                if lead != 1:
+                    lead_inv = base._inv(lead)
+                    num = num._scale(lead_inv)
+                    den = den._scale(lead_inv)
         self.num = num
         self.den = den
 
@@ -450,8 +576,8 @@ class FunctionField:
     def __init__(self, q: int):
         self.base = FiniteField(q)
         self.char = self.base.char
-        one_poly = Polynomial(self.base, [self.base.one])
-        self.zero = RatFunc(Polynomial(self.base, []), one_poly, normalized=True)
+        one_poly = _poly(self.base, [1])
+        self.zero = RatFunc(_poly(self.base, []), one_poly, normalized=True)
         self.one = RatFunc(one_poly, one_poly, normalized=True)
 
     @property
@@ -472,7 +598,8 @@ class FunctionField:
     def poly(self, int_coeffs) -> RatFunc:
         """Polynomial with integer coefficients, reduced into GF(q); over
         the denominator 1 it is already in lowest terms."""
-        num = Polynomial(self.base, [self.base.element(c) for c in int_coeffs])
+        p = self.char
+        num = _poly(self.base, [_integer(c, self.base) % p for c in int_coeffs])
         return RatFunc(num, self.one.den, normalized=True)
 
     def t(self) -> RatFunc:

@@ -289,6 +289,19 @@ def test_large_primes_finish(tmp_path):
         "factor up to 41, got 3317044064679887385961981"]
 
 
+def test_large_field_outputs_pinned():
+    """snf over GF(100003^2)(t), whose products run digit by digit, beyond
+    the exp/log tables: the bytes of an A2 and a C3 k = 3 run are pinned."""
+    for args, expected in [
+            (["--type", "A2", "--support", "a1+a2=t"],
+             "b72377c653969c836eac1b22f47b3584b20c292cfba135092b576dd701635dab"),
+            (["--type", "C3", "--support", "a2+a3=t,a1+a2+a3=t^2"],
+             "6a55c5b4ca82180fddfa1923793d0b4d1f7f8d89976199e1deb05da7b378982e")]:
+        code, out, err = run_main("snf", *args, "--q", "10000600009")
+        assert code == 0 and not err, (args, err)
+        assert hashlib.sha256(out.encode()).hexdigest() == expected, args
+
+
 def test_optimal_inhomogeneous_support_exits_2():
     # a1 + a2 has degree 2 under lam = (1, 1), where a1 and a2 have degree 1
     code, out, err = run_cli("optimal", "--type", "A2", "--support", "a1,a2,a1+a2")

@@ -1,3 +1,4 @@
+import operator
 import random
 import re
 from fractions import Fraction
@@ -8,7 +9,14 @@ from chevalley import build
 from chevalley.corpus import element_from_support
 from chevalley.fields import (FiniteField, FunctionField, Polynomial, PrimeField,
                               RatFunc, RationalField, factor_prime_power, has_valuation)
-from chevalley.fields import is_prime
+from chevalley.fields import is_prime, poly_gcd
+
+import ff_oracles
+
+
+def _digits(f: Polynomial) -> list:
+    """f's coefficients as the oracle's digit tuples."""
+    return [c.coeffs for c in f.coeffs]
 
 
 def test_factor_prime_power():
@@ -126,28 +134,13 @@ def test_rational_function_normal_form():
     assert x.den.degree == 0
 
 
-def _normal_form_oracle(num, den):
-    """Always-gcd normalizer: num/den divided by a gcd found by Euclid's
-    algorithm, whatever the degrees, then rescaled so the denominator is
-    monic; the result as coefficient tuples of (num, den)."""
-    base = den.base
-    if not num:
-        return (), (base.one.coeffs,)
-    g, r = num, den
-    while r:
-        g, r = r, g % r
-    num, den = num // g, den // g
-    inv = den.coeffs[-1].inverse()
-    return (tuple((c * inv).coeffs for c in num.coeffs),
-            tuple((c * inv).coeffs for c in den.coeffs))
-
-
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_ratfunc_constructor_matches_always_gcd_oracle(q):
     """RatFunc skips the gcd for a constant denominator and the rescale
     for a monic one; it must still give the oracle's normal form, with a
     monic denominator prime to the numerator, on every kind of input."""
     F = FiniteField(q)
+    O = ff_oracles.OracleField(F.char, F.modulus)
     rng = random.Random(f"ratfunc-{q}")
     elements = list(F.elements())
     nonzero = [x for x in elements if x]
@@ -174,13 +167,10 @@ def test_ratfunc_constructor_matches_always_gcd_oracle(q):
             f = poly(rng.randint(1, 2))
             num, den = num * f, den * f * Polynomial(F, [rng.choice(nonzero)])
         x = RatFunc(num, den)
-        assert (tuple(c.coeffs for c in x.num.coeffs),
-                tuple(c.coeffs for c in x.den.coeffs)) == _normal_form_oracle(num, den)
+        assert (_digits(x.num), _digits(x.den)) == ff_oracles.normal_form(
+            O, _digits(num), _digits(den))
         assert x.den.coeffs[-1] == F.one
-        g, r = x.num, x.den
-        while r:
-            g, r = r, g % r
-        assert g.degree == 0  # gcd(num, den) = 1
+        assert ff_oracles.poly_gcd(O, _digits(x.num), _digits(x.den)) == [O.one]
     assert all(seen.values()), seen
 
 
@@ -312,3 +302,104 @@ def test_is_prime_beyond_trial_division():
     with pytest.raises(ValueError, match="primality is decided only below"):
         is_prime(psi_13)
     assert is_prime(psi_13 + 1) is False  # even: trial division decides it
+
+
+# GF(100003^2) multiplies digit by digit, beyond the exp/log tables; x^2 + 1
+# is its modulus, irreducible as 100003 = 3 mod 4
+ORACLE_FIELDS = [2, 3, 4, 8, 9, 25, 100003 ** 2]
+
+
+@pytest.mark.parametrize("q", ORACLE_FIELDS)
+def test_arithmetic_matches_the_digit_tuple_oracle(q):
+    """Seeded random elements and polynomials over GF(q): field and
+    polynomial arithmetic, poly_gcd, monic, t_valuation, the RatFunc normal
+    form, the valuation and every repr agree with tests/ff_oracles.py."""
+    base = FiniteField(q)
+    if q == 100003 ** 2:
+        assert base.modulus == (1, 0, 1)
+    O = ff_oracles.OracleField(base.char, base.modulus)
+    K = FunctionField(q)
+    rng = random.Random(f"ff-oracle-{q}")
+    for _ in range(60):
+        a, b = base.from_coeffs(O.digits(rng.randrange(q))), base.from_coeffs(O.digits(rng.randrange(q)))
+        da, db = a.coeffs, b.coeffs
+        assert ((a + b).coeffs, (a - b).coeffs, (-a).coeffs, (a * b).coeffs, repr(a)) == (
+            O.add(da, db), O.sub(da, db), O.neg(da), O.mul(da, db), O.repr(da))
+        if b:
+            assert ((a / b).coeffs, b.inverse().coeffs) == (O.mul(da, O.inv(db)), O.inv(db))
+
+    def draw(deg):
+        """Digits of a polynomial of degree deg >= -1, some with low zeros."""
+        codes = [rng.randrange(q) for _ in range(deg)] + [rng.randrange(1, q)] * (deg >= 0)
+        low = rng.choice([0, 0, 1, 2]) if codes else 0
+        return [O.digits(c) for c in [0] * low + codes]
+
+    kinds = dict.fromkeys(["shared_factor", "t_valuation", "division"], 0)
+    for _ in range(80):
+        fo, go = draw(rng.randint(-1, 5)), draw(rng.randint(-1, 5))
+        if rng.random() < 0.3 and fo and go:  # a common factor for the gcd to find
+            h = draw(1)
+            fo, go = ff_oracles.poly_mul(O, fo, h), ff_oracles.poly_mul(O, go, h)
+            kinds["shared_factor"] += 1
+        f, g = Polynomial(base, map(O.code, fo)), Polynomial(base, map(O.code, go))
+        assert _digits(f) == fo and f.degree == len(fo) - 1
+        assert _digits(f + g) == ff_oracles.poly_add(O, fo, go)
+        assert _digits(f - g) == ff_oracles.poly_sub(O, fo, go)
+        assert _digits(-f) == ff_oracles.poly_neg(O, fo)
+        assert _digits(f * g) == ff_oracles.poly_mul(O, fo, go)
+        assert _digits(f.monic()) == ff_oracles.monic(O, fo)
+        assert _digits(poly_gcd(f, g)) == ff_oracles.poly_gcd(O, fo, go)
+        assert repr(f) == ff_oracles.poly_repr(O, fo)
+        if fo:
+            assert f.t_valuation() == ff_oracles.t_valuation(O, fo)
+            kinds["t_valuation"] += f.t_valuation() > 0
+        if go:
+            kinds["division"] += 1
+            quot, rem = divmod(f, g)
+            assert [_digits(quot), _digits(rem)] == list(ff_oracles.poly_divmod(O, fo, go))
+            assert (f // g, f % g) == (quot, rem)
+            x = RatFunc(f, g)
+            num, den = ff_oracles.normal_form(O, fo, go)
+            assert (_digits(x.num), _digits(x.den)) == (num, den)
+            assert repr(x) == ff_oracles.ratfunc_repr(O, num, den)
+            if fo:
+                assert K.valuation(x) == (ff_oracles.t_valuation(O, num)
+                                          - ff_oracles.t_valuation(O, den))
+    assert all(kinds.values()), kinds
+
+
+@pytest.mark.parametrize("q1, q2", [(2, 4), (2, 3)])
+def test_arithmetic_across_two_finite_fields_raises(q1, q2):
+    """GF(q1)(t) and GF(q2)(t), and their polynomials, do not mix: every
+    operation raises ValueError, as FFElement arithmetic does; two copies of
+    one field mix freely."""
+    K1, K2 = FunctionField(q1), FunctionField(q2)
+    x, y = K1.t() * K1.t() + K1.one, K2.t() * K2.t() + K2.t()
+    f, g = x.num, y.num
+    ops = [operator.add, operator.sub, operator.mul, operator.truediv]
+    for a, b in [(x, y), (y, x)]:
+        for op in ops:
+            with pytest.raises(ValueError, match="elements of different finite fields"):
+                op(a, b)
+    for a, b in [(f, g), (g, f)]:
+        for op in [operator.add, operator.sub, operator.mul, divmod, operator.floordiv,
+                   operator.mod, poly_gcd]:
+            with pytest.raises(ValueError, match="elements of different finite fields"):
+                op(a, b)
+    assert x * FunctionField(q1).t() == K1.t() * K1.t() * K1.t() + K1.t()
+
+
+def test_polynomial_operands_check_their_field_first():
+    """The field check comes before any shortcut: a zero factor, a dividend
+    of lower degree, a foreign element or a code outside [0, q) raise too."""
+    f2, f4 = FiniteField(2), FiniteField(4)
+    zero, one, t = Polynomial(f2, []), Polynomial(f2, [1]), Polynomial(f4, [0, 1])
+    for op, a, b in [(operator.mul, zero, t), (divmod, one, t), (RatFunc, one, t)]:
+        with pytest.raises(ValueError, match="elements of different finite fields"):
+            op(a, b)
+    with pytest.raises(ValueError, match="elements of different finite fields"):
+        Polynomial(f2, [f4.one])
+    for bad in (4, -1, 1.0):
+        with pytest.raises(ValueError, match=r"neither an element nor a code of GF\(4\)"):
+            Polynomial(f4, [bad])
+    assert Polynomial(f4, [f4.from_coeffs((0, 1)), 1]) == Polynomial(f4, [2, 1])
