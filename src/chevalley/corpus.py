@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 
-from .fields import QQ, RationalField, is_prime
+from .fields import QQ, is_prime
 from .gradedmap import AbsValue, block_divisors, graded_ad, kernel_from_divisors
 from .lie import element_from_support, structure_constants
 from .optimality import (certified_torus_check, minimum_norm_cocharacter,
@@ -146,6 +146,7 @@ def run_instance(rs: RootSystem, sc, entry: dict, primes) -> dict:
     report["blocks_over_Q"] = report["detail"]["blocks"]
     report["injective_over_Q"] = all(v["injective"] for v in kern.values())
     mod_p = {}
+    type_a, ade = is_type_a(rs), is_ade(rs)
     for p in primes:
         if not keeps_support_mod(Y, p):
             mod_p[str(p)] = {"injective": None, "note": "support degenerates mod p"}
@@ -153,16 +154,17 @@ def run_instance(rs: RootSystem, sc, entry: dict, primes) -> dict:
         inj = all(v["injective"] for v in kernel_from_divisors(gbm, divisors, p).values())
         entry_p = {
             "injective": inj,
-            "asserted": is_type_a(rs),
-            "expected_simply_laced": is_ade(rs),
+            "asserted": type_a,
+            "expected_simply_laced": ade,
         }
-        if is_ade(rs) and not inj:
+        if ade and not inj:
             entry_p["counterexample_to_expected"] = True
         mod_p[str(p)] = entry_p
     report["mod_p"] = mod_p
     if square:
         ds = [d for block in divisors.values() for d in block if d != 1]
-        e = None if 0 in ds else sum(map(RationalField(2).valuation, ds))
+        # the 2-adic valuation of an int d != 0 is the index of its lowest set bit
+        e = None if 0 in ds else sum((d & -d).bit_length() - 1 for d in ds)
         report["phi_over_Q_v2"] = AbsValue(2, e).to_json()
     return report
 

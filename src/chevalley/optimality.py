@@ -5,12 +5,13 @@ The normalized optimal cocharacter of Y is the unique minimizer of
 v the point of least norm in the convex hull of the nu(a), that
 minimizer is mu = v / (v, v), and the constraints are infeasible iff
 v = 0.  Wolfe's nearest-point algorithm finds v exactly on integers,
-with one final division: the Gram of the nu(a) is scaled to integers,
-the weights stay integers over one common denominator, each corral is
-solved by the fraction-free `solve`, and one Fraction is built per
-output value.  lam and k come off the same integers: lam is the
-min-norm point's integer coordinates over their gcd, and k its least
-support pairing, by one exact division.  The Kirwan-Ness torus check
+with one final division: the Gram of the nu(a) is scaled to integers
+(its upper triangle, mirrored), the weights stay integers over one
+common denominator, each corral is one positive-definite system
+(K_S + J) z = 1 solved by the fraction-free `solve`, and one Fraction
+is built per output value.  lam and k come off the same integers: lam
+is the min-norm point's integer coordinates over their gcd, and k its
+least support pairing, by one exact division.  The Kirwan-Ness torus check
 asks the same question of the nu(a) projected onto lam-perp.  At the
 optimum itself that check is read off the certificate's own Wolfe run
 (certified_torus_check).
@@ -94,12 +95,17 @@ def solve(M) -> tuple[list[int], int] | None:
 
 def _affine_minimizer(K, S) -> tuple[list[int], int]:
     """The point of least norm in the affine hull of the corral S, as
-    integer weights y over a common denominator d > 0 (sum y = d): `solve`
-    of the bordered system [K_S 1; 1^T 0] [y; lambda] = [0; 1]."""
-    solution = solve([[K[i][l] for l in S] + [1, 0] for i in S] + [[1] * len(S) + [0, 1]])
+    integer weights z over their sum d > 0: `solve` of (K_S + J) z = 1,
+    J all ones.  x^T (K + J) x = |sum x_i P_i|^2 + (sum x_i)^2, so K_S + J
+    is positive definite exactly when S is affinely independent: every
+    pivot is then a positive leading minor, no row is swapped, and
+    sum z = z^T (K_S + J) z > 0.  K_S z = (1 - sum z) 1, so z / sum z is
+    the affine minimizer."""
+    solution = solve([[K[i][l] + 1 for l in S] + [1] for i in S])
     if solution is None:
         raise RuntimeError("singular corral: its points are affinely dependent")
-    return solution[0][:-1], solution[1]
+    z = solution[0]
+    return z, sum(z)
 
 
 def _reduced(x: dict) -> dict:
@@ -115,9 +121,9 @@ def _min_norm_weights(K) -> tuple[list[int], int]:
 
     Wolfe's algorithm (Math. Programming 11, 1976) on integers: the
     weights stay one integer vector over their sum, and the corral S stays
-    affinely independent, so each affine minimizer solves a nonsingular
-    bordered system.  v is optimal once min_j (P_j, v) >= (v, v), with no
-    tolerance.
+    affinely independent, so each affine minimizer solves a positive
+    definite system (`_affine_minimizer`).  v is optimal once
+    min_j (P_j, v) >= (v, v), with no tolerance.
     """
     m = len(K)
     x = {min(range(m), key=lambda i: K[i][i]): 1}
@@ -156,7 +162,9 @@ def _support_gram(rs: RootSystem, support):
     indices), and the Gram of the nu(a_j) = h_j coroot(a_j), h_j = (a_j, a_j)/2,
     scaled to integers by D, the lcm of the denominators of the h_j:
     K[i][j] = D <a_i, nu(a_j)> = D h_j <a_i, coroot(a_j)>.  With
-    h_j = len_num / (2 len_den), that lcm is 2 len_den over one gcd."""
+    h_j = len_num / (2 len_den), that lcm is 2 len_den over one gcd.
+    K[i][j] = D (a_i, a_j) is symmetric, so only its upper triangle is
+    computed and then mirrored."""
     first = {}
     for ri in support:
         first.setdefault(rs.pairing_rows[ri], ri)
@@ -165,7 +173,12 @@ def _support_gram(rs: RootSystem, support):
     g = gcd(2 * rs.len_den, *nums)
     hs = [x // g for x in nums]
     D = 2 * rs.len_den // g
-    K = [[h * sum(map(mul, row, rs.coroots[ri])) for h, ri in zip(hs, reps)] for row in first]
+    m = len(reps)
+    cos = [rs.coroots[ri] for ri in reps]
+    K = [[0] * m for _ in range(m)]
+    for i, row in enumerate(first):
+        for j in range(i, m):
+            K[i][j] = K[j][i] = hs[j] * sum(map(mul, row, cos[j]))
     return reps, hs, D, K
 
 
@@ -189,9 +202,8 @@ def _min_norm(rs: RootSystem, support):
     V = [0] * rs.rank
     for w, h, ri in zip(x, hs, reps):
         if w:
-            for c, co in enumerate(rs.coroots[ri]):
-                V[c] += w * h * co
-    pairings = [sum(p * c for p, c in zip(rs.pairing_rows[ri], V)) * den for ri in support]
+            V = [c + w * h * co for c, co in zip(V, rs.coroots[ri])]
+    pairings = [sum(map(mul, rs.pairing_rows[ri], V)) * den for ri in support]
     # normalization m_Y(mu) = 1: the least support pairing is exactly 1
     if min(pairings) != vv:
         raise RuntimeError("optimal mu violates the normalization m_Y(mu) = 1")
@@ -220,7 +232,7 @@ def optimal_cocharacter(rs: RootSystem, Y: LieElement) -> OptimalityCertificate:
     supp = Y.support_roots()
     if not supp or Y.cartan_part():
         raise ValueError("need a nonzero element supported on root vectors")
-    if any(not rs.is_positive(rs.roots[ri]) for ri in supp):
+    if supp[-1] >= len(rs.positive_roots):  # supp is sorted, positives first
         raise ValueError("support must consist of positive roots (standard position)")
     mu, active, lam, k, weights, vv = _min_norm(rs, supp)
     cert = OptimalityCertificate(mu=mu, lam=lam, k=k, active_constraints=active,

@@ -222,9 +222,6 @@ class RootSystem:
 
     # -- basic queries ------------------------------------------------
 
-    def is_positive(self, a: Root) -> bool:
-        return sum(a) > 0
-
     def negative(self, i: int) -> int:
         """Index of -a_i: the negatives follow the positives in the same order."""
         npos = len(self.positive_roots)

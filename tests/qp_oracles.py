@@ -5,10 +5,12 @@
 enumerating all 2^m active subsets of the deduplicated constraints;
 `fourier_motzkin_torus_check` decides the Kirwan-Ness torus question
 by Fourier-Motzkin elimination.  Both are exponential and only meant
-for small supports (m <= 10).  `sl2_completion_oracle` decides
-`sl2_completion_check`'s question on a dense Fraction matrix built from
-brackets, with one `solve`: Gauss-Jordan over a field, the Fraction
-counterpart of `optimality.solve`.
+for small supports (m <= 10).  `bordered_affine_minimizer` solves one
+Wolfe corral in its Lagrange form, the bordered system
+[K_S 1; 1^T 0] [y; lambda] = [0; 1] over Q.  `sl2_completion_oracle`
+decides `sl2_completion_check`'s question on a dense Fraction matrix
+built from brackets, with one `solve`: Gauss-Jordan over a field, the
+Fraction counterpart of `optimality.solve`.
 """
 
 from fractions import Fraction
@@ -16,7 +18,7 @@ from fractions import Fraction
 from chevalley.fields import QQ
 from chevalley.grading import CocharRational, grade
 from chevalley.lie import bracket, cartan_vector, root_vector
-from chevalley.linalg import rref
+from chevalley.linalg import rank, rref
 
 
 def solve(field, A, b):
@@ -30,6 +32,18 @@ def solve(field, A, b):
     for r, c in enumerate(pivots):
         x[c] = R[r][-1]
     return x
+
+
+def bordered_affine_minimizer(K, S):
+    """Weights y (sum 1) of the point of least norm in the affine hull of
+    the points indexed by S of the Gram K, or None if they are affinely
+    dependent: then the bordered system is singular."""
+    n = len(S)
+    A = [[Fraction(K[i][l]) for l in S] + [Fraction(1)] for i in S]
+    A.append([Fraction(1)] * n + [Fraction(0)])
+    if rank(QQ, A) <= n:
+        return None
+    return solve(QQ, A, [Fraction(0)] * n + [Fraction(1)])[:-1]
 
 
 def active_set_min_norm(rs, support):

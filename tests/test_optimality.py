@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -16,10 +17,11 @@ from chevalley.corpus import element_from_support, run_instance, standard_instan
 from chevalley.grading import CocharRational, grade
 from chevalley.lie import LieElement
 from chevalley.linalg import rank
-from chevalley.optimality import (OptimalityCertificate, _affine_minimizer,
+from chevalley.optimality import (OptimalityCertificate, _affine_minimizer, _support_gram,
                                   minimum_norm_cocharacter, solve)
 from conftest import half_sum_of_positive_coroots
-from qp_oracles import QQ, active_set_min_norm, fourier_motzkin_torus_check, sl2_completion_oracle
+from qp_oracles import (QQ, active_set_min_norm, bordered_affine_minimizer,
+                        fourier_motzkin_torus_check, sl2_completion_oracle)
 from qp_oracles import solve as fraction_solve
 
 
@@ -396,16 +398,12 @@ def test_solver_matches_oracles_on_large_and_scaled_types(t, iso, scale):
                     == fourier_motzkin_torus_check(rs, roots, at)), (roots, at)
 
 
-def test_e8_certificates_pinned():
-    """Certificates (to_json, Wolfe's weights and vv) and torus verdicts on
-    a seeded pool of E8 supports with 8 to 10 roots, pinned by one digest
-    taken while Wolfe still ran on Fractions."""
-    rs = build("E8")
+def _certificate_records(rs, rng, count, lo, hi, digest):
+    """Feed `digest` the certificate (to_json, Wolfe's weights and vv) and
+    two torus verdicts of `count` seeded supports of lo to hi roots."""
     q = RationalField()
-    rng = random.Random("e8-certificates")
-    digest = hashlib.sha256()
-    for _ in range(40):
-        supp = sorted(rng.sample(rs.positive_roots, rng.randint(8, 10)))
+    for _ in range(count):
+        supp = sorted(rng.sample(rs.positive_roots, rng.randint(lo, hi)))
         coeffs = [rng.randint(1, 9) for _ in supp]
         cert = optimal_cocharacter(rs, element_from_support(rs, q, supp, coeffs))
         Ya = element_from_support(rs, q, cert.active_constraints)
@@ -415,14 +413,37 @@ def test_e8_certificates_pinned():
         record = [cert.to_json(), {str(ri): str(w) for ri, w in cert.weights.items()},
                   str(cert.vv), torus, kirwan_ness_torus_check(rs, Yp, lam)]
         digest.update(json.dumps(record, sort_keys=True).encode())
+
+
+def test_e8_certificates_pinned():
+    """Certificates and torus verdicts on a seeded pool of E8 supports
+    with 8 to 10 roots, pinned by one digest taken while Wolfe still ran
+    on Fractions."""
+    digest = hashlib.sha256()
+    _certificate_records(build("E8"), random.Random("e8-certificates"), 40, 8, 10, digest)
     assert digest.hexdigest() == (
         "b5759ea84df69d5bfeff5df9b7b2570734b32dd5464f09da88c82ca30e6b29c4")
 
 
+def test_non_simply_laced_certificates_pinned():
+    """The same records where the two root lengths differ, so Wolfe's Gram
+    has unequal diagonal entries: seeded supports of 4 to 8 roots in G2,
+    B5, C5, F4 and a scaled B3, in both isogenies, pinned by one digest
+    taken while each corral was still solved as the bordered system."""
+    digest = hashlib.sha256()
+    rng = random.Random("non-simply-laced-certificates")
+    for t, scale in [("G2", None), ("B5", None), ("C5", None), ("F4", None), ("B3", [3])]:
+        for iso in ["simply_connected", "adjoint"]:
+            rs = build(t, iso, scale=scale)
+            _certificate_records(rs, rng, 12, 4, min(8, len(rs.positive_roots)), digest)
+    assert digest.hexdigest() == (
+        "ede8c698946a0fc4b3f1a502e9960147c079786a08ba60f3f7838faf795fc205")
+
+
 def test_singular_corral_raises_under_O():
-    # two copies of one point are affinely dependent: their bordered system
-    # [K_S 1; 1^T 0] is singular, and the fraction-free solve must say so
-    # with a RuntimeError that `python -O` keeps
+    # two copies of one point are affinely dependent: their corral system
+    # K_S + J is singular, and the fraction-free solve must say so with a
+    # RuntimeError that `python -O` keeps
     code = ("from chevalley.optimality import _affine_minimizer\n"
             "try:\n"
             "    _affine_minimizer([[2, 2], [2, 2]], [0, 1])\n"
@@ -434,6 +455,35 @@ def test_singular_corral_raises_under_O():
     # a nonsingular corral: the midpoint of two points of norm 2 at angle 2pi/3
     y, d = _affine_minimizer([[2, -1], [-1, 2]], [0, 1])
     assert [Fraction(c, d) for c in y] == [Fraction(1, 2)] * 2
+
+
+def test_affine_minimizer_matches_the_bordered_oracle():
+    # seeded corrals S of E8 and F4 support Grams, up to rank + 1 points:
+    # y / d is the bordered system's solution over Q when S is affinely
+    # independent, and a dependent S raises like a singular corral
+    rng = random.Random("corral-vs-bordered")
+    seen = set()
+    for t in ["E8", "F4"]:
+        for iso in ["simply_connected", "adjoint"]:
+            rs = build(t, iso)
+            for _ in range(60):
+                supp = rng.sample(rs.positive_roots, rng.randint(2, 2 * rs.rank))
+                reps, hs, _, K = _support_gram(rs, supp)
+                # the mirrored upper triangle is the whole Gram
+                assert K == [[h * sum(map(mul, rs.pairing_rows[a], rs.coroots[b]))
+                              for h, b in zip(hs, reps)] for a in reps]
+                S = rng.sample(range(len(K)), rng.randint(1, min(len(K), rs.rank + 2)))
+                expected = bordered_affine_minimizer(K, S)
+                if expected is None:
+                    with pytest.raises(RuntimeError, match="singular corral"):
+                        _affine_minimizer(K, S)
+                    seen.add("dependent")
+                    continue
+                y, d = _affine_minimizer(K, S)
+                assert d > 0 and sum(y) == d, (t, supp, S)
+                assert [Fraction(c, d) for c in y] == expected, (t, supp, S)
+                seen.add("rank + 1 points" if len(S) > rs.rank else "fewer points")
+    assert seen == {"dependent", "rank + 1 points", "fewer points"}, seen
 
 
 def test_solve_matches_the_fraction_oracle():
