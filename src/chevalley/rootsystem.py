@@ -8,13 +8,17 @@ The invariant form is normalized so long roots have squared length 2 in
 each irreducible factor; an optional per-factor positive rational scale
 exposes the norm-independence tests.
 
-The per-root tables are built on ints: the simple roots' squared
-lengths scaled by the lcm of their denominators, each coroot coordinate
-an exact integer division, and each squared length an int over one
-common denominator (`len_num`, `len_den`; `len_sq` is their Fraction
-view, which no other module reads).  The same loop records each positive
+The per-root tables are built on ints, by one formula for both isogenies:
+the pairing row is <a, alpha_j^v> (simply connected) or a_j (adjoint),
+and the other of the two vectors gives the coroot, each coordinate an
+exact integer division; each squared length is an int over one common
+denominator (`len_num`, `len_den`; `len_sq` is their Fraction view,
+which no other module reads).  The same loop records each positive
 root's height parent (`height_parents`): a - alpha_j for the first simple
 root with <a, alpha_j^v> > 0, so a grading adds one simple degree per root.
+The cocharacter Gram on each factor f is rank_f sum_{a>0} <a, x><a, y>
+over its trace sum_{a>0} (a, a), so the module solves no linear system
+and imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -24,23 +28,10 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .fields import QQ
-from .linalg import rref
-
 Root = tuple[int, ...]
 
 SIMPLY_CONNECTED = "simply_connected"
 ADJOINT = "adjoint"
-
-ROOT_COUNTS = {
-    "A": lambda n: n * (n + 1),
-    "B": lambda n: 2 * n * n,
-    "C": lambda n: 2 * n * n,
-    "D": lambda n: 2 * n * (n - 1),
-    "E": lambda n: {6: 72, 7: 126, 8: 240}[n],
-    "F": lambda n: 48,
-    "G": lambda n: 12,
-}
 
 
 def exact_div(num: int, den: int, what: str) -> int:
@@ -53,30 +44,30 @@ def exact_div(num: int, den: int, what: str) -> int:
 
 
 def _dynkin_data(series: str, rank: int):
-    """Edges and squared lengths (long = 2) of one irreducible factor;
-    ValueError unless it is A1+, B2+, C2+, D3+, E6-E8, F4 or G2."""
+    """Edges, squared lengths (long = 2) and root count of one irreducible
+    factor; ValueError unless it is A1+, B2+, C2+, D3+, E6-E8, F4 or G2."""
     chain = [(i, i + 1) for i in range(rank - 1)]
     two = Fraction(2)
     if series == "A" and rank >= 1:
-        return chain, [two] * rank
+        return chain, [two] * rank, rank * (rank + 1)
     if series == "B" and rank >= 2:
-        return chain, [two] * (rank - 1) + [Fraction(1)]
+        return chain, [two] * (rank - 1) + [Fraction(1)], 2 * rank * rank
     if series == "C" and rank >= 2:
-        return chain, [Fraction(1)] * (rank - 1) + [two]
+        return chain, [Fraction(1)] * (rank - 1) + [two], 2 * rank * rank
     if series == "D" and rank >= 3:
         edges = [(i, i + 1) for i in range(rank - 2)] + [(rank - 3, rank - 1)]
-        return edges, [two] * rank
+        return edges, [two] * rank, 2 * rank * (rank - 1)
     if series == "E" and rank in (6, 7, 8):
         edges = [(0, 2), (2, 3), (3, 4), (4, 5), (1, 3)]
         if rank >= 7:
             edges.append((5, 6))
         if rank == 8:
             edges.append((6, 7))
-        return edges, [two] * rank
+        return edges, [two] * rank, {6: 72, 7: 126, 8: 240}[rank]
     if series == "F" and rank == 4:
-        return chain, [two, two, Fraction(1), Fraction(1)]
+        return chain, [two, two, Fraction(1), Fraction(1)], 48
     if series == "G" and rank == 2:
-        return chain, [Fraction(2, 3), two]
+        return chain, [Fraction(2, 3), two], 12
     raise ValueError(f"invalid Cartan type {series}{rank}")
 
 
@@ -133,7 +124,7 @@ class RootSystem:
         # then scaled per factor
         form = [[Fraction(0)] * n for _ in range(n)]
         offset = 0
-        for (edges, lengths), s in zip(dynkin, scale):
+        for (edges, lengths, _), s in zip(dynkin, scale):
             for i, length in enumerate(lengths):
                 form[offset + i][offset + i] = length * s
             for (i, j) in edges:
@@ -166,7 +157,7 @@ class RootSystem:
         self.positive_roots = list(range(len(positives)))
         self.simple_roots = [self.root_index[tuple(1 if j == i else 0 for j in range(n))]
                              for i in range(n)]
-        expected = sum(ROOT_COUNTS[s](r) for s, r in cartan_type)
+        expected = sum(count for _, _, count in dynkin)
         if len(self.roots) != expected:
             raise RuntimeError(f"root count {len(self.roots)} != classical {expected}")
 
@@ -194,27 +185,34 @@ class RootSystem:
                     raise RuntimeError(f"no simple root alpha_j with {a} - alpha_j a root or 0")
                 self.height_parents.append((self.root_index.get(parent), j))
             two_d_la = sum(x * c * l for x, c, l in zip(a, on_coroots, ell) if x)
-            # over the simple coroots a^v = sum_i a_i (alpha_i, alpha_i)/(a, a) alpha_i^v,
-            # and alpha_i^v is row i of the Cartan matrix over the fundamental coweights
-            ks = [exact_div(2 * x * l, two_d_la, "coroot coordinate") for x, l in zip(a, ell)]
-            if isogeny == ADJOINT:
-                ks = [sum(k * row[j] for k, row in zip(ks, self.cartan)) for j in range(n)]
+            # a^v = sum_j a_j (alpha_j, alpha_j)/(a, a) alpha_j^v over the simple
+            # coroots, and <alpha_j, a^v> = <a, alpha_j^v> (alpha_j, alpha_j)/(a, a)
+            # over the fundamental coweights: one formula on the other vector
+            row, src = (on_coroots, a) if isogeny == SIMPLY_CONNECTED else (a, on_coroots)
             self.len_num.append(two_d_la)
-            self.pairing_rows.append(on_coroots if isogeny == SIMPLY_CONNECTED else a)
-            self.coroots.append(tuple(ks))
+            self.pairing_rows.append(row)
+            self.coroots.append(tuple(exact_div(2 * x * l, two_d_la, "coroot coordinate")
+                                      for x, l in zip(src, ell)))
         self.len_sq = [Fraction(x, self.len_den) for x in self.len_num]
         # pairing of the simple roots against the cocharacter lattice basis
         self.basis_pairing = [self.pairing_rows[s] for s in self.simple_roots]
 
-        # Gram matrix of the cocharacter basis for the dual invariant form
-        if isogeny == SIMPLY_CONNECTED:
-            self.gram = [[4 * form[i][j] / (form[i][i] * form[j][j]) for j in range(n)]
-                         for i in range(n)]
-        else:
-            # the fundamental coweights are the dual basis of the nu(simple
-            # roots), whose Gram is char_form, so theirs is its inverse
-            reduced, _ = rref(QQ, [r + [Fraction(i == j) for j in range(n)] for i, r in enumerate(form)])
-            self.gram = [row[n:] for row in reduced]
+        # Gram matrix of the cocharacter basis for the dual invariant form: on
+        # a factor f, B(x, y) = sum_{a>0} <a, x><a, y> is W-invariant, so it is
+        # c_f (x, y), with rank_f c_f = sum_{a>0} (a, a) its trace; B vanishes
+        # across factors, and a positive root's factor is its height parent's j
+        factor = [f for f, (_, r) in enumerate(cartan_type) for _ in range(r)]
+        trace = [0] * len(cartan_type)
+        for (_, j), num in zip(self.height_parents, self.len_num):
+            trace[factor[j]] += num
+        columns = list(zip(*self.pairing_rows[:len(positives)]))
+        self.gram = [[None] * n for _ in range(n)]
+        for i, ci in enumerate(columns):
+            f = factor[i]
+            weight = cartan_type[f][1] * self.len_den
+            for j in range(i, n):
+                g = Fraction(weight * sum(map(mul, ci, columns[j])), trace[f])
+                self.gram[i][j] = self.gram[j][i] = g
         # the same Gram as integers over one denominator, for cochar_form
         self.gram_den = lcm(*(g.denominator for row in self.gram for g in row))
         self.gram_num = [[g.numerator * (self.gram_den // g.denominator) for g in row]

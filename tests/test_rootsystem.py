@@ -7,18 +7,25 @@ from itertools import product
 import pytest
 
 from chevalley import build, parse_cartan_type
-from chevalley.rootsystem import ROOT_COUNTS
 
 from conftest import ISOGENIES, SC_TYPES, SCALED_BUILDS
 
 ALL_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "C3", "D4", "E6", "F4", "G2"]
 
 
+# the classical root counts (Bourbaki, Plates I-IX), written out rather
+# than read from the table the build checks itself against
+CLASSICAL_ROOT_COUNTS = {
+    "A1": 2, "A2": 6, "A3": 12, "A4": 20, "A5": 30, "B2": 8, "B3": 18, "B4": 32,
+    "C2": 8, "C3": 18, "D4": 24, "D5": 40, "E6": 72, "E7": 126, "E8": 240,
+    "F4": 48, "G2": 12,
+}
+
+
 @pytest.mark.parametrize("t", ALL_TYPES + ["E7", "E8", "D5", "C2", "B4"])
 def test_classical_root_counts(t):
     rs = build(t)
-    series, r = t[0], int(t[1:])
-    assert len(rs.roots) == ROOT_COUNTS[series](r)
+    assert len(rs.roots) == CLASSICAL_ROOT_COUNTS[t]
     assert len(rs.positive_roots) * 2 == len(rs.roots)
 
 
@@ -243,6 +250,31 @@ def test_root_system_tables_pinned():
         }
         h.update(json.dumps(tables, sort_keys=True).encode() + b"\n")
     assert h.hexdigest() == ROOT_TABLES_SHA256
+
+
+@pytest.mark.parametrize("t, scale", [
+    *((t, None) for t in ["A8", "B6", "C6", "D7", "D8", "E7xA1"]),
+    ("A2xB3xG2", [Fraction(7, 3), Fraction(5), Fraction(9, 11)]),
+    ("C4xF4", [Fraction(13, 5), Fraction(3, 7)]),
+])
+def test_gram_and_coroots_beyond_the_pinned_types(t, scale):
+    # types the table digest does not reach, checked in plain Fraction
+    # arithmetic: the simply connected Gram is the simple coroots' 4 f_ij /
+    # (f_ii f_jj), the adjoint Gram inverts char_form (the fundamental
+    # coweights are dual to the nu(simple roots)), each adjoint coroot is
+    # the Cartan-row image of its simply connected coroot, and <a, a^v> = 2
+    sc, ad = (build(t, isogeny, scale=scale) for isogeny in ISOGENIES)
+    f, n = sc.char_form, sc.rank
+    assert sc.gram == [[4 * f[i][j] / (f[i][i] * f[j][j]) for j in range(n)] for i in range(n)]
+    assert ad.char_form == f
+    assert [[sum(g * x for g, x in zip(row, col)) for col in zip(*f)] for row in ad.gram] == \
+        [[int(i == j) for j in range(n)] for i in range(n)]
+    assert ad.roots == sc.roots
+    for a, k in zip(sc.roots, sc.coroots):
+        assert ad.coroot(a) == tuple(sum(x * row[j] for x, row in zip(k, sc.cartan))
+                                     for j in range(n))
+    for rs in (sc, ad):
+        assert all(rs.pair(a, rs.coroot(a)) == 2 for a in rs.roots)
 
 
 def test_basis_pairing_and_length_table():

@@ -1,6 +1,7 @@
 """Source guards: invariant checks in the package raise, so `python -O` keeps
-them, `optimality` keeps its one elimination to itself, only `rootsystem`
-derives squared lengths, and each field parses its own coefficient strings."""
+them, `optimality` keeps its one elimination to itself, `rootsystem` imports
+nothing from the package, only `rootsystem` derives squared lengths, and each
+field parses its own coefficient strings."""
 
 import ast
 from pathlib import Path
@@ -36,7 +37,14 @@ def test_optimality_imports_neither_snf_nor_linalg():
     # its one elimination, for the Wolfe corral and the sl2 verdict alike,
     # is its own fraction-free solve
     assert not _imported_modules("optimality.py") & {"chevalley.snf", "chevalley.linalg"}
-    assert "chevalley.linalg" in _imported_modules("rootsystem.py")  # the guard sees imports
+    assert "chevalley.linalg" in _imported_modules("badprimes.py")  # the guard sees imports
+
+
+def test_rootsystem_imports_no_package_module():
+    # the root datum is the package's leaf: no field object and no
+    # elimination, both isogenies' Grams come from root sums
+    assert not {m for m in _imported_modules("rootsystem.py") if m.split(".")[0] == "chevalley"}
+    assert "chevalley.rootsystem" in _imported_modules("lie.py")  # the guard sees relative imports
 
 
 def _modules_reading(attr):
