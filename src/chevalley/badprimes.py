@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .fields import QQ, PrimeField
 from .grading import CocharRational
-from .lie import LieElement, StructureConstants, bracket, element_from_support
+from .lie import LieElement, StructureConstants, _root_key, bracket, element_from_support
 from .linalg import kernel_basis
 from .optimality import optimal_cocharacter
 from .rootsystem import RootSystem
@@ -104,8 +104,8 @@ class CGammaTable:
 
 def c_gamma(rs: RootSystem, supp_x, supp_y) -> CGammaTable:
     """Complete additive-coincidence table between two root supports."""
-    supp_x = [ri if isinstance(ri, int) else rs.root_index[tuple(ri)] for ri in supp_x]
-    supp_y = [ri if isinstance(ri, int) else rs.root_index[tuple(ri)] for ri in supp_y]
+    supp_x = [_root_key(rs, ri)[1] for ri in supp_x]
+    supp_y = [_root_key(rs, ri)[1] for ri in supp_y]
     table: dict[int, list[tuple[int, int]]] = {}
     for ai in supp_x:
         a = rs.roots[ai]

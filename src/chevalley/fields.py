@@ -85,6 +85,9 @@ class RationalField:
         return self.p
 
     def element(self, x) -> Fraction:
+        """x as a Fraction; ValueError for a float, which is not exact."""
+        if isinstance(x, float):
+            raise ValueError(f"cannot embed {x!r} in {self!r}: a float is not exact")
         try:
             return Fraction(x)
         except ZeroDivisionError:

@@ -92,13 +92,24 @@ class LieElement:
 
 
 def _coerce(field, c):
-    """Integers, strings and Fractions go through field.element; elements
-    of the field pass as they are."""
-    return field.element(c) if isinstance(c, (int, str, Fraction)) else c
+    """Integers, strings, Fractions and floats go through field.element,
+    which refuses a float; elements of the field pass as they are."""
+    return field.element(c) if isinstance(c, (int, str, Fraction, float)) else c
 
 
 def _root_key(rs: RootSystem, root):
-    return ("E", root if isinstance(root, int) else rs.root_index[tuple(root)])
+    """("E", i) for a root given by its index i (an int, not a bool) or by
+    its coordinates; ValueError for anything that is not a root of rs."""
+    if isinstance(root, int) and not isinstance(root, bool):
+        i = root if 0 <= root < len(rs.roots) else None
+    else:
+        try:
+            i = rs.root_index.get(tuple(root))
+        except TypeError:
+            i = None
+    if i is None:
+        raise ValueError(f"{root!r} is not a root of {rs.type_string()}")
+    return ("E", i)
 
 
 def root_vector(rs: RootSystem, field, root, coeff=1) -> LieElement:

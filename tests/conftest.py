@@ -9,6 +9,9 @@ from chevalley import (LieElement, RationalField, bracket, graded_ad, lattice_im
 from chevalley.linalg import det
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+# SHA-256 of `chevalley corpus` stdout, shipped or regenerated corpus alike;
+# perfbench/reference.json pins the same bytes
+CORPUS_STDOUT_SHA256 = "111ccef9dd682955e37e353b5de8620558269cd4137ab2086f8b40c0c8fd9ec5"
 
 # the types whose structure-constant and root tables are pinned, in both isogenies
 SC_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C3", "C4", "C5", "D4",

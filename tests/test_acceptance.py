@@ -25,17 +25,15 @@ from chevalley import (FunctionField, PrimeField, RationalField, bracket,
                        structure_constants)
 from chevalley.corpus import run_corpus
 
-from conftest import (REPO_ROOT, check_lattice_image, check_phi_homogeneity,
-                      check_phi_identities, half_sum_of_positive_coroots, jacobiator,
-                      random_element, random_polynomial_element, random_square_grading)
+from conftest import (CORPUS_STDOUT_SHA256, REPO_ROOT, check_lattice_image,
+                      check_phi_homogeneity, check_phi_identities,
+                      half_sum_of_positive_coroots, jacobiator, random_element,
+                      random_polynomial_element, random_square_grading)
 
 # bad primes of the series that criterion 4's mod-p clause covers
 BAD_PRIMES = {"A": (), "D": (2,)}
 # the one documented D-type instance that is not injective at its bad prime
 D4_OUTER_NODES_P2 = ("D4", ((1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), "2")
-# SHA-256 of `chevalley corpus --corpus corpus/standard.json` stdout, the
-# same bytes perfbench/reference.json pins
-CORPUS_STDOUT_SHA256 = "111ccef9dd682955e37e353b5de8620558269cd4137ab2086f8b40c0c8fd9ec5"
 
 CONSTANT_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "C3", "D4", "F4", "G2", "E6"]
 

@@ -5,11 +5,13 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from chevalley import FunctionField
 from chevalley.cli import _instance, main, make_parser
 from chevalley.fields import QQ
 
-from conftest import REPO_ROOT
+from conftest import CORPUS_STDOUT_SHA256, REPO_ROOT
 
 
 def run_cli(*args):
@@ -289,17 +291,71 @@ def test_large_primes_finish(tmp_path):
         "factor up to 41, got 3317044064679887385961981"]
 
 
-def test_large_field_outputs_pinned():
-    """snf over GF(100003^2)(t), whose products run digit by digit, beyond
-    the exp/log tables: the bytes of an A2 and a C3 k = 3 run are pinned."""
-    for args, expected in [
-            (["--type", "A2", "--support", "a1+a2=t"],
-             "b72377c653969c836eac1b22f47b3584b20c292cfba135092b576dd701635dab"),
-            (["--type", "C3", "--support", "a2+a3=t,a1+a2+a3=t^2"],
-             "6a55c5b4ca82180fddfa1923793d0b4d1f7f8d89976199e1deb05da7b378982e")]:
-        code, out, err = run_main("snf", *args, "--q", "10000600009")
-        assert code == 0 and not err, (args, err)
-        assert hashlib.sha256(out.encode()).hexdigest() == expected, args
+F4_OPTIMAL_SUPPORT = "a1=2,a1+a2,a1+a2+a3=3,a1+a2+a2+a3+a3+a3+a3+a4+a4"
+E6_SNF_SUPPORT = "a1+a2+a3+a4=t^2,a3=t^2,a3+a4=t"
+F4_SNF_SUPPORT = "a1+a2+a3+a3+a4+a4=t,a1+a1+a2+a2+a2+a3+a3+a3+a3+a4+a4=t^4,a2+a3+a3+a4=t^2"
+PINNED_STDOUT = [
+    # with no --corpus the standard corpus is rebuilt through standard_instances
+    pytest.param(["corpus"], CORPUS_STDOUT_SHA256, id="corpus-regenerated"),
+    pytest.param(["corpus", "--corpus", str(REPO_ROOT / "corpus" / "standard.json")],
+                 CORPUS_STDOUT_SHA256, id="corpus-shipped"),
+    # the E8 structure constants and adjoint roots pin the integer set-up
+    pytest.param(["constants", "--type", "E8"],
+                 "36056420261d9b4e9fc6ef3288775b8900e9e23f1263475b914ad58389d0e2ff",
+                 id="constants-E8"),
+    pytest.param(["roots", "--type", "E8", "--isogeny", "adjoint"],
+                 "5267081434d00e6db40dc3126e4fdb5ec0a42cf1761394810cd1aa3364126e08",
+                 id="roots-E8-adjoint"),
+    # F4 and B3xG2 pin the coroots and coweight Gram where roots have two
+    # lengths (on E8 both coroot formulas agree)
+    pytest.param(["roots", "--type", "F4", "--isogeny", "adjoint"],
+                 "5b8a012eb6a221c9cf243c46d84bd17da994941a2fc138ff7823acf7f8a8bf95",
+                 id="roots-F4-adjoint"),
+    pytest.param(["roots", "--type", "B3xG2", "--isogeny", "adjoint"],
+                 "686b5c82883fa9b6b0bfa529ea291b3ab0e1b04ff217f5229bcd46a5bb7e093e",
+                 id="roots-B3xG2-adjoint"),
+    # grade and the optimal cocharacter in both isogenies
+    pytest.param(["grade", "--type", "E8", "--support", "a1,a2,a3,a4,a5,a6,a7,a8"],
+                 "2df16491c6ab22ab7d14f26127e79bf60063213e6b3faecaf0b3dde94b569cfe",
+                 id="grade-E8-simple-roots"),
+    pytest.param(["grade", "--type", "E8", "--isogeny", "adjoint", "--support", "a1,a4,a6"],
+                 "1e3be425cfaf17aa8f61fb1ee260e3bd6b2ea90618bf74df3a5f8d271aa9d6ce",
+                 id="grade-E8-adjoint"),
+    # long and short roots, so the Gram's diagonal is not constant; its
+    # Wolfe run drops a point in a minor cycle
+    pytest.param(["optimal", "--type", "F4", "--support", F4_OPTIMAL_SUPPORT, "--box-radius", "3"],
+                 "9fba47c5ded65db4aa1b8d6641b420602d47f810a927aba7c51e4af9362f8809",
+                 id="optimal-F4"),
+    # k = 6, five blocks each: GF(4)(t) and GF(9)(t) in characteristics 2 and 3
+    pytest.param(["snf", "--type", "E6", "--support", E6_SNF_SUPPORT, "--q", "4"],
+                 "8f71b3239c84dfcd88a72c9b190001b98083b05e0c171baba83271d0413bc7af",
+                 id="snf-E6-q4"),
+    pytest.param(["snf", "--type", "E6", "--support", E6_SNF_SUPPORT, "--q", "9"],
+                 "fb75f2bdd373f43be32489691592821bfe3fd0ed757fa913156f3a1072a1274f",
+                 id="snf-E6-q9"),
+    pytest.param(["snf", "--type", "F4", "--support", F4_SNF_SUPPORT, "--q", "4"],
+                 "c97efe02ba29210164c9f8ff03b07a99d73e4d25f4069c9780a1a50b98e24d57",
+                 id="snf-F4-q4"),
+    pytest.param(["snf", "--type", "F4", "--support", F4_SNF_SUPPORT, "--q", "9"],
+                 "efe3f1071c281ca1a0a9fc9e8f804f532387881b1fad0e06a174d289b5319985",
+                 id="snf-F4-q9"),
+    # GF(100003^2)(t), whose products run digit by digit, beyond the exp/log tables
+    pytest.param(["snf", "--type", "A2", "--support", "a1+a2=t", "--q", "10000600009"],
+                 "b72377c653969c836eac1b22f47b3584b20c292cfba135092b576dd701635dab",
+                 id="snf-A2-q10000600009"),
+    pytest.param(["snf", "--type", "C3", "--support", "a2+a3=t,a1+a2+a3=t^2",
+                  "--q", "10000600009"],
+                 "6a55c5b4ca82180fddfa1923793d0b4d1f7f8d89976199e1deb05da7b378982e",
+                 id="snf-C3-q10000600009"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", PINNED_STDOUT)
+def test_pinned_stdout(argv, expected):
+    """The SHA-256 of stdout is pinned; CI runs this plain and under -O."""
+    code, out, err = run_main(*argv)
+    assert code == 0 and not err, err
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
 def test_optimal_inhomogeneous_support_exits_2():
@@ -338,15 +394,6 @@ def test_main_entry_direct(capsys):
     assert main(["roots", "--type", "A1"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["root_count"] == 2
-
-
-def test_corpus_cli_deterministic_bytes():
-    corpus_path = str(REPO_ROOT / "corpus" / "standard.json")
-    code1, out1, _ = run_cli("corpus", "--corpus", corpus_path)
-    code2, out2, _ = run_cli("corpus", "--corpus", corpus_path)
-    assert code1 == code2 == 0
-    assert out1 == out2
-    assert json.loads(out1)["ok"]
 
 
 def _pinned_argv():

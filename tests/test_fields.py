@@ -268,6 +268,19 @@ def test_element_from_support_refuses_a_non_integral_coefficient_mod_p():
         assert Y.coeffs == {("E", rs.root_index[(1, 0)]): field.element(2)}
 
 
+def test_no_float_becomes_an_exact_coefficient():
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10; the finite
+    # and function fields' refusal is test_element_reduces_integers_and_refuses_the_rest
+    for field in (RationalField(), RationalField(5)):
+        for bad in (0.1, 2.0):
+            with pytest.raises(ValueError, match=re.escape(f"cannot embed {bad!r} in {field!r}")):
+                field.element(bad)
+    rs = build("A2")
+    for field in (RationalField(), PrimeField(5), FunctionField(4)):
+        with pytest.raises(ValueError, match=re.escape(f"cannot embed 0.5 in {field!r}")):
+            element_from_support(rs, field, [(1, 0)], [0.5])
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
 def test_polynomial_divmod_is_division_with_remainder(q):
     # q*b + r == a and deg r < deg b, with deg a < deg b and constant b included

@@ -1,10 +1,11 @@
 import hashlib
 import json
 import random
+import re
 
 import pytest
 
-from chevalley import (PrimeField, RationalField, bracket, build, coroot_element,
+from chevalley import (PrimeField, RationalField, bracket, build, c_gamma, coroot_element,
                        root_vector, structure_constants)
 from chevalley.fields import QQ
 from chevalley.lie import element_from_support
@@ -174,6 +175,22 @@ def test_element_from_support_coefficient_count():
     assert element_from_support(rs, QQ, support) == element_from_support(rs, QQ, support, [1, 1])
     assert element_from_support(rs, QQ, support, (5, 7)).coeffs == {
         ("E", rs.root_index[(1, 0)]): 5, ("E", rs.root_index[(0, 1)]): 7}
+
+
+def test_only_real_roots_enter_an_element():
+    """A root is an int index in range or the coordinates of a root: -1
+    would key rs.roots[-1], a negative root that optimal_cocharacter takes
+    for a support root, and True would be E_1."""
+    rs = build("A2")
+    for bad in (-1, True, 99, (5, 5)):
+        message = f"^{re.escape(repr(bad))} is not a root of A2$"
+        for make in (lambda: element_from_support(rs, QQ, [bad]),
+                     lambda: root_vector(rs, QQ, bad), lambda: coroot_element(rs, QQ, bad),
+                     lambda: c_gamma(rs, [bad], [0]), lambda: c_gamma(rs, [0], [bad])):
+            with pytest.raises(ValueError, match=message):
+                make()
+    for ri, a in enumerate(rs.roots):
+        assert root_vector(rs, QQ, ri) == root_vector(rs, QQ, a) == root_vector(rs, QQ, list(a))
 
 
 @pytest.mark.parametrize("t,count", [("E7", 126), ("E8", 240)])
