@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .fields import QQ, PrimeField
 from .grading import CocharRational
-from .lie import LieElement, StructureConstants, _root_key, bracket, element_from_support
+from .lie import LieElement, StructureConstants, bracket, element_from_support
 from .linalg import kernel_basis
 from .optimality import optimal_cocharacter
 from .rootsystem import RootSystem
@@ -104,8 +104,7 @@ class CGammaTable:
 
 def c_gamma(rs: RootSystem, supp_x, supp_y) -> CGammaTable:
     """Complete additive-coincidence table between two root supports."""
-    supp_x = [_root_key(rs, ri)[1] for ri in supp_x]
-    supp_y = [_root_key(rs, ri)[1] for ri in supp_y]
+    supp_x, supp_y = ([rs.index(ri) for ri in supp] for supp in (supp_x, supp_y))
     table: dict[int, list[tuple[int, int]]] = {}
     for ai in supp_x:
         a = rs.roots[ai]
@@ -127,9 +126,7 @@ def destabilizing_certificate(rs: RootSystem, Y: LieElement, lam_tilde, alpha):
     with mu.  Preconditions violated -> ValueError (no certificate).
     """
     lam_tilde = tuple(Fraction(c) for c in lam_tilde)
-    a_root = tuple(alpha) if not isinstance(alpha, int) else rs.roots[alpha]
-    if a_root not in rs.root_index:
-        raise ValueError("alpha must be a root")
+    a_root = rs.roots[rs.index(alpha)]
     supp = Y.support_roots()
     if not supp:
         raise ValueError("Y must be supported on root vectors")

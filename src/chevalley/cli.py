@@ -17,7 +17,7 @@ import sys
 
 from .badprimes import regular_counterexample_report
 from .corpus import keeps_support_mod, run_corpus, standard_corpus
-from .fields import QQ, FunctionField, RationalField, is_prime
+from .fields import QQ, FunctionField, RationalField, check_prime
 from .gradedmap import (block_divisors, block_report, graded_ad, kernel_from_divisors,
                         lattice_image, verify_phi_inverse, verify_rrao)
 from .grading import grade
@@ -125,9 +125,7 @@ def cmd_optimal(args):
 def cmd_kernel_check(args):
     rs, Y, cert = _instance(args, QQ)
     p = args.prime
-    if p is not None and not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if p is not None and not keeps_support_mod(Y, p):
+    if p is not None and not keeps_support_mod(Y, check_prime(p)):
         raise ValueError(f"support degenerates mod {p}")
     # D Y has integer coefficients and the same ranks over Q, and over
     # GF(p) too, since p divides no denominator

@@ -43,10 +43,10 @@ def is_type_a(rs: RootSystem) -> bool:
     return all(series == "A" for series, _ in rs.cartan_type)
 
 
-def standard_instances(rs_type: str, random_draws: int = 5) -> list[dict]:
+def standard_instances(rs_type: str) -> list[dict]:
     """Instance entries for one type: every positive single-root support,
-    every nonempty simple-root subset, and seeded random supports that
-    pass the characteristic-0 optimality filter."""
+    every nonempty simple-root subset, and up to five seeded random supports
+    that pass the characteristic-0 optimality filter."""
     rs = build(rs_type)
     sc = structure_constants(rs)
     entries = []
@@ -63,7 +63,7 @@ def standard_instances(rs_type: str, random_draws: int = 5) -> list[dict]:
     seen = set()
     attempts = 0
     size_hi = min(6, len(rs.positive_roots))
-    while size_hi >= 2 and drawn < random_draws and attempts < 400:
+    while size_hi >= 2 and drawn < 5 and attempts < 400:
         attempts += 1
         size = rng.randint(2, size_hi)
         supp = sorted(rng.sample(rs.positive_roots, size))
@@ -121,8 +121,7 @@ def run_instance(rs: RootSystem, sc, entry: dict, primes) -> dict:
     if not isinstance(support, list):
         raise ValueError(f"support must be a list of roots, got {support!r}")
     for root in support:
-        if tuple(_integers(root, "a support root")) not in rs.root_index:
-            raise ValueError(f"{root!r} is not a root of {rs.type_string()}")
+        _integers(root, "a support root")
     coefficients = _integers(entry.get("coefficients", [1] * len(support)), "coefficients")
     Y = element_from_support(rs, QQ, support, coefficients)
     cert = optimal_cocharacter(rs, Y)

@@ -47,6 +47,13 @@ def is_prime(n: int) -> bool:
                for a in _SMALL_PRIMES)
 
 
+def check_prime(p) -> int:
+    """p itself, if it is a prime int; ValueError otherwise."""
+    if not isinstance(p, int) or not is_prime(p):
+        raise ValueError(f"p must be prime, got {p!r}")
+    return p
+
+
 def _iroot(q: int, n: int) -> int:
     """The floor of q**(1/n) for q >= 1, by Newton's method from above."""
     x = 1 << -(-q.bit_length() // n)
@@ -72,9 +79,7 @@ class RationalField:
     char = 0
 
     def __init__(self, p: int | None = None):
-        if p is not None and not is_prime(p):
-            raise ValueError(f"p must be prime, got {p}")
-        self.p = p
+        self.p = p if p is None else check_prime(p)
         self.zero = Fraction(0)
         self.one = Fraction(1)
 
@@ -85,9 +90,13 @@ class RationalField:
         return self.p
 
     def element(self, x) -> Fraction:
-        """x as a Fraction; ValueError for a float, which is not exact."""
-        if isinstance(x, float):
-            raise ValueError(f"cannot embed {x!r} in {self!r}: a float is not exact")
+        """An int or a rational string as a Fraction, a Fraction as it is;
+        ValueError for a float, which is not exact, and anything else."""
+        if isinstance(x, Fraction):
+            return x
+        if not isinstance(x, (int, str)):
+            why = "a float is not exact" if isinstance(x, float) else "not a rational"
+            raise _refusal(x, self, why)
         try:
             return Fraction(x)
         except ZeroDivisionError:
@@ -183,6 +192,16 @@ class FFElement:
         return f"FF{self.field.order}{self.coeffs}"
 
 
+def _refusal(x, field, why: str) -> ValueError:
+    """The error for an x that field.element refuses; another field's
+    element is named by its field, since a GF(p) element prints as an int."""
+    if isinstance(x, FFElement):
+        why = f"an element of {x.field!r}"
+    elif isinstance(x, RatFunc):
+        why = f"an element of GF({x.num.base.order})(t)"
+    return ValueError(f"cannot embed {x!r} in {field!r}: {why}")
+
+
 def _integer(x, field) -> int:
     """x as an int if it is an int or an integral Fraction; ValueError naming
     x and the field otherwise.  A field of characteristic p holds no 1/2 or 2.5."""
@@ -190,7 +209,7 @@ def _integer(x, field) -> int:
         return x
     if isinstance(x, Fraction) and x.denominator == 1:
         return x.numerator
-    raise ValueError(f"cannot embed {x!r} in {field!r}: not an integer")
+    raise _refusal(x, field, "not an integer")
 
 
 # GF(p^n) with n > 1 and q up to this multiplies through exp/log tables of a
@@ -319,9 +338,11 @@ class FiniteField:
         return exp + exp, log
 
     def element(self, x) -> FFElement:
-        """Embed an integer, or an integral Fraction, via reduction mod p
-        (the prime subfield); ValueError for anything else."""
+        """An int or an integral Fraction reduced mod p (into the prime
+        subfield), an element of this field as it is; ValueError otherwise."""
         if not isinstance(x, int):
+            if isinstance(x, FFElement) and (x.field is self or x.field == self):
+                return x
             x = _integer(x, self)
         return FFElement(self, x % self.char)
 
@@ -350,9 +371,7 @@ class FiniteField:
 
 def PrimeField(p: int) -> FiniteField:
     """GF(p) for p prime."""
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    return FiniteField(p)
+    return FiniteField(check_prime(p))
 
 
 def _trim(codes: list) -> tuple[int, ...]:
@@ -588,8 +607,10 @@ class FunctionField:
         return self.base.order
 
     def element(self, x) -> RatFunc:
-        """An integer, an integral Fraction, or a monomial string c*t^e such
-        as "3", "-2t" or "-t^2"; ValueError for anything else."""
+        """An int, an integral Fraction, a monomial string c*t^e such as "3",
+        "-2t" or "-t^2", or an element of this field as it is; ValueError otherwise."""
+        if isinstance(x, RatFunc) and x.num.base == self.base:
+            return x
         if not isinstance(x, str):
             return self.poly([_integer(x, self)])
         m = _MONOMIAL.match(x.replace(" ", ""))

@@ -32,7 +32,7 @@ from operator import mul
 
 from . import linalg
 from .fields import has_valuation
-from .grading import delta_exponent, grade, integral_coords, single_degree
+from .grading import delta_exponent, grade, single_degree
 from .lie import LieElement, StructureConstants
 from .rootsystem import RootSystem
 from .snf import INF, dvr_divisor_valuations, integer_elementary_divisors
@@ -220,8 +220,7 @@ def verify_phi_inverse(rs: RootSystem, sc: StructureConstants, X: LieElement,
 def torus_conjugate(rs: RootSystem, X: LieElement, v) -> LieElement:
     """Ad of the torus point with valuation vector v: the coefficient of
     E_a is scaled by uniformizer**<a, v>.  v must be integral."""
-    v = integral_coords(v, "the valuation vector v must be integral")
-    rs.check_coords(v, "the valuation vector v")
+    v = rs.lattice_vector(v, "the valuation vector v")
     field = X.field
     pi = field.uniformizer()
     powers = [pi]  # powers[j] = pi**(j + 1), extended on demand

@@ -74,25 +74,13 @@ class GradingReport:
         }
 
 
-def integral_coords(xs, message: str) -> tuple[int, ...]:
-    """xs as a tuple of ints; ValueError(message) if a coordinate is not
-    an integer, which a truncating int() would hide."""
-    xs = tuple(xs)
-    if all(type(c) is int for c in xs):  # the common case; a bool is not an int here
-        return xs
-    if any(Fraction(c).denominator != 1 for c in xs):
-        raise ValueError(message)
-    return tuple(int(c) for c in xs)
-
-
 def grade(rs: RootSystem, lam) -> GradingReport:
     """Assign every root to its degree <a, lam>; lam must be integral.
     Only the simple roots are paired with lam: a positive root's degree is
     its height parent's plus one simple root's, and -a has degree -<a, lam>.
     Each degree's root indices come out increasing, as the positives are
     visited in index order and the negatives follow them in the same order."""
-    lam = integral_coords(lam, "grading requires an integral cocharacter")
-    rs.check_coords(lam, "lam")
+    lam = rs.lattice_vector(lam, "lam")
     simple = [sum(map(mul, rs.pairing_rows[i], lam)) for i in rs.simple_roots]
     degrees = []
     for parent, j in rs.height_parents:
@@ -108,13 +96,8 @@ def grade(rs: RootSystem, lam) -> GradingReport:
 def degrees_of(rs: RootSystem, Y: LieElement, lam) -> list:
     """Degrees of the support of Y (Cartan components count as degree 0)."""
     rs.check_coords(lam, "lam")
-    degs = []
-    for key in Y.coeffs:
-        if key[0] == "H":
-            degs.append(0)
-        else:
-            degs.append(sum(map(mul, rs.pairing_rows[key[1]], lam)))
-    return degs
+    return [0 if key[0] == "H" else sum(map(mul, rs.pairing_rows[key[1]], lam))
+            for key in Y.coeffs]
 
 
 def single_degree(rs: RootSystem, Y: LieElement, lam):
@@ -132,8 +115,7 @@ def m_of(rs: RootSystem, Y: LieElement, lam) -> Fraction | int:
     """
     if Y.is_zero():
         raise ValueError("m is undefined for Y = 0")
-    degs = degrees_of(rs, Y, lam)
-    k = min(degs)
+    k = min(degrees_of(rs, Y, lam))
     if k < 1:
         raise ValueError("Y is not in the unipotent radical of lambda")
     return k
@@ -154,8 +136,7 @@ def delta_exponent(rs: RootSystem, lam, s: int, t: int | None, v) -> int:
     if t is not None and t <= s:
         raise ValueError("need t > s")
     rs.check_coords(lam, "lam")
-    v = integral_coords(v, "the valuation vector v must be integral")
-    rs.check_coords(v, "the valuation vector v")
+    v = rs.lattice_vector(v, "the valuation vector v")
     e = 0
     for row in rs.pairing_rows:
         d = sum(map(mul, row, lam))

@@ -23,8 +23,6 @@ each division by a length or by N is exact (`rootsystem.exact_div`).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .rootsystem import RootSystem, exact_div
 
 # basis keys: ("E", root index) and ("H", cocharacter basis index)
@@ -91,30 +89,9 @@ class LieElement:
         return " + ".join(f"({v!r})*{k[0]}{k[1]}" for k, v in sorted(self.coeffs.items()))
 
 
-def _coerce(field, c):
-    """Integers, strings, Fractions and floats go through field.element,
-    which refuses a float; elements of the field pass as they are."""
-    return field.element(c) if isinstance(c, (int, str, Fraction, float)) else c
-
-
-def _root_key(rs: RootSystem, root):
-    """("E", i) for a root given by its index i (an int, not a bool) or by
-    its coordinates; ValueError for anything that is not a root of rs."""
-    if isinstance(root, int) and not isinstance(root, bool):
-        i = root if 0 <= root < len(rs.roots) else None
-    else:
-        try:
-            i = rs.root_index.get(tuple(root))
-        except TypeError:
-            i = None
-    if i is None:
-        raise ValueError(f"{root!r} is not a root of {rs.type_string()}")
-    return ("E", i)
-
-
 def root_vector(rs: RootSystem, field, root, coeff=1) -> LieElement:
     """c * E_root; root given by index or coordinate tuple."""
-    return LieElement(field, {_root_key(rs, root): _coerce(field, coeff)})
+    return LieElement(field, {("E", rs.index(root)): field.element(coeff)})
 
 
 def element_from_support(rs: RootSystem, field, support, coefficients=None) -> LieElement:
@@ -127,7 +104,7 @@ def element_from_support(rs: RootSystem, field, support, coefficients=None) -> L
         raise ValueError(f"{len(coefficients)} coefficients for {len(support)} support roots")
     out: dict = {}
     for root, c in zip(support, coefficients):
-        key, c = _root_key(rs, root), _coerce(field, c)
+        key, c = ("E", rs.index(root)), field.element(c)
         out[key] = out[key] + c if key in out else c
     Y = LieElement(field, out)
     if Y.is_zero():
@@ -137,12 +114,13 @@ def element_from_support(rs: RootSystem, field, support, coefficients=None) -> L
 
 def cartan_vector(rs: RootSystem, field, coords) -> LieElement:
     """Cartan element with the given cocharacter-basis coordinates."""
-    return LieElement(field, {("H", j): _coerce(field, c) for j, c in enumerate(coords)})
+    rs.check_coords(coords, "the Cartan vector")
+    return LieElement(field, {("H", j): field.element(c) for j, c in enumerate(coords)})
 
 
 def coroot_element(rs: RootSystem, field, root) -> LieElement:
     """H_a = the coroot of a, reduced into the cocharacter lattice basis."""
-    return cartan_vector(rs, field, rs.coroots[_root_key(rs, root)[1]])
+    return cartan_vector(rs, field, rs.coroot(root))
 
 
 class StructureConstants:

@@ -235,9 +235,22 @@ class RootSystem:
                         acc += ai * bj * self.char_form[i][j]
         return acc
 
+    def index(self, root) -> int:
+        """The index of a root given by its index (an int in range, not a
+        bool) or by its coordinates; ValueError for anything else."""
+        i = root
+        if isinstance(root, bool) or not isinstance(root, int):
+            try:
+                i = self.root_index.get(tuple(root), -1)
+            except TypeError:  # not iterable, or an unhashable coordinate
+                i = -1
+        if not 0 <= i < len(self.roots):
+            raise ValueError(f"{root!r} is not a root of {self.type_string()}")
+        return i
+
     def root_len_sq(self, a) -> Fraction:
         """Squared length (a, a) of the root a."""
-        return self.len_sq[self.root_index[tuple(a)]]
+        return self.len_sq[self.index(a)]
 
     def check_coords(self, x, name: str) -> None:
         """ValueError unless x has rank coordinates: the pairings zip x
@@ -246,14 +259,25 @@ class RootSystem:
             raise ValueError(f"{name} has {len(x)} coordinates, "
                              f"{self.type_string()} has rank {self.rank}")
 
+    def lattice_vector(self, x, name: str) -> tuple[int, ...]:
+        """x as a tuple of rank ints; ValueError for a wrong length or a
+        coordinate that is not an integer, which a truncating int() would hide."""
+        x = tuple(x)
+        self.check_coords(x, name)
+        if all(type(c) is int for c in x):  # the common case; a bool is not an int here
+            return x
+        if any(Fraction(c).denominator != 1 for c in x):
+            raise ValueError(f"{name} must be integral, got {x}")
+        return tuple(int(c) for c in x)
+
     def pair(self, a, lam) -> Fraction | int:
         """Canonical pairing <a, lam> of the root a with a cocharacter."""
         self.check_coords(lam, "the cocharacter")
-        return sum(map(mul, self.pairing_rows[self.root_index[tuple(a)]], lam))
+        return sum(map(mul, self.pairing_rows[self.index(a)], lam))
 
     def coroot(self, a) -> tuple[int, ...]:
         """Coordinates of the coroot of a in the cocharacter basis."""
-        return self.coroots[self.root_index[tuple(a)]]
+        return self.coroots[self.index(a)]
 
     def cochar_form(self, x, y) -> Fraction:
         """Invariant form (x, y) on the cocharacter space: summed against
@@ -273,26 +297,28 @@ class RootSystem:
         """Image of the root a under the pairing-induced map into
         cocharacter space: <b, nu(a)> = (b, a) and (lam, nu(a)) = <a, lam>.
         In closed form nu(a) = (a, a)/2 * coroot(a)."""
-        i = self.root_index[tuple(a)]
+        i = self.index(a)
         half = self.len_sq[i] / 2
         return tuple(half * c for c in self.coroots[i])
 
     def reflect(self, a, b) -> Root:
         """s_a(b) = b - <b, coroot(a)> a for roots a and b."""
+        a, b = self.roots[self.index(a)], self.roots[self.index(b)]
         c = self.pair(b, self.coroot(a))
         return tuple(bi - c * ai for ai, bi in zip(a, b))
 
     def reflect_cochar(self, i: int, lam):
-        """Simple reflection s_i acting on a cocharacter coordinate vector."""
+        """Simple reflection s_i acting on a cocharacter coordinate vector;
+        i is an int with 0 <= i < rank, not a bool."""
+        if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < self.rank:
+            raise ValueError(f"{i!r} is not a simple root index of {self.type_string()}")
         si = self.simple_roots[i]
-        p = self.pair(self.roots[si], lam)
+        p = self.pair(si, lam)
         return tuple(l - p * c for l, c in zip(lam, self.coroots[si]))
 
     def alpha_chain(self, a, b) -> tuple[int, int]:
         """Largest q, r >= 0 with {j a + b : j in [-q, r]} inside the roots."""
-        a, b = tuple(a), tuple(b)
-        if a not in self.root_index or b not in self.root_index:
-            raise ValueError("chain endpoints must be roots")
+        a, b = self.roots[self.index(a)], self.roots[self.index(b)]
         if a == b or a == tuple(-x for x in b):
             raise ValueError("alpha-chain of proportional roots is undefined")
         q = 0

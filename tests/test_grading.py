@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from chevalley import (RationalField, build, delta_exponent, grade,
+from chevalley import (RationalField, build, cartan_vector, delta_exponent, grade,
                        instability_ratio_sq, kirwan_ness_torus_check, m_of, phi_of,
                        root_vector, structure_constants, torus_conjugate, verify_rrao)
 from chevalley.grading import CocharRational, degrees_of, single_degree
@@ -71,9 +71,9 @@ def test_grade_rejects_non_integral():
 
 
 def test_wrong_length_vectors_are_rejected():
-    """A cocharacter or valuation vector needs rank coordinates; zip would
-    drop a missing or extra one, so (1,) graded like (1, 0) and (1, 1, 5)
-    like (1, 1) on A2."""
+    """A cocharacter, valuation or Cartan vector needs rank coordinates; zip
+    would drop a missing or extra one, so (1,) graded like (1, 0) and
+    (1, 1, 5) like (1, 1) on A2, and cartan_vector stored an H2."""
     rs = build("A2")
     sc = structure_constants(rs)
     q2 = RationalField(2)
@@ -88,6 +88,7 @@ def test_wrong_length_vectors_are_rejected():
                      lambda: torus_conjugate(rs, Y, bad),
                      lambda: verify_rrao(rs, sc, Y, (1, 1), 2, bad),
                      lambda: phi_of(rs, sc, Y, bad, 2), lambda: rs.pair(a, bad),
+                     lambda: cartan_vector(rs, q2, bad), lambda: rs.reflect_cochar(0, bad),
                      lambda: rs.cochar_form(bad, (1, 1)), lambda: rs.cochar_form((1, 1), bad),
                      lambda: rs.norm_sq(bad)):
             with pytest.raises(ValueError, match=f"has {len(bad)} coordinates, A2 has rank 2"):

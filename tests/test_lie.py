@@ -2,12 +2,14 @@ import hashlib
 import json
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
-from chevalley import (PrimeField, RationalField, bracket, build, c_gamma, coroot_element,
-                       root_vector, structure_constants)
-from chevalley.fields import QQ
+from chevalley import (PrimeField, RationalField, bracket, build, c_gamma, cartan_vector,
+                       coroot_element, destabilizing_certificate, root_vector,
+                       structure_constants)
+from chevalley.fields import QQ, FiniteField, FunctionField
 from chevalley.lie import element_from_support
 
 from conftest import ISOGENIES, SC_TYPES, SCALED_BUILDS, jacobiator, random_element
@@ -191,6 +193,64 @@ def test_only_real_roots_enter_an_element():
                 make()
     for ri, a in enumerate(rs.roots):
         assert root_vector(rs, QQ, ri) == root_vector(rs, QQ, a) == root_vector(rs, QQ, list(a))
+
+
+def test_every_root_argument_goes_through_one_gate():
+    """Each entry point that takes a root refuses a non-root with the one
+    message of RootSystem.index: no KeyError, no IndexError, and no -1
+    or True read as a root index."""
+    rs = build("A2")
+    Y = root_vector(rs, QQ, (1, 1))
+    entry_points = [
+        rs.index, rs.coroot, rs.nu, rs.root_len_sq,
+        lambda r: rs.pair(r, (1, 1)),
+        lambda r: rs.reflect(r, (1, 0)), lambda r: rs.reflect((1, 0), r),
+        lambda r: rs.alpha_chain(r, (1, 0)), lambda r: rs.alpha_chain((1, 0), r),
+        lambda r: root_vector(rs, QQ, r), lambda r: element_from_support(rs, QQ, [r]),
+        lambda r: coroot_element(rs, QQ, r),
+        lambda r: c_gamma(rs, [r], [0]), lambda r: c_gamma(rs, [0], [r]),
+        lambda r: destabilizing_certificate(rs, Y, (1, 1), r),
+    ]
+    for bad in ((5, 5), (2, 0), (1, 0, 0), -1, len(rs.roots), True, 1.5, "a1"):
+        message = f"^{re.escape(repr(bad))} is not a root of A2$"
+        for call in entry_points:
+            with pytest.raises(ValueError, match=message):
+                call(bad)
+    # every root argument takes an index as a support root does
+    for i, a in enumerate(rs.roots):
+        assert rs.index(i) == rs.index(a) == rs.index(list(a)) == i
+        assert rs.coroot(i) == rs.coroot(a) and rs.nu(i) == rs.nu(a)
+        assert rs.pair(i, (1, 2)) == rs.pair(a, (1, 2))
+        assert rs.reflect(i, 0) == rs.reflect(a, rs.roots[0])
+
+
+def test_coefficients_enter_only_their_own_field():
+    """field.element passes the field's own elements as they are and
+    refuses another field's, naming that field (a GF(p) element prints
+    as a bare int); the Lie constructors take coefficients through it."""
+    rs = build("A2")
+    fields = [QQ, RationalField(3), PrimeField(3), PrimeField(5), FiniteField(4),
+              FunctionField(3), FunctionField(4)]
+    gf4, k3, k4 = fields[4], fields[5], fields[6]
+    own = [Fraction(1, 2), Fraction(1, 3), fields[2].element(2), fields[3].element(2),
+           gf4.from_coeffs((0, 1)), k3.t() + k3.one, k4.one / k4.t()]
+    constructors = [
+        lambda F, x: F.element(x),
+        lambda F, x: root_vector(rs, F, 0, x).coeffs[("E", 0)],
+        lambda F, x: element_from_support(rs, F, [(1, 0)], [x]).coeffs[("E", 0)],
+        lambda F, x: cartan_vector(rs, F, [x, 0]).coeffs[("H", 0)],
+    ]
+    for F in fields:
+        for G, x in zip(fields, own):
+            if G == F or isinstance(F, RationalField) and isinstance(x, Fraction):
+                for make in constructors:
+                    assert make(F, x) is x
+                continue
+            why = "not an integer" if isinstance(x, Fraction) else f"an element of {G!r}"
+            message = f"^{re.escape(f'cannot embed {x!r} in {F!r}: {why}')}$"
+            for make in constructors:
+                with pytest.raises(ValueError, match=message):
+                    make(F, x)
 
 
 @pytest.mark.parametrize("t,count", [("E7", 126), ("E8", 240)])

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -104,6 +105,16 @@ def test_reflection_closure_and_weyl_invariance(t):
         i = rng.randrange(rs.rank)
         s = rs.roots[rs.simple_roots[i]]
         assert rs.root_form(rs.reflect(s, a), rs.reflect(s, b)) == rs.root_form(a, b)
+
+
+def test_reflect_cochar_takes_only_a_simple_root_index():
+    # -1 used to reflect in the last simple root and rank raised IndexError
+    rs = build("A2")
+    for bad in (-1, rs.rank, True, 1.5, "0", (1, 0)):
+        with pytest.raises(ValueError, match=f"^{re.escape(repr(bad))} is not a simple root "
+                                             f"index of A2$"):
+            rs.reflect_cochar(bad, (1, 1))
+    assert rs.reflect_cochar(0, (1, 1)) == (0, 1) and rs.reflect_cochar(1, (1, 1)) == (1, 0)
 
 
 @pytest.mark.parametrize("t", ALL_TYPES)

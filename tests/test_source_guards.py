@@ -1,7 +1,7 @@
 """Source guards: invariant checks in the package raise, so `python -O` keeps
 them, `optimality` keeps its one elimination to itself, `rootsystem` imports
-nothing from the package, only `rootsystem` derives squared lengths, and each
-field parses its own coefficient strings."""
+nothing from the package, only `rootsystem` derives squared lengths or
+subscripts its root table, and each field parses its own coefficient strings."""
 
 import ast
 from pathlib import Path
@@ -47,17 +47,31 @@ def test_rootsystem_imports_no_package_module():
     assert "chevalley.rootsystem" in _imported_modules("lie.py")  # the guard sees relative imports
 
 
+def _modules_with(found):
+    """Names of the modules of src/chevalley/ with an AST node that found accepts."""
+    return {p.name for p in SRC.glob("*.py")
+            if any(map(found, ast.walk(ast.parse(p.read_text(encoding="utf-8")))))}
+
+
 def _modules_reading(attr):
     """Names of the modules of src/chevalley/ that read `<expr>.attr`."""
-    return {p.name for p in SRC.glob("*.py")
-            if any(isinstance(node, ast.Attribute) and node.attr == attr
-                   for node in ast.walk(ast.parse(p.read_text(encoding="utf-8"))))}
+    return _modules_with(lambda node: isinstance(node, ast.Attribute) and node.attr == attr)
 
 
 def test_only_rootsystem_reads_len_sq():
     # every other module reads the integer table len_num / len_den, so no
     # module re-derives the squared lengths from len_sq's Fractions
     assert _modules_reading("len_sq") == {"rootsystem.py"}  # the guard sees its own reads
+
+
+def test_only_rootsystem_subscripts_root_index():
+    # every other module turns a root into its index through RootSystem.index,
+    # which refuses a non-root with one ValueError; `in` and .get reads stay
+    assert _modules_with(lambda node: isinstance(node, ast.Subscript)
+                         and isinstance(node.value, ast.Attribute)
+                         and node.value.attr == "root_index") == {"rootsystem.py"}
+    # the guard sees its own subscripts, and reads that are no subscript
+    assert {"cli.py", "badprimes.py"} <= _modules_reading("root_index")
 
 
 def test_cli_parses_no_coefficient_strings():
