@@ -125,7 +125,7 @@ def destabilizing_certificate(rs: RootSystem, Y: LieElement, lam_tilde, alpha):
     a >= 1 with (mu, mu) < (lam_tilde, lam_tilde) is returned together
     with mu.  Preconditions violated -> ValueError (no certificate).
     """
-    lam_tilde = tuple(Fraction(c) for c in lam_tilde)
+    lam_tilde = tuple(map(Fraction, rs.cochar_vector(lam_tilde, "lam_tilde")))
     a_root = rs.roots[rs.index(alpha)]
     supp = Y.support_roots()
     if not supp:
@@ -154,6 +154,7 @@ def destabilizing_certificate(rs: RootSystem, Y: LieElement, lam_tilde, alpha):
 def scan_destabilizers(rs: RootSystem, Y: LieElement, lam_tilde) -> list[int]:
     """Root indices that qualify as a destabilizing direction for
     lam_tilde; empty exactly when no root-based certificate exists."""
+    lam_tilde = rs.cochar_vector(lam_tilde, "lam_tilde")  # below, ValueError means no certificate
     found = []
     for ri in range(len(rs.roots)):
         try:

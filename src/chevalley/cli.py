@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import random
 import sys
 
@@ -21,7 +20,7 @@ from .fields import QQ, FunctionField, RationalField, check_prime
 from .gradedmap import (block_divisors, block_report, graded_ad, kernel_from_divisors,
                         lattice_image, verify_phi_inverse, verify_rrao)
 from .grading import grade
-from .lie import element_from_support, structure_constants
+from .lie import element_from_support, integer_multiple, structure_constants
 from .optimality import brute_force_verify, certified_torus_check, optimal_cocharacter
 from .rootsystem import build
 
@@ -129,8 +128,7 @@ def cmd_kernel_check(args):
         raise ValueError(f"support degenerates mod {p}")
     # D Y has integer coefficients and the same ranks over Q, and over
     # GF(p) too, since p divides no denominator
-    D = math.lcm(*(c.denominator for c in Y.coeffs.values()))
-    gbm = graded_ad(rs, structure_constants(rs), Y.scaled(D), cert.lam, cert.k)
+    gbm = graded_ad(rs, structure_constants(rs), integer_multiple(Y), cert.lam, cert.k)
     divisors = block_divisors(gbm)
     kerns = {"Q": kernel_from_divisors(gbm, divisors)}
     if p is not None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 
-from .fields import QQ, is_prime
+from .fields import QQ, check_prime
 from .gradedmap import AbsValue, block_divisors, graded_ad, kernel_from_divisors
 from .lie import element_from_support, structure_constants
 from .optimality import (certified_torus_check, minimum_norm_cocharacter,
@@ -93,12 +93,10 @@ def standard_corpus() -> dict:
     return {"schema": SCHEMA_VERSION, "primes": [2, 3, 5, 7], "entries": entries}
 
 
-def _integers(values, what: str, prime: bool = False) -> list[int]:
-    """values itself, if it is a list of JSON integers (of primes, if asked)."""
-    if not isinstance(values, list) or not all(
-            type(v) is int and (is_prime(v) or not prime) for v in values):
-        raise ValueError(f"{what} must be a list of {'primes' if prime else 'integers'}, "
-                         f"got {values!r}")
+def _integers(values, what: str) -> list[int]:
+    """values itself, if it is a list of JSON integers."""
+    if not isinstance(values, list) or not all(type(v) is int for v in values):
+        raise ValueError(f"{what} must be a list of integers, got {values!r}")
     return values
 
 
@@ -114,7 +112,7 @@ def run_instance(rs: RootSystem, sc, entry: dict, primes) -> dict:
     Y has integer coefficients, so one Smith form over Z per block
     (`block_divisors`) gives its rank over Q, its rank mod every p and
     the 2-adic valuation of its determinant."""
-    primes = _integers(entry.get("primes", primes), "primes", prime=True)  # per-entry override
+    primes = list(map(check_prime, _integers(entry.get("primes", primes), "primes")))
     if "support" not in entry:
         raise ValueError("corpus entry has no 'support'")
     support = entry["support"]
@@ -178,7 +176,7 @@ def run_corpus(corpus: dict) -> dict:
     if not isinstance(corpus.get("entries"), list) or not all(
             isinstance(entry, dict) for entry in corpus["entries"]):
         raise ValueError("corpus entries must be a list of JSON objects")
-    primes = _integers(corpus.get("primes", [2, 3, 5, 7]), "primes", prime=True)
+    primes = list(map(check_prime, _integers(corpus.get("primes", [2, 3, 5, 7]), "primes")))
     cache: dict[tuple, tuple] = {}
     reports = []
     ok = True

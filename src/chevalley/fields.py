@@ -85,9 +85,7 @@ class RationalField:
 
     @property
     def residue_cardinality(self) -> int:
-        if self.p is None:
-            raise ValueError("plain Q carries no valuation")
-        return self.p
+        return self.p or check_valued(self).p  # the gate refuses plain Q
 
     def element(self, x) -> Fraction:
         """An int or a rational string as a Fraction, a Fraction as it is;
@@ -647,6 +645,8 @@ class FunctionField:
         return f"GF({self.base.order})(t)"
 
 
-def has_valuation(field) -> bool:
-    return isinstance(field, (FunctionField, RationalField)) and not (
-        isinstance(field, RationalField) and field.p is None)
+def check_valued(field):
+    """field itself, if it carries a valuation (Q_p or GF(q)(t)); ValueError otherwise."""
+    if isinstance(field, FunctionField) or isinstance(field, RationalField) and field.p:
+        return field
+    raise ValueError(f"need a valued field, got {field!r}, which carries no valuation")

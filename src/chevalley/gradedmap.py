@@ -31,8 +31,8 @@ from functools import cached_property
 from operator import mul
 
 from . import linalg
-from .fields import has_valuation
-from .grading import delta_exponent, grade, single_degree
+from .fields import check_valued
+from .grading import check_degree, delta_exponent, grade
 from .lie import LieElement, StructureConstants
 from .rootsystem import RootSystem
 from .snf import INF, dvr_divisor_valuations, integer_elementary_divisors
@@ -124,11 +124,8 @@ def ad_blocks(sc: StructureConstants, Y: LieElement, pieces) -> list[list[dict]]
 
 
 def _grading(rs: RootSystem, Y: LieElement, lam, k: int) -> dict[int, list[int]]:
-    """Root indices of each degree of lam, once Y is checked to be 0 or to
-    live in degree k >= 1."""
-    deg = single_degree(rs, Y, lam) if Y else k
-    if deg != k or k < 1:
-        raise ValueError(f"Y must be concentrated in degree k = {k} >= 1, found {deg}")
+    """Root indices of each degree of lam, once check_degree has passed Y."""
+    check_degree(rs, Y, lam, k)
     return grade(rs, lam).weight_spaces
 
 
@@ -183,9 +180,7 @@ def phi(field, gbm: GradedBlockMap) -> AbsValue:
     infinite exponent.  The empty product (k = 1, or no roots in range)
     is the value 1.
     """
-    if not has_valuation(field):
-        raise ValueError("phi needs a field with a valuation")
-    q = field.residue_cardinality
+    q = check_valued(field).residue_cardinality
     if not gbm.is_square():
         raise ValueError(f"blocks are not square: {gbm.shapes()}")
     e = 0
@@ -221,7 +216,7 @@ def torus_conjugate(rs: RootSystem, X: LieElement, v) -> LieElement:
     """Ad of the torus point with valuation vector v: the coefficient of
     E_a is scaled by uniformizer**<a, v>.  v must be integral."""
     v = rs.lattice_vector(v, "the valuation vector v")
-    field = X.field
+    field = check_valued(X.field)
     pi = field.uniformizer()
     powers = [pi]  # powers[j] = pi**(j + 1), extended on demand
     out = {}
@@ -270,9 +265,7 @@ def lattice_image(rs: RootSystem, sc: StructureConstants, Y: LieElement, lam,
     """
     if m < 1:
         raise ValueError("truncation level m must be >= 1")
-    field = Y.field
-    if not has_valuation(field):
-        raise ValueError("lattice computations need a valued field")
+    field = check_valued(Y.field)
     for val in Y.coeffs.values():
         if field.valuation(val) < 0:
             raise ValueError("Y must be integral at the uniformizer")
@@ -292,9 +285,7 @@ def block_report(field, gbm: GradedBlockMap) -> dict:
     |det|^(1/2).  One elimination per block gives its elementary divisor
     valuations: the rank is the number of finite ones, the det valuation
     their sum ("inf" when one is infinite)."""
-    if not has_valuation(field):
-        raise ValueError("phi needs a field with a valuation")
-    per_i, value = {}, AbsValue(field.residue_cardinality, 0)
+    per_i, value = {}, AbsValue(check_valued(field).residue_cardinality, 0)
     for i, rows, cols in gbm.sparse_blocks():
         divisors = dvr_divisor_valuations(field, rows, cols)
         finite = [v for v in divisors if v is not None]

@@ -28,7 +28,7 @@ class CocharRational:
 
     @staticmethod
     def of(rs: RootSystem, coords) -> "CocharRational":
-        coords = tuple(Fraction(c) for c in coords)
+        coords = tuple(map(Fraction, rs.cochar_vector(coords, "the cocharacter")))
         return CocharRational(coords, rs.norm_sq(coords))
 
     def is_zero(self) -> bool:
@@ -95,7 +95,7 @@ def grade(rs: RootSystem, lam) -> GradingReport:
 
 def degrees_of(rs: RootSystem, Y: LieElement, lam) -> list:
     """Degrees of the support of Y (Cartan components count as degree 0)."""
-    rs.check_coords(lam, "lam")
+    lam = rs.cochar_vector(lam, "lam")
     return [0 if key[0] == "H" else sum(map(mul, rs.pairing_rows[key[1]], lam))
             for key in Y.coeffs]
 
@@ -106,6 +106,13 @@ def single_degree(rs: RootSystem, Y: LieElement, lam):
     if len(degs) != 1:
         raise ValueError("Y must be concentrated in a single degree")
     return degs.pop()
+
+
+def check_degree(rs: RootSystem, Y: LieElement, lam, k: int) -> None:
+    """ValueError unless Y is 0 or lives in the one degree k >= 1 of lam."""
+    deg = single_degree(rs, Y, lam) if Y else k
+    if deg != k or k < 1:
+        raise ValueError(f"Y must be concentrated in degree k = {k} >= 1, found {deg}")
 
 
 def m_of(rs: RootSystem, Y: LieElement, lam) -> Fraction | int:
@@ -135,7 +142,7 @@ def delta_exponent(rs: RootSystem, lam, s: int, t: int | None, v) -> int:
         raise ValueError("the filtration slice starts at s >= 1")
     if t is not None and t <= s:
         raise ValueError("need t > s")
-    rs.check_coords(lam, "lam")
+    lam = rs.cochar_vector(lam, "lam")
     v = rs.lattice_vector(v, "the valuation vector v")
     e = 0
     for row in rs.pairing_rows:

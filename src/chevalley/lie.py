@@ -23,6 +23,8 @@ each division by a length or by N is exact (`rootsystem.exact_div`).
 
 from __future__ import annotations
 
+from math import lcm
+
 from .rootsystem import RootSystem, exact_div
 
 # basis keys: ("E", root index) and ("H", cocharacter basis index)
@@ -112,9 +114,14 @@ def element_from_support(rs: RootSystem, field, support, coefficients=None) -> L
     return Y
 
 
+def integer_multiple(Y: LieElement) -> LieElement:
+    """D Y, D the lcm of the denominators of Y's rational coefficients."""
+    return Y.scaled(lcm(*(c.denominator for c in Y.coeffs.values())))
+
+
 def cartan_vector(rs: RootSystem, field, coords) -> LieElement:
     """Cartan element with the given cocharacter-basis coordinates."""
-    rs.check_coords(coords, "the Cartan vector")
+    coords = rs.check_coords(coords, "the Cartan vector")
     return LieElement(field, {("H", j): field.element(c) for j, c in enumerate(coords)})
 
 

@@ -22,12 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from .gradedmap import ad_blocks
-from .grading import CocharRational, grade, single_degree
-from .lie import LieElement
+from .grading import CocharRational, check_degree, grade, single_degree
+from .lie import LieElement, integer_multiple
 from .rootsystem import RootSystem
 
 
@@ -293,7 +293,7 @@ def kirwan_ness_torus_check(rs: RootSystem, Y: LieElement, lam) -> bool:
     orthogonal Levi: its truth is necessary for lam to be optimal
     within the fixed torus.  Y must be concentrated in one degree.
     """
-    lam = tuple(lam)
+    lam = rs.cochar_vector(lam, "lam")
     d = single_degree(rs, Y, lam)
     _, _, D, K = _support_gram(rs, Y.support_roots())
     if not K:
@@ -334,12 +334,13 @@ def sl2_completion_check(rs: RootSystem, sc, Y: LieElement,
     When it does, (Y, h, f) is an sl2-triple with rational semisimple h
     in the Cartan, which pins lam as the genuine optimal cocharacter of
     Y (not merely the torus optimum).  Works over Q.  One `solve` of
-    [A | h] decides, A the block g(-k) -> g(0) of ad DY (D the lcm of Y's
-    denominators; graded_ad's fill plus one Cartan row per coordinate).
+    [A | h] decides, A the block g(-k) -> g(0) of ad DY (DY the integer
+    multiple `integer_multiple(Y)`; graded_ad's fill plus one Cartan row per
+    coordinate), read as ints.
     By Morozov's lemma (Jacobson, Lie Algebras, 1962, III 11) ad Y is
     injective on g(-k) once the triple exists, so a dependent column is
     a no; that needs lam = k mu, and Y concentrated in degree k once g(-k)
-    is nonzero, or ValueError.
+    is nonzero (`check_degree`), or ValueError.
     """
     k = cert.k
     if any(l * c.denominator != k * c.numerator for l, c in zip(cert.lam, cert.mu.coords)):
@@ -350,16 +351,11 @@ def sl2_completion_check(rs: RootSystem, sc, Y: LieElement,
     src = spaces.get(-k)
     if not src:
         return False
-    if Y.cartan_part() or not set(spaces.get(k, ())).issuperset(Y.support_roots()):
-        raise ValueError(f"Y must be concentrated in degree k = {k}")
-    D = lcm(*(y.denominator for y in Y.coeffs.values()))
-    [rows] = ad_blocks(sc, Y, [(src, spaces.get(0, []))])
-    M = [[0] * (len(src) + 1) for row in rows if row]
-    for dense, row in zip(M, filter(None, rows)):
-        for c, e in row.items():
-            dense[c] = e.numerator * (D // e.denominator)
+    check_degree(rs, Y, cert.lam, k)
+    DY = integer_multiple(Y)
+    [rows] = ad_blocks(sc, DY, [(src, spaces.get(0, []))])
+    M = [[int(row.get(c, 0)) for c in range(len(src))] + [0] for row in rows if row]
     # column E_-a meets E_a in the coroot of a: [E_a, E_-a] = H_a
-    opposite = [(Y.coeffs.get(("E", a), 0), rs.coroots[a]) for a in map(rs.negative, src)]
-    opposite = [(y.numerator * (D // y.denominator), co) for y, co in opposite]
+    opposite = [(int(DY.coeffs.get(("E", a), 0)), rs.coroots[a]) for a in map(rs.negative, src)]
     M += [[y * co[j] for y, co in opposite] + [2 * l // k] for j, l in enumerate(cert.lam)]
     return solve(M) is not None

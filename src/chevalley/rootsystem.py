@@ -252,27 +252,39 @@ class RootSystem:
         """Squared length (a, a) of the root a."""
         return self.len_sq[self.index(a)]
 
-    def check_coords(self, x, name: str) -> None:
-        """ValueError unless x has rank coordinates: the pairings zip x
-        against rank-long rows and would drop a missing or extra one."""
+    def check_coords(self, x, name: str) -> tuple:
+        """x as a tuple; ValueError unless it is a sequence of rank coordinates:
+        the pairings zip x against rank-long rows and would drop a missing or extra one."""
+        try:
+            x = tuple(x)
+        except TypeError:
+            raise ValueError(f"{name} must be a sequence of coordinates, got {x!r}") from None
         if len(x) != self.rank:
             raise ValueError(f"{name} has {len(x)} coordinates, "
                              f"{self.type_string()} has rank {self.rank}")
+        return x
+
+    def cochar_vector(self, x, name: str) -> tuple:
+        """x as a tuple of rank coordinates, each an int or a Fraction: not a
+        bool, nor a float, which is not exact; ValueError otherwise."""
+        x = self.check_coords(x, name)
+        if not {int, Fraction}.issuperset(map(type, x)):
+            raise ValueError(f"{name} must have int or Fraction coordinates, got {x!r}")
+        return x
 
     def lattice_vector(self, x, name: str) -> tuple[int, ...]:
-        """x as a tuple of rank ints; ValueError for a wrong length or a
-        coordinate that is not an integer, which a truncating int() would hide."""
-        x = tuple(x)
-        self.check_coords(x, name)
-        if all(type(c) is int for c in x):  # the common case; a bool is not an int here
+        """x as a tuple of rank ints; ValueError for what cochar_vector refuses
+        and for a non-integral coordinate, which a truncating int() would hide."""
+        x = self.check_coords(x, name)
+        if {int}.issuperset(map(type, x)):  # the common case; a bool is not an int here
             return x
-        if any(Fraction(c).denominator != 1 for c in x):
+        if any(c.denominator != 1 for c in self.cochar_vector(x, name)):
             raise ValueError(f"{name} must be integral, got {x}")
         return tuple(int(c) for c in x)
 
     def pair(self, a, lam) -> Fraction | int:
         """Canonical pairing <a, lam> of the root a with a cocharacter."""
-        self.check_coords(lam, "the cocharacter")
+        lam = self.cochar_vector(lam, "the cocharacter")
         return sum(map(mul, self.pairing_rows[self.index(a)], lam))
 
     def coroot(self, a) -> tuple[int, ...]:
@@ -282,8 +294,8 @@ class RootSystem:
     def cochar_form(self, x, y) -> Fraction:
         """Invariant form (x, y) on the cocharacter space: summed against
         the integer Gram, with one division by its denominator."""
-        self.check_coords(x, "the cocharacter")
-        self.check_coords(y, "the cocharacter")
+        x = self.cochar_vector(x, "the cocharacter")
+        y = self.cochar_vector(y, "the cocharacter")
         acc = 0
         for xi, row in zip(x, self.gram_num):
             if xi:
@@ -312,7 +324,7 @@ class RootSystem:
         i is an int with 0 <= i < rank, not a bool."""
         if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < self.rank:
             raise ValueError(f"{i!r} is not a simple root index of {self.type_string()}")
-        si = self.simple_roots[i]
+        si, lam = self.simple_roots[i], self.cochar_vector(lam, "the cocharacter")
         p = self.pair(si, lam)
         return tuple(l - p * c for l, c in zip(lam, self.coroots[si]))
 

@@ -102,6 +102,15 @@ def test_c_gamma_examples():
     assert tab2.nonempty() == {}
 
 
+def test_c_gamma_to_json_pinned():
+    # both supports sorted by root index, and one [a, b] list per pair in
+    # the order the supports were given, keyed by the index of a + b
+    rs = build("A2")
+    tab = c_gamma(rs, [(1, 1), (1, 0)], [(0, -1), (0, 1), (-1, 0)])
+    assert tab.to_json() == {"supp_x": [0, 2], "supp_y": [1, 3, 4],
+                             "pairs": {"0": [[2, 4]], "1": [[2, 3]], "2": [[0, 1]]}}
+
+
 def test_c_gamma_matches_bracket_support():
     # with algebraically independent (distinct prime) coefficients no
     # cancellation can occur, so the bracket support is exactly the set of

@@ -469,6 +469,25 @@ def test_rrao_check_with_no_trial_exits_2():
     assert code == 0 and [t["trial"] for t in json.loads(out)["trials"]] == [1]
 
 
+def test_rrao_check_failing_trial_exits_1(monkeypatch):
+    """A trial whose conjugation law fails is counted, and the run exits 1."""
+    import chevalley.cli
+
+    calls = []
+
+    def verify_rrao(*args):
+        calls.append(args)
+        return len(calls) != 2  # the second trial that runs fails
+    monkeypatch.setattr(chevalley.cli, "verify_rrao", verify_rrao)
+    code, out, err = run_main("rrao-check", "--type", "A2", "--support", "a1+a2",
+                              "--prime", "2", "--trials", "5")
+    payload = json.loads(out)
+    assert code == 1 and err == ""
+    assert payload["failures"] == 1 and payload["ok"] is False
+    assert [t["rrao"] for t in payload["trials"]] == [True, False] + [True] * (len(calls) - 2)
+    assert all(t["inverse"] for t in payload["trials"])
+
+
 def test_support_separators():
     # an empty token between commas is skipped; a support of no tokens is refused
     assert run_main("optimal", "--type", "A2", "--support", "a1,,a2") == run_main(

@@ -69,6 +69,23 @@ def test_run_corpus_rejects_unknown_schema():
     assert run_corpus({"schema": 1, "primes": [11], "entries": [good]})["ok"]
 
 
+def test_corpus_primes_go_through_check_prime():
+    # a list of JSON integers, each refused by fields.check_prime's own
+    # message; the corpus runner has no primality test of its own
+    good = {"cartan_type": "A2", "support": [[1, 0], [0, 1]], "coefficients": [1, 1]}
+    cases = [([4], [], "p must be prime, got 4"),
+             ([2, 1], [good], "p must be prime, got 1"),
+             ([2, 3.0], [good], "primes must be a list of integers, got [2, 3.0]"),
+             (3, [good], "primes must be a list of integers, got 3")]
+    for primes, entries, message in cases:
+        with pytest.raises(ValueError) as info:
+            run_corpus({"schema": 1, "primes": primes, "entries": entries})
+        assert str(info.value) == message
+    with pytest.raises(ValueError) as info:  # a per-entry override takes the same gate
+        run_corpus({"schema": 1, "entries": [{**good, "primes": [2, 9]}]})
+    assert str(info.value) == "p must be prime, got 9"
+
+
 def test_run_instance_rejects_a_coefficient_count_mismatch():
     from chevalley import build, structure_constants
 

@@ -8,7 +8,7 @@ import pytest
 from chevalley import build
 from chevalley.corpus import element_from_support
 from chevalley.fields import (FiniteField, FunctionField, Polynomial, PrimeField,
-                              RatFunc, RationalField, factor_prime_power, has_valuation)
+                              RatFunc, RationalField, check_valued, factor_prime_power)
 from chevalley.fields import is_prime, poly_gcd
 
 import ff_oracles
@@ -175,10 +175,13 @@ def test_ratfunc_constructor_matches_always_gcd_oracle(q):
 
 
 def test_has_valuation():
-    assert has_valuation(RationalField(3))
-    assert not has_valuation(RationalField())
-    assert has_valuation(FunctionField(4))
-    assert not has_valuation(PrimeField(5))
+    # check_valued is the one gate for a field with a valuation
+    for field in (RationalField(3), FunctionField(4)):
+        assert check_valued(field) is field
+    for field, name in ((RationalField(), "Q"), (PrimeField(5), "GF(5)")):
+        with pytest.raises(ValueError, match=rf"^need a valued field, got {re.escape(name)}, "
+                                             "which carries no valuation$"):
+            check_valued(field)
 
 
 # FiniteField(q).modulus: the first monic irreducible of degree n over F_p,

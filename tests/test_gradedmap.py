@@ -337,6 +337,25 @@ def test_lattice_image_requires_integral_coefficients(sl3):
             lattice_image(rs, sc, Y, (1, 1), 2, 1, 3)
 
 
+def test_every_valued_field_verdict_has_one_gate(sl3):
+    # phi, block_report, lattice_image and torus_conjugate refuse Q and GF(p)
+    # through fields.check_valued, with one message; torus_conjugate raised
+    # AttributeError over GF(p), and Q's residue_cardinality had its own message
+    rs, sc = sl3
+    for field, name in ((QQ, "Q"), (PrimeField(5), "GF(5)")):
+        Y, lam, k = _minimal_instance(rs, field)
+        gbm = graded_ad(rs, sc, Y, lam, k)
+        calls = [lambda: phi(field, gbm), lambda: block_report(field, gbm),
+                 lambda: lattice_image(rs, sc, Y, lam, k, 1, 3),
+                 lambda: torus_conjugate(rs, Y, (1, 0))]
+        if field is QQ:
+            calls.append(lambda: QQ.residue_cardinality)
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == f"need a valued field, got {name}, which carries no valuation"
+
+
 def test_verdicts_check_degree_and_k_before_sharing_a_grading(sl3):
     """phi_of, both functional equations and lattice_image grade lam once
     per call; each still refuses a mixed-degree X, and k = 0, as graded_ad does."""

@@ -4,9 +4,11 @@ from itertools import product
 
 import pytest
 
-from chevalley import (RationalField, build, cartan_vector, delta_exponent, grade,
-                       instability_ratio_sq, kirwan_ness_torus_check, m_of, phi_of,
-                       root_vector, structure_constants, torus_conjugate, verify_rrao)
+from chevalley import (RationalField, build, cartan_vector, delta_exponent,
+                       destabilizing_certificate, grade, instability_ratio_sq,
+                       kirwan_ness_torus_check, m_of, phi_of, root_vector,
+                       scan_destabilizers, structure_constants, torus_conjugate, verify_rrao)
+from chevalley.fields import QQ
 from chevalley.grading import CocharRational, degrees_of, single_degree
 from chevalley.lie import element_from_support
 
@@ -93,6 +95,56 @@ def test_wrong_length_vectors_are_rejected():
                      lambda: rs.norm_sq(bad)):
             with pytest.raises(ValueError, match=f"has {len(bad)} coordinates, A2 has rank 2"):
                 call()
+
+
+def test_vectors_take_only_exact_coordinates():
+    """A vector is a sequence (else TypeError used to escape) and a
+    cocharacter's coordinates are ints that are not bools, or Fractions: a
+    float, a bool or a string used to be read as a number, or to raise TypeError."""
+    rs = build("A2")
+    Y = root_vector(rs, RationalField(2), rs.root_index[(1, 1)])
+    refused = [
+        (lambda: rs.pair(0, 5), "the cocharacter must be a sequence of coordinates, got 5"),
+        (lambda: cartan_vector(rs, QQ, 7),
+         "the Cartan vector must be a sequence of coordinates, got 7"),
+        (lambda: grade(rs, None), "lam must be a sequence of coordinates, got None"),
+        (lambda: rs.norm_sq((1, "a")),
+         "the cocharacter must have int or Fraction coordinates, got (1, 'a')"),
+        (lambda: rs.norm_sq((0.5, 0.5)),
+         "the cocharacter must have int or Fraction coordinates, got (0.5, 0.5)"),
+        (lambda: kirwan_ness_torus_check(rs, Y, (1.0, 1.0)),
+         "lam must have int or Fraction coordinates, got (1.0, 1.0)"),
+        (lambda: grade(rs, (1.0, 1.0)),
+         "lam must have int or Fraction coordinates, got (1.0, 1.0)"),
+        (lambda: grade(rs, (True, False)),
+         "lam must have int or Fraction coordinates, got (True, False)"),
+        (lambda: rs.lattice_vector(("1", "2"), "v"),
+         "v must have int or Fraction coordinates, got ('1', '2')"),
+        (lambda: torus_conjugate(rs, Y, (1.0, 0)),
+         "the valuation vector v must have int or Fraction coordinates, got (1.0, 0)"),
+        (lambda: rs.pair(0, (0.5, 1)),
+         "the cocharacter must have int or Fraction coordinates, got (0.5, 1)"),
+        (lambda: degrees_of(rs, Y, (0.5, 1)),
+         "lam must have int or Fraction coordinates, got (0.5, 1)"),
+        (lambda: CocharRational.of(rs, (0.5, 1)),
+         "the cocharacter must have int or Fraction coordinates, got (0.5, 1)"),
+        (lambda: delta_exponent(rs, (0.5, 1.5), 1, None, (1, 0)),
+         "lam must have int or Fraction coordinates, got (0.5, 1.5)"),
+        (lambda: destabilizing_certificate(rs, Y, (0.5, 1), 0),
+         "lam_tilde must have int or Fraction coordinates, got (0.5, 1)"),
+        # the scan reads a ValueError per root as "no certificate", so it
+        # gates lam_tilde once, before the loop, rather than return []
+        (lambda: scan_destabilizers(rs, Y, (0.5, 1)),
+         "lam_tilde must have int or Fraction coordinates, got (0.5, 1)"),
+    ]
+    for call, message in refused:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+    # ints and Fractions pass, and a generator is read once
+    assert rs.pair(0, (Fraction(1, 2), 1)) == 0
+    assert rs.reflect_cochar(0, iter((1, 2))) == (1, 2)
+    assert cartan_vector(rs, QQ, iter((1, 2))) == cartan_vector(rs, QQ, (1, 2))
 
 
 def test_grade_weyl_equivariance():

@@ -590,14 +590,14 @@ def test_sl2_completion_check_matches_dense_oracle():
 def test_sl2_completion_check_rejects_y_outside_degree_k():
     # A2 with support a1, a1+a2, a2: the torus optimum is lam = (1, 1) with
     # k = 1, and a1+a2 has degree 2, outside the block's codomain g(0);
-    # like graded_ad, the check raises ValueError
+    # like graded_ad, the check raises the degree gate's ValueError
     rs = build("A2")
     sc = structure_constants(rs)
     q = RationalField()
     Y = element_from_support(rs, q, [rs.root_index[a] for a in [(1, 0), (1, 1), (0, 1)]])
     cert = optimal_cocharacter(rs, Y)
     assert (cert.lam, cert.k) == ((1, 1), 1)
-    with pytest.raises(ValueError, match="concentrated in degree k = 1"):
+    with pytest.raises(ValueError, match="^Y must be concentrated in a single degree$"):
         sl2_completion_check(rs, sc, Y, cert)
 
 

@@ -1,7 +1,8 @@
 """Source guards: invariant checks in the package raise, so `python -O` keeps
 them, `optimality` keeps its one elimination to itself, `rootsystem` imports
 nothing from the package, only `rootsystem` derives squared lengths or
-subscripts its root table, and each field parses its own coefficient strings."""
+subscripts its root table, each field parses its own coefficient strings,
+and the prime, degree and valued-field rules each raise from one module."""
 
 import ast
 from pathlib import Path
@@ -78,3 +79,37 @@ def test_cli_parses_no_coefficient_strings():
     # every coefficient string goes to field.element of the field it lands in
     assert "re" not in _imported_modules("cli.py")
     assert "re" in _imported_modules("fields.py")  # the guard sees plain imports
+
+
+def _modules_raising(phrase):
+    """Names of the modules of src/chevalley/ with a raise whose message text holds phrase."""
+    return _modules_with(lambda node: isinstance(node, ast.Raise) and any(
+        isinstance(part, ast.Constant) and isinstance(part.value, str) and phrase in part.value
+        for part in ast.walk(node)))
+
+
+def _modules_calling(name):
+    """Names of the modules of src/chevalley/ that call `name(...)` or `<expr>.name(...)`."""
+    return _modules_with(lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+
+
+def test_only_fields_decides_primality():
+    # every prime, the corpus's included, goes through fields.check_prime;
+    # the guards see fields' own raise and its own is_prime calls
+    assert _modules_raising("must be prime") == {"fields.py"}
+    assert _modules_calling("is_prime") == {"fields.py"}
+
+
+def test_only_grading_raises_the_degree_rule():
+    # graded_ad's blocks and the sl2 check both gate Y's degree through
+    # grading.check_degree (and single_degree, beside it)
+    assert _modules_raising("concentrated in") == {"grading.py"}  # the guard sees grading's own
+
+
+def test_only_fields_raises_the_valued_field_rule():
+    # phi, block_report, lattice_image and torus_conjugate call fields.check_valued;
+    # no other module words a message about a valuation
+    assert _modules_raising("valued field") == {"fields.py"}  # the guard sees fields' own
+    assert _modules_raising("valuation") == {"fields.py"}
+    assert _modules_calling("check_valued") >= {"fields.py", "gradedmap.py"}
