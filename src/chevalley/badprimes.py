@@ -117,6 +117,13 @@ def c_gamma(rs: RootSystem, supp_x, supp_y) -> CGammaTable:
     return CGammaTable(gamma_map=table, supp_x=sorted(supp_x), supp_y=sorted(supp_y))
 
 
+def _root_support(Y: LieElement) -> list[int]:
+    """Y's support roots; ValueError for a Y with none, which no alpha can serve."""
+    if not (supp := Y.support_roots()):
+        raise ValueError("Y must be supported on root vectors")
+    return supp
+
+
 def destabilizing_certificate(rs: RootSystem, Y: LieElement, lam_tilde, alpha):
     """Exhibit mu = lam_tilde + nu(alpha)/a beating a non-optimal lam_tilde.
 
@@ -127,9 +134,7 @@ def destabilizing_certificate(rs: RootSystem, Y: LieElement, lam_tilde, alpha):
     """
     lam_tilde = tuple(map(Fraction, rs.cochar_vector(lam_tilde, "lam_tilde")))
     a_root = rs.roots[rs.index(alpha)]
-    supp = Y.support_roots()
-    if not supp:
-        raise ValueError("Y must be supported on root vectors")
+    supp = _root_support(Y)
     for ri in supp:
         if rs.root_form(rs.roots[ri], a_root) < 0:
             raise ValueError("alpha pairs negatively with the support")
@@ -152,9 +157,10 @@ def destabilizing_certificate(rs: RootSystem, Y: LieElement, lam_tilde, alpha):
 
 
 def scan_destabilizers(rs: RootSystem, Y: LieElement, lam_tilde) -> list[int]:
-    """Root indices that qualify as a destabilizing direction for
-    lam_tilde; empty exactly when no root-based certificate exists."""
-    lam_tilde = rs.cochar_vector(lam_tilde, "lam_tilde")  # below, ValueError means no certificate
+    """Roots that destabilize lam_tilde, empty exactly when no root-based certificate exists;
+    a Y with no root support raises ValueError, as destabilizing_certificate does."""
+    lam_tilde = rs.cochar_vector(lam_tilde, "lam_tilde")
+    _root_support(Y)  # below, ValueError means this root gives no certificate
     found = []
     for ri in range(len(rs.roots)):
         try:

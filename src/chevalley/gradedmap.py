@@ -15,7 +15,8 @@ form over Z per block (`block_divisors`: diagonalize each connected
 piece of the block alone, then fold the diagonal into the divisor chain
 one distinct value at a time; Cohen GTM 138, 2.4) gives its rank over Q
 and mod every prime; over a valued field, one DVR pass per block feeds
-phi, `block_report` and `lattice_image` (capped at m).  Y = 0 lies in
+phi, `block_report` and `lattice_image` (capped at m), but phi reads 0
+off a block with a zero row or column first, as its det is 0.  Y = 0 lies in
 every degree: its blocks are all-zero rows, so phi(0) is 0 if some block
 has positive size, else 1.  Work is shared within a call, never across
 calls: `verify_phi_inverse` and `verify_rrao` check X's degree, grade
@@ -125,6 +126,7 @@ def ad_blocks(sc: StructureConstants, Y: LieElement, pieces) -> list[list[dict]]
 
 def _grading(rs: RootSystem, Y: LieElement, lam, k: int) -> dict[int, list[int]]:
     """Root indices of each degree of lam, once check_degree has passed Y."""
+    lam = rs.cochar_vector(lam, "lam")  # read once: lam may be a one-shot iterator
     check_degree(rs, Y, lam, k)
     return grade(rs, lam).weight_spaces
 
@@ -177,14 +179,18 @@ def phi(field, gbm: GradedBlockMap) -> AbsValue:
 
     The half-exponent sums the blocks' elementary divisor valuations;
     an infinite one (a zero determinant) gives the distinguished
-    infinite exponent.  The empty product (k = 1, or no roots in range)
-    is the value 1.
+    infinite exponent.  A block with a zero row or column has det 0 and
+    settles phi before any DVR pass.  The empty product (k = 1, or no
+    roots in range) is the value 1.
     """
     q = check_valued(field).residue_cardinality
     if not gbm.is_square():
         raise ValueError(f"blocks are not square: {gbm.shapes()}")
+    blocks = gbm.sparse_blocks()
+    if any(not all(rows) or len(set().union(*rows)) < cols for _, rows, cols in blocks):
+        return AbsValue(q, None)
     e = 0
-    for _, rows, cols in gbm.sparse_blocks():
+    for _, rows, cols in blocks:
         divisors = dvr_divisor_valuations(field, rows, cols)
         if INF in divisors:
             return AbsValue(q, None)
@@ -244,8 +250,10 @@ def verify_rrao(rs: RootSystem, sc: StructureConstants, X: LieElement, lam,
     match on both sides.  lam is graded once, as in verify_phi_inverse:
     Ad_m X scales X's coefficients by powers of pi, so it keeps X's support.
     """
+    lam = rs.cochar_vector(lam, "lam")
     by_degree = _grading(rs, X, lam, k)
     before = _phi_on(sc, X, k, by_degree, field)
+    v = rs.lattice_vector(v, "the valuation vector v")
     after = _phi_on(sc, torus_conjugate(rs, X, v), k, by_degree, field)
     if before.is_zero():
         return after.is_zero()

@@ -130,6 +130,7 @@ def m_of(rs: RootSystem, Y: LieElement, lam) -> Fraction | int:
 
 def instability_ratio_sq(rs: RootSystem, Y: LieElement, lam) -> Fraction:
     """rho_Y(lam)^2 = m_Y(lam)^2 / (lam, lam), exact."""
+    lam = rs.cochar_vector(lam, "lam")
     k = m_of(rs, Y, lam)
     return Fraction(k * k) / rs.norm_sq(lam)
 

@@ -303,6 +303,7 @@ class RootSystem:
         return Fraction(acc, self.gram_den)
 
     def norm_sq(self, lam) -> Fraction:
+        lam = self.cochar_vector(lam, "the cocharacter")
         return self.cochar_form(lam, lam)
 
     def nu(self, a) -> tuple[Fraction, ...]:

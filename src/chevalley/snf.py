@@ -20,7 +20,7 @@ piece is eliminated alone: a graded block is mostly 1 x 1 pieces, so
 no pivot sweeps the rows of the whole block.  The diagonal then becomes
 the chain in one fold per distinct non-unit value.  The DVR pass does
 not split: its blocks are small and dense enough that the pieces cost
-more than they save, and `phi` stops at the first infinite block.
+more than they save, and `phi` settles a zero row or column first.
 """
 
 from __future__ import annotations

@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 
 from chevalley import (PrimeField, RationalField, bracket, build, c_gamma,
-                       coker_eta, destabilizing_certificate,
+                       cartan_vector, coker_eta, destabilizing_certificate,
                        graded_ad, kirwan_ness_torus_check, optimal_cocharacter,
                        regular_counterexample, regular_nilpotent, root_vector,
                        scan_destabilizers, sl2_completion_check,
                        structure_constants)
+from chevalley.fields import QQ
 from chevalley.gradedmap import check_kernel
 from chevalley.lie import LieElement, element_from_support
 from chevalley.linalg import det
@@ -172,6 +173,15 @@ def test_destabilizing_certificate_improves_bad_lambda():
     assert rs.pair(rs.roots[rs.root_index[(1, 1)]], mu.coords) >= 1
     # the scan agrees some root works
     assert rs.simple_roots[1] in scan_destabilizers(rs, Y, bad)
+
+
+def test_scan_destabilizers_refuses_a_y_without_root_support():
+    # the certificate refuses such a Y for every alpha, so the scan raises
+    # rather than read the refusal as "no root gives a certificate"
+    rs = build("A2")
+    for Y in (LieElement(QQ), cartan_vector(rs, QQ, (1, 0))):
+        with pytest.raises(ValueError, match="^Y must be supported on root vectors$"):
+            scan_destabilizers(rs, Y, (1, 1))
 
 
 def test_destabilizing_certificate_precondition_errors():

@@ -3,7 +3,8 @@
 Each case starts from a valid invocation (an argv of the pinned table in
 `test_cli.py`, or a small valid corpus) and applies one seeded mutation: a
 flag set to a malformed or merely different value, a flag dropped or added,
-another command, a corpus of the wrong JSON shape or with one bad key.
+another command, a corpus of the wrong JSON shape or with one bad key.  A
+second family sets two flags of one argv at once.
 Whatever the mutation, the CLI exits 0, 1 or 2; exit 2 leaves stdout empty
 and says why on stderr; no case reaches the internal-error exit 3.  Cases
 stay small: ranks at most 4, --box-radius at most 2, --trials at most 5, q
@@ -12,6 +13,8 @@ at most 25.
 
 import json
 import random
+
+import pytest
 
 from chevalley import cli
 from chevalley.rootsystem import parse_cartan_type
@@ -67,18 +70,41 @@ BASES = [argv for argv in _pinned_argv()
          and _rank(argv) <= 4 and _box_radius(argv) <= 2]
 
 
+def _settable(command):
+    """The flags of the command that have a pool of values."""
+    return [f for f in cli.OPTIONS[command] if f in FLAG_VALUES]
+
+
+# the values each flag takes in the valid invocations
+VALID_VALUES = {}
+for _argv in BASES:
+    for _flag, _value in zip(_argv[1::2], _argv[2::2]):
+        VALID_VALUES.setdefault(_flag, []).append(_value)
+VALID_VALUES = {flag: sorted(set(values)) for flag, values in VALID_VALUES.items()}
+
+
+def _set_flag(argv, flag, value):
+    """Set flag to value, in place or appended."""
+    if flag in argv:
+        argv[argv.index(flag) + 1] = value
+    else:
+        argv += [flag, value]
+
+
+def _few_trials(argv):
+    if argv[0] == "rrao-check" and "--trials" not in argv:
+        argv += ["--trials", "5"]  # not the default 20
+    return argv
+
+
 def _mutate_argv(rng, argv):
     argv, command = list(argv), argv[0]
     flags = cli.OPTIONS[command]
     # mostly a new value for a flag: the other kinds end in argparse's usage error
     kind = rng.choices(range(5), weights=(6, 1, 1, 1, 1))[0]
     if kind == 0 and flags:  # one flag the command takes, set to a value of the pool
-        flag = rng.choice([f for f in flags if f in FLAG_VALUES])
-        value = rng.choice(FLAG_VALUES[flag])
-        if flag in argv:
-            argv[argv.index(flag) + 1] = value
-        else:
-            argv += [flag, value]
+        flag = rng.choice(_settable(command))
+        _set_flag(argv, flag, rng.choice(FLAG_VALUES[flag]))
     elif kind == 1 and len(argv) > 1:  # drop one flag with its value
         i = rng.randrange(1, len(argv) - 1, 2)
         del argv[i:i + 2]
@@ -90,9 +116,18 @@ def _mutate_argv(rng, argv):
         argv[0] = rng.choice(sorted(set(cli.COMMANDS) - {"corpus"}))
     else:  # --out to a directory, which cannot be written, or to a file
         argv += ["--out", "{dir}" if rng.random() < 0.5 else "{dir}/out.json"]
-    if argv[0] == "rrao-check" and "--trials" not in argv:
-        argv += ["--trials", "5"]  # not the default 20
-    return argv
+    return _few_trials(argv)
+
+
+def _mutate_two_flags(rng, argv):
+    """Two flags the command takes, each set to a value of its pool or, half
+    the time, to one it takes in a valid invocation: so a new type can come
+    with a support of that type, or a prime with an isogeny that it breaks."""
+    argv = list(argv)
+    for flag in rng.sample(_settable(argv[0]), 2):
+        pool = VALID_VALUES.get(flag) if rng.random() < 0.5 else None
+        _set_flag(argv, flag, rng.choice(pool or FLAG_VALUES[flag]))
+    return _few_trials(argv)
 
 
 def _mutate_corpus(rng):
@@ -128,11 +163,15 @@ def _check(argv, code, out, err):
                    for line in err.splitlines()), (argv, err)
 
 
-def test_mutated_inputs_exit_0_1_or_2(tmp_path, monkeypatch):
+@pytest.fixture
+def one_parser(monkeypatch):
     # one parser for every case: make_parser builds the same parser each
     # time, and building it is most of a small case's cost
     parser = cli.make_parser()
     monkeypatch.setattr(cli, "make_parser", lambda: parser)
+
+
+def test_mutated_inputs_exit_0_1_or_2(tmp_path, one_parser):
     path = tmp_path / "corpus.json"
     codes = {}
     for seed in (1, 2, 3, 4):
@@ -150,4 +189,17 @@ def test_mutated_inputs_exit_0_1_or_2(tmp_path, monkeypatch):
             _check(argv, code, out, err)
             codes[code] = codes.get(code, 0) + 1
     assert sum(codes.values()) == 1200
+    assert set(codes) == {0, 1, 2}, codes  # the mutations reach every exit code
+
+
+def test_two_flag_mutations_exit_0_1_or_2(one_parser):
+    codes = {}
+    for seed in (5, 6, 7, 8):
+        rng = random.Random(seed)
+        for _ in range(600):
+            argv = _mutate_two_flags(rng, rng.choice(BASES))
+            code, out, err = run_main(*argv)
+            _check(argv, code, out, err)
+            codes[code] = codes.get(code, 0) + 1
+    assert sum(codes.values()) == 2400
     assert set(codes) == {0, 1, 2}, codes  # the mutations reach every exit code

@@ -17,7 +17,7 @@ from chevalley.lie import LieElement
 from chevalley.fields import QQ, Polynomial, RatFunc
 from chevalley.linalg import det
 from chevalley.optimality import minimum_norm_cocharacter
-from chevalley.snf import dvr_divisor_valuations, sparse_rows
+from chevalley.snf import INF, dvr_divisor_valuations, sparse_rows
 
 from conftest import (check_lattice_image, check_phi_homogeneity, check_phi_identities,
                       random_graded_element, random_polynomial_element, random_square_grading)
@@ -215,6 +215,72 @@ def test_phi_rejects_non_square_blocks():
                  lambda: phi_of(rs, sc, LieElement(q2), (3, 4, 3), 6)):
         with pytest.raises(ValueError, match="blocks are not square"):
             call()
+
+
+def _zero_lines(mat) -> tuple[bool, bool]:
+    """(a zero row, a zero column) of a dense block."""
+    return not all(map(any, mat)), not all(map(any, zip(*mat)))
+
+
+def test_phi_zero_line_rule_matches_elimination():
+    """phi settles a block with a zero row or column as 0 before any DVR
+    pass; on a seeded C3/F4/E6 pool over Q_2, Q_3, GF(2)(t) and GF(4)(t) it
+    equals the elimination rule: a DVR pass per block, the first infinite
+    divisor giving 0.  The pool holds every kind of zero line, and zeros
+    that only the elimination finds."""
+    rng = random.Random("zero-line-rule")
+    seen = set()
+    for t in ("C3", "F4", "E6"):
+        rs = build(t)
+        sc = structure_constants(rs)
+        for field in (RationalField(2), RationalField(3), FunctionField(2), FunctionField(4)):
+            made = 0
+            while made < 10:
+                lam, k, degs = random_square_grading(rs, rng)
+                X = random_graded_element(rs, field, rng, degs[k])
+                if X.is_zero():
+                    continue
+                made += 1
+                gbm = graded_ad(rs, sc, X, lam, k)
+                half = 0
+                for _, rows, cols in gbm.sparse_blocks():
+                    divisors = dvr_divisor_valuations(field, rows, cols)
+                    if INF in divisors:
+                        half = None
+                        break
+                    half += sum(divisors)
+                assert phi(field, gbm) == AbsValue(field.residue_cardinality, half), (t, lam, k)
+                # the same support over Q, where no entry y N vanishes
+                pattern = graded_ad(rs, sc, LieElement(QQ, dict.fromkeys(X.coeffs, QQ.one)),
+                                    lam, k).blocks
+                lines = {i: _zero_lines(mat) for i, mat in gbm.blocks.items() if mat}
+                for i, (row, col) in lines.items():
+                    if row and not col:
+                        seen.add("zero row only")
+                    if col and not row:
+                        seen.add("zero column only")
+                    if (row or col) and i != min(lines):
+                        seen.add("zero line after the first block")
+                    if (row or col) and repr(field) == "GF(2)(t)" \
+                            and not any(_zero_lines(pattern[i])):
+                        seen.add("zero line from N = +-2 over GF(2)(t)")
+                if half is None and not any(map(any, lines.values())):
+                    seen.add("zero found by elimination only")
+    assert seen == {"zero row only", "zero column only", "zero line after the first block",
+                    "zero line from N = +-2 over GF(2)(t)", "zero found by elimination only"}
+
+
+def test_phi_checks_field_and_shape_before_zero_lines():
+    # a block with a zero row still needs a valued field and square blocks
+    square = GradedBlockMap(k=2, rows={1: [{}, {0: Fraction(1)}]}, domain_basis={1: [0, 1]},
+                            codomain_basis={1: [2, 3]}, zero=Fraction(0))
+    with pytest.raises(ValueError, match="^need a valued field, got Q, which carries no"):
+        phi(QQ, square)
+    assert phi(RationalField(2), square).is_zero()
+    tall = GradedBlockMap(k=2, rows={1: [{}, {0: Fraction(1)}]}, domain_basis={1: [0]},
+                          codomain_basis={1: [2, 3]}, zero=Fraction(0))
+    with pytest.raises(ValueError, match="^blocks are not square"):
+        phi(RationalField(2), tall)
 
 
 def test_unimodular_base_change_leaves_exponent(sl3):

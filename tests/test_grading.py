@@ -4,10 +4,11 @@ from itertools import product
 
 import pytest
 
-from chevalley import (RationalField, build, cartan_vector, delta_exponent,
-                       destabilizing_certificate, grade, instability_ratio_sq,
-                       kirwan_ness_torus_check, m_of, phi_of, root_vector,
-                       scan_destabilizers, structure_constants, torus_conjugate, verify_rrao)
+from chevalley import (FunctionField, RationalField, build, cartan_vector, delta_exponent,
+                       destabilizing_certificate, grade, graded_ad, instability_ratio_sq,
+                       kirwan_ness_torus_check, lattice_image, m_of, phi_of, root_vector,
+                       scan_destabilizers, structure_constants, torus_conjugate,
+                       verify_phi_inverse, verify_rrao)
 from chevalley.fields import QQ
 from chevalley.grading import CocharRational, degrees_of, single_degree
 from chevalley.lie import element_from_support
@@ -145,6 +146,33 @@ def test_vectors_take_only_exact_coordinates():
     assert rs.pair(0, (Fraction(1, 2), 1)) == 0
     assert rs.reflect_cochar(0, iter((1, 2))) == (1, 2)
     assert cartan_vector(rs, QQ, iter((1, 2))) == cartan_vector(rs, QQ, (1, 2))
+
+
+def test_entry_points_read_a_one_shot_vector_once():
+    # each entry point gates lam (and v) once and passes the tuple on, so a
+    # one-shot iterator gives the answer its tuple gives
+    rs = build("A2")
+    Y = root_vector(rs, QQ, rs.root_index[(1, 1)])
+    assert instability_ratio_sq(rs, Y, iter((1, 1))) == instability_ratio_sq(rs, Y, (1, 1))
+    assert rs.norm_sq(iter((1, 1))) == rs.norm_sq((1, 1))
+    rs = build("B2")
+    sc = structure_constants(rs)
+    q3, ft2 = RationalField(3), FunctionField(2)
+    top = next(ri for ri in rs.positive_roots if rs.pair(ri, (1, 1)) == 2)
+    X = root_vector(rs, q3, top, q3.element(3))
+    T = root_vector(rs, ft2, top, ft2.uniformizer())
+    calls = [
+        lambda lam: instability_ratio_sq(rs, X, lam),
+        lambda lam: graded_ad(rs, sc, X, lam, 2).rows,
+        lambda lam: phi_of(rs, sc, X, lam, 2),
+        lambda lam: verify_phi_inverse(rs, sc, X, lam, 2),
+        lambda lam: verify_rrao(rs, sc, X, lam, 2, (1, -1)),
+        lambda lam: lattice_image(rs, sc, T, lam, 2, 1, 5),
+    ]
+    for call in calls:
+        assert call(iter((1, 1))) == call((1, 1))
+    assert verify_rrao(rs, sc, X, (1, 1), 2, iter((1, -1))) == \
+        verify_rrao(rs, sc, X, (1, 1), 2, (1, -1))
 
 
 def test_grade_weyl_equivariance():
