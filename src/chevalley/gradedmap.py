@@ -270,16 +270,17 @@ def lattice_image(rs: RootSystem, sc: StructureConstants, Y: LieElement, lam,
     output describes the image lattice [Y, g(-i; o)] inside g(k-i; o)
     up to t**m, and stabilizes in m once m exceeds the largest divisor.
     Rank deficiency over the fraction field shows up as None entries.
+    m and i are ints, not bools: m >= 1 and 1 <= i < k.
     """
-    if m < 1:
-        raise ValueError("truncation level m must be >= 1")
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+        raise ValueError(f"truncation level m must be an int >= 1, got {m!r}")
     field = check_valued(Y.field)
     for val in Y.coeffs.values():
         if field.valuation(val) < 0:
             raise ValueError("Y must be integral at the uniformizer")
     by_degree = _grading(rs, Y, lam, k)
-    if not 1 <= i < k:
-        raise ValueError(f"block index i = {i} outside 1..{k - 1}")
+    if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i < k:
+        raise ValueError(f"block index i = {i!r} outside 1..{k - 1}")
     # block i alone: g(-i) -> g(k-i)
     dom = by_degree.get(-i, [])
     (rows,) = ad_blocks(sc, Y, [(dom, by_degree.get(k - i, []))])

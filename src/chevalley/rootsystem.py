@@ -4,9 +4,12 @@ Roots are stored as integer coordinate tuples in the simple-root basis.
 Cocharacters live in the lattice of the chosen isogeny type: the coroot
 lattice for simply connected groups (basis = simple coroots), the
 coweight lattice for adjoint groups (basis = fundamental coweights).
-The invariant form is normalized so long roots have squared length 2 in
-each irreducible factor; an optional per-factor positive rational scale
-exposes the norm-independence tests.
+Every table is built from the integer Cartan matrix and the simple roots'
+squared lengths: long roots have squared length 2 in each irreducible
+factor, times an optional per-factor scale (a positive int or Fraction)
+that exposes the norm-independence tests and cancels from the Cartan
+matrix.  The
+invariant form on the simple roots, `char_form`, is their Fraction view.
 
 The per-root tables are built on ints, by one formula for both isogenies:
 the pairing row is <a, alpha_j^v> (simply connected) or a_j (adjoint),
@@ -71,26 +74,21 @@ def _dynkin_data(series: str, rank: int):
     raise ValueError(f"invalid Cartan type {series}{rank}")
 
 
-def _close_under_reflections(cartan, rank):
-    """All roots of one factor, by closure under simple reflections."""
-    roots = set()
-    frontier = []
-    for i in range(rank):
-        e = tuple(1 if j == i else 0 for j in range(rank))
-        roots.add(e)
-        frontier.append(e)
+def _close_under_reflections(cartan):
+    """All roots, by closing the simple roots under the simple reflections
+    beta -> beta - <beta, alpha_i^v> alpha_i."""
+    n = len(cartan)
+    roots = {tuple(1 if j == i else 0 for j in range(n)) for i in range(n)}
+    frontier = list(roots)
     while frontier:
         beta = frontier.pop()
-        for i in range(rank):
-            p = sum(map(mul, beta, cartan[i]))
-            if p == 0:
-                continue
-            img = list(beta)
-            img[i] -= p
-            img = tuple(img)
-            if img not in roots:
-                roots.add(img)
-                frontier.append(img)
+        for i, row in enumerate(cartan):
+            p = sum(map(mul, beta, row))
+            if p:
+                img = beta[:i] + (beta[i] - p,) + beta[i + 1:]
+                if img not in roots:
+                    roots.add(img)
+                    frontier.append(img)
     return roots
 
 
@@ -112,40 +110,31 @@ class RootSystem:
             raise ValueError(f"unknown isogeny type {isogeny!r}")
         self.cartan_type = tuple(cartan_type)
         self.isogeny = isogeny
-        self.rank = sum(r for _, r in cartan_type)
+        self.rank = n = sum(r for _, r in cartan_type)
         if scale is None:
-            scale = [Fraction(1)] * len(cartan_type)
-        scale = [Fraction(s) for s in scale]
-        if len(scale) != len(cartan_type) or any(s <= 0 for s in scale):
+            scale = [1] * len(cartan_type)
+        if (not isinstance(scale, (list, tuple)) or len(scale) != len(cartan_type)
+                or not {int, Fraction}.issuperset(map(type, scale)) or min(scale) <= 0):
             raise ValueError("scale must give one positive rational per factor")
 
-        n = self.rank
-        # symmetric form on the character space, long roots squared length 2,
-        # then scaled per factor
-        form = [[Fraction(0)] * n for _ in range(n)]
-        offset = 0
-        for (edges, lengths, _), s in zip(dynkin, scale):
-            for i, length in enumerate(lengths):
-                form[offset + i][offset + i] = length * s
-            for (i, j) in edges:
-                v = -max(lengths[i], lengths[j]) / 2 * s
-                form[offset + i][offset + j] = v
-                form[offset + j][offset + i] = v
-            offset += len(lengths)
-        self.char_form = form
-        ratios = [[2 * f / row[i] for f in row] for i, row in enumerate(form)]  # <alpha_j, alpha_i^v>
-        self.cartan = [[exact_div(c.numerator, c.denominator, "Cartan entry") for c in row]
-                       for row in ratios]
+        # the simple roots' squared lengths, long = 2 times the factor's scale
+        # (the only place the scale enters), as ints ell_j over their lcm D,
+        # and the Cartan matrix <alpha_j, alpha_i^v> = -max(l_i, l_j)/l_i on a
+        # Dynkin edge, where the scale cancels
+        edges, lengths = [], []
+        for (factor_edges, factor_lengths, _), s in zip(dynkin, scale):
+            edges += [(len(lengths) + i, len(lengths) + j) for i, j in factor_edges]
+            lengths += [length * s for length in factor_lengths]
+        den = lcm(*(length.denominator for length in lengths))
+        ell = [length.numerator * (den // length.denominator) for length in lengths]
+        self.cartan = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+        for edge in edges:
+            for i, j in (edge, edge[::-1]):
+                self.cartan[i][j] = exact_div(-max(ell[i], ell[j]), ell[i], "Cartan entry")
 
-        # roots, factor by factor, positives first sorted by (height, coords)
-        all_roots = []
-        offset = 0
-        for f, (series, r) in enumerate(cartan_type):
-            sub = [[self.cartan[offset + i][offset + j] for j in range(r)] for i in range(r)]
-            for root in _close_under_reflections(sub, r):
-                full = (0,) * offset + root + (0,) * (n - offset - r)
-                all_roots.append(full)
-            offset += r
+        # the roots, closed under simple reflections on the block-diagonal
+        # Cartan matrix, so each stays in its factor
+        all_roots = _close_under_reflections(self.cartan)
         # height first, then leftmost-simple-root first (so a1 < a2 < ...,
         # matching the usual extraspecial-pair convention)
         positives = sorted((a for a in all_roots if sum(a) > 0),
@@ -162,11 +151,8 @@ class RootSystem:
             raise RuntimeError(f"root count {len(self.roots)} != classical {expected}")
 
         # per root, by root index: squared length, pairing row <a, basis_j>,
-        # and the coroot in the cocharacter basis; on ints, with ell_j the
-        # squared length of alpha_j times the lcm D of their denominators,
-        # and (a, a) = len_num[a] / len_den with len_den = 2D
-        den = lcm(*(form[j][j].denominator for j in range(n)))
-        ell = [form[j][j].numerator * (den // form[j][j].denominator) for j in range(n)]
+        # and the coroot in the cocharacter basis; on ints, with
+        # (a, a) = len_num[a] / len_den and len_den = 2D
         self.len_den = 2 * den
         self.len_num = []
         self.pairing_rows = []
@@ -225,15 +211,21 @@ class RootSystem:
         npos = len(self.positive_roots)
         return i + npos if i < npos else i - npos
 
+    @property
+    def char_form(self) -> list[list[Fraction]]:
+        """The invariant form on the simple roots, as a Fraction view of the
+        Cartan matrix and the lengths: (alpha_i, alpha_j) = <alpha_j, alpha_i^v>
+        (alpha_i, alpha_i)/2."""
+        return [[Fraction(c * self.len_num[s], 2 * self.len_den) for c in row]
+                for row, s in zip(self.cartan, self.simple_roots)]
+
     def root_form(self, a, b) -> Fraction:
-        """Invariant form (a, b) on the character space."""
-        acc = Fraction(0)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        acc += ai * bj * self.char_form[i][j]
-        return acc
+        """Invariant form (a, b) = sum_j b_j <a, alpha_j^v> (alpha_j, alpha_j)/2
+        on the character space; a and b are sequences of rank coordinates."""
+        a, b = self.check_coords(a, "a"), self.check_coords(b, "b")
+        acc = sum(bj * sum(map(mul, a, row)) * self.len_num[s]
+                  for bj, row, s in zip(b, self.cartan, self.simple_roots) if bj)
+        return Fraction(acc, 2 * self.len_den)
 
     def index(self, root) -> int:
         """The index of a root given by its index (an int in range, not a

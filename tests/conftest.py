@@ -20,6 +20,9 @@ ISOGENIES = ("simply_connected", "adjoint")
 # per-factor scales of the invariant form, with odd denominators and numerators
 SCALED_BUILDS = [("G2", [Fraction(3, 5)]), ("A2xG2", [Fraction(1, 3), Fraction(7, 2)]),
                  ("B2xG2", [Fraction(2, 7), 5]), ("F4", [Fraction(5, 3)])]
+# draws per instance a seeded check may take before it fails: criterion 6
+# takes 79 draws for 50 instances, test_phi_homogeneity_random 46 for 30
+DRAW_BUDGET = 20
 
 
 @pytest.fixture
@@ -97,9 +100,12 @@ def random_polynomial_element(rs, field, rng: random.Random, roots):
 
 def check_phi_identities(rs, sc, rng: random.Random, fields, count):
     """phi(-X) = phi(X) and the conjugation law at a random torus point v,
-    on `count` random square-graded X over fields drawn from `fields`."""
+    on `count` random square-graded X over fields drawn from `fields`,
+    within DRAW_BUDGET * count draws."""
     done = 0
-    while done < count:
+    for _ in range(DRAW_BUDGET * count):
+        if done == count:
+            break
         lam, k, degs = random_square_grading(rs, rng)
         field = rng.choice(fields)
         X = random_graded_element(rs, field, rng, degs[k])
@@ -109,14 +115,18 @@ def check_phi_identities(rs, sc, rng: random.Random, fields, count):
         assert verify_phi_inverse(rs, sc, X, lam, k, field), (rs.type_string(), lam, k)
         assert verify_rrao(rs, sc, X, lam, k, v, field), (rs.type_string(), lam, k, v)
         done += 1
+    assert done == count, f"{done} of {count} instances in {DRAW_BUDGET * count} draws"
 
 
 def check_phi_homogeneity(rng: random.Random, systems, fields, count):
     """phi(cX) against phi(X) on `count` random instances with phi(X) != 0,
     each (rs, sc) drawn from `systems`: the half-exponent moves by v(c)
-    times the total size of the blocks."""
+    times the total size of the blocks.  Within DRAW_BUDGET * count draws,
+    so a phi that wrongly reads 0 fails rather than drawing forever."""
     done = 0
-    while done < count:
+    for _ in range(DRAW_BUDGET * count):
+        if done == count:
+            break
         rs, sc = rng.choice(systems)
         field = rng.choice(fields)
         lam, k, degs = random_square_grading(rs, rng)
@@ -135,6 +145,8 @@ def check_phi_homogeneity(rng: random.Random, systems, fields, count):
         scaled = phi_of(rs, sc, X.scaled(c), lam, k, field)
         assert scaled.half_exponent - base.half_exponent == field.valuation(c) * total_dim
         done += 1
+    assert done == count, (f"{done} of {count} instances with phi(X) != 0 "
+                           f"in {DRAW_BUDGET * count} draws")
 
 
 def check_lattice_image(rs, sc, X, lam, k) -> bool:

@@ -419,3 +419,23 @@ def test_polynomial_operands_check_their_field_first():
         with pytest.raises(ValueError, match=r"neither an element nor a code of GF\(4\)"):
             Polynomial(f4, [bad])
     assert Polynomial(f4, [f4.from_coeffs((0, 1)), 1]) == Polynomial(f4, [2, 1])
+
+
+def test_equal_field_objects_hash_equal():
+    """Equal objects built apart hash equal, so they collapse in a set and
+    as dict keys; unequal ones stay apart."""
+    F, f4 = FunctionField(4), FiniteField(4)
+    t = F.t()
+    equal = [(F, FunctionField(4)), (t * t / t, FunctionField(4).t()),
+             (RationalField(), RationalField()), (RationalField(3), RationalField(3)),
+             (PrimeField(2), FiniteField(2)),
+             (f4.from_coeffs((0, 1)), FiniteField(4).from_coeffs((0, 1))),
+             (Polynomial(f4, [f4.from_coeffs((0, 1)), 1]), Polynomial(FiniteField(4), [2, 1]))]
+    unequal = [(PrimeField(2), FiniteField(4)), (FunctionField(2), FunctionField(4)),
+               (RationalField(), RationalField(2)), (t, t * t),
+               (Polynomial(f4, [1]), Polynomial(PrimeField(2), [1]))]
+    for a, b in equal:
+        assert a is not b and a == b and hash(a) == hash(b), (a, b)
+        assert len({a, b}) == 1 and {a: 1, b: 2} == {a: 2}, (a, b)
+    for a, b in unequal:
+        assert a != b and len({a, b}) == 2 and len({a: 1, b: 2}) == 2, (a, b)

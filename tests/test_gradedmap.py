@@ -438,10 +438,24 @@ def test_verdicts_check_degree_and_k_before_sharing_a_grading(sl3):
             call(mixed, 2)
         with pytest.raises(ValueError, match="degree k = 0 >= 1, found 2"):
             call(X, 0)
-    # the block index is checked against k itself: blocks are 1..k-1
-    for i in (0, 2, 5):
+    # the block index is checked against k itself: blocks are 1..k-1, and
+    # i is an int, not a bool (True and 1.0 were read as block 1)
+    for i in (0, 2, 5, True, 1.0, None):
         with pytest.raises(ValueError, match=f"block index i = {i} outside 1..1"):
             lattice_image(rs, sc, X, (1, 1), 2, i, 3)
+
+
+def test_lattice_image_takes_an_int_truncation_level(sl3):
+    # m is an int >= 1, not a bool: m = 2.5 gave [2.5, 2.5] and m = True
+    # gave [True, True]
+    rs, sc = sl3
+    F = FunctionField(2)
+    t = F.uniformizer()
+    Y = root_vector(rs, F, rs.root_index[(1, 1)], t * t * t)
+    assert lattice_image(rs, sc, Y, (1, 1), 2, 1, 2) == [2, 2]
+    for m in (0, -1, 2.5, 2.0, True, Fraction(2), "2", None):
+        with pytest.raises(ValueError, match="truncation level"):
+            lattice_image(rs, sc, Y, (1, 1), 2, 1, m)
 
 
 @pytest.mark.parametrize("t", ["C3", "F4"])

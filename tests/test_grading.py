@@ -93,7 +93,8 @@ def test_wrong_length_vectors_are_rejected():
                      lambda: phi_of(rs, sc, Y, bad, 2), lambda: rs.pair(a, bad),
                      lambda: cartan_vector(rs, q2, bad), lambda: rs.reflect_cochar(0, bad),
                      lambda: rs.cochar_form(bad, (1, 1)), lambda: rs.cochar_form((1, 1), bad),
-                     lambda: rs.norm_sq(bad)):
+                     lambda: rs.norm_sq(bad), lambda: rs.root_form(bad, a),
+                     lambda: rs.root_form(a, bad)):
             with pytest.raises(ValueError, match=f"has {len(bad)} coordinates, A2 has rank 2"):
                 call()
 

@@ -331,7 +331,11 @@ def test_build_error_messages_and_their_order(cartan_type, message, isogeny):
     assert str(exc.value) == message
 
 
-@pytest.mark.parametrize("scale", [[0], [Fraction(-1, 2)], [1, 1], []])
+@pytest.mark.parametrize("scale", [[0], [Fraction(-1, 2)], [1, 1], [],
+                                   # one int (not a bool) or Fraction per factor: a
+                                   # float is not exact, a string is not parsed
+                                   [2 ** 0.5], [True], ["1/2"], 2, [None],
+                                   [float("inf")], [float("nan")], ["x"]])
 def test_build_rejects_a_bad_scale(scale):
     with pytest.raises(ValueError) as exc:
         build("G2", scale=scale)

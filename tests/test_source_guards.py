@@ -1,8 +1,9 @@
 """Source guards: invariant checks in the package raise, so `python -O` keeps
 them, `optimality` keeps its one elimination to itself, `rootsystem` imports
 nothing from the package, only `rootsystem` derives squared lengths or
-subscripts its root table, each field parses its own coefficient strings,
-and the prime, degree and valued-field rules each raise from one module."""
+subscripts its root table, no module reads its `char_form` view, each
+field parses its own coefficient strings, and the prime, degree and
+valued-field rules each raise from one module."""
 
 import ast
 from pathlib import Path
@@ -63,6 +64,14 @@ def test_only_rootsystem_reads_len_sq():
     # every other module reads the integer table len_num / len_den, so no
     # module re-derives the squared lengths from len_sq's Fractions
     assert _modules_reading("len_sq") == {"rootsystem.py"}  # the guard sees its own reads
+
+
+def test_no_module_reads_char_form():
+    # the form on the simple roots is a Fraction view of the integer Cartan
+    # matrix and len_num / len_den; root_form and every other module read those
+    assert not _modules_reading("char_form")
+    assert _modules_with(lambda node: isinstance(node, ast.FunctionDef)
+                         and node.name == "char_form") == {"rootsystem.py"}
 
 
 def test_only_rootsystem_subscripts_root_index():
