@@ -17,8 +17,8 @@ import sys
 from .badprimes import regular_counterexample_report
 from .corpus import keeps_support_mod, run_corpus, standard_corpus
 from .fields import QQ, FunctionField, RationalField, check_prime
-from .gradedmap import (block_divisors, block_report, graded_ad, kernel_from_divisors,
-                        lattice_image, verify_phi_inverse, verify_rrao)
+from .gradedmap import (block_divisors, block_report, check_truncation_level, graded_ad,
+                        kernel_from_divisors, lattice_image, verify_phi_inverse, verify_rrao)
 from .grading import grade
 from .lie import element_from_support, integer_multiple, structure_constants
 from .optimality import brute_force_verify, certified_torus_check, optimal_cocharacter
@@ -179,9 +179,8 @@ def cmd_rrao_check(args):
 
 @_command("snf", *_SYSTEM, "--support", "--q", "--trunc-m")
 def cmd_snf(args):
-    m = 4 if args.trunc_m is None else args.trunc_m
-    if m < 1:
-        raise ValueError(f"truncation level --trunc-m must be >= 1, got {m}")
+    # checked before the block loop, which builds no block when k = 1
+    m = check_truncation_level(4 if args.trunc_m is None else args.trunc_m)
     rs, Y, cert = _instance(args, FunctionField(2 if args.q is None else args.q))
     sc = structure_constants(rs)
     divisors = {}

@@ -63,14 +63,15 @@ def _iroot(q: int, n: int) -> int:
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
-    """Write q = p**n with p prime, or raise ValueError.  Only the largest
-    n with an exact n-th root can give a prime p."""
-    if q >= 2:
+    """Write q = p**n with p prime, or raise ValueError, also for a q that
+    is not an int or is a bool.  Only the largest n with an exact n-th root
+    can give a prime p."""
+    if type(q) is int and q >= 2:
         n = next(n for n in range(q.bit_length(), 0, -1) if _iroot(q, n) ** n == q)
         p = _iroot(q, n)
         if is_prime(p):
             return p, n
-    raise ValueError(f"not a prime power: {q}")
+    raise ValueError(f"not a prime power: {q!r}")
 
 
 class RationalField:
@@ -89,10 +90,10 @@ class RationalField:
 
     def element(self, x) -> Fraction:
         """An int or a rational string as a Fraction, a Fraction as it is;
-        ValueError for a float, which is not exact, and anything else."""
+        ValueError for a bool, a float, which is not exact, and anything else."""
         if isinstance(x, Fraction):
             return x
-        if not isinstance(x, (int, str)):
+        if type(x) not in (int, str):  # a bool is no coefficient
             why = "a float is not exact" if isinstance(x, float) else "not a rational"
             raise _refusal(x, self, why)
         try:
@@ -193,7 +194,9 @@ class FFElement:
 def _refusal(x, field, why: str) -> ValueError:
     """The error for an x that field.element refuses; another field's
     element is named by its field, since a GF(p) element prints as an int."""
-    if isinstance(x, FFElement):
+    if isinstance(x, bool):
+        why = "a bool is not a number"
+    elif isinstance(x, FFElement):
         why = f"an element of {x.field!r}"
     elif isinstance(x, RatFunc):
         why = f"an element of GF({x.num.base.order})(t)"
@@ -201,9 +204,10 @@ def _refusal(x, field, why: str) -> ValueError:
 
 
 def _integer(x, field) -> int:
-    """x as an int if it is an int or an integral Fraction; ValueError naming
-    x and the field otherwise.  A field of characteristic p holds no 1/2 or 2.5."""
-    if isinstance(x, int):
+    """x as an int if it is an int (not a bool) or an integral Fraction;
+    ValueError naming x and the field otherwise.  A field of characteristic
+    p holds no 1/2 or 2.5."""
+    if type(x) is int:
         return x
     if isinstance(x, Fraction) and x.denominator == 1:
         return x.numerator
@@ -338,7 +342,7 @@ class FiniteField:
     def element(self, x) -> FFElement:
         """An int or an integral Fraction reduced mod p (into the prime
         subfield), an element of this field as it is; ValueError otherwise."""
-        if not isinstance(x, int):
+        if type(x) is not int:
             if isinstance(x, FFElement) and (x.field is self or x.field == self):
                 return x
             x = _integer(x, self)

@@ -261,6 +261,13 @@ def verify_rrao(rs: RootSystem, sc: StructureConstants, X: LieElement, lam,
     return after == before * AbsValue(before.q, shift)
 
 
+def check_truncation_level(m) -> int:
+    """m itself, if it is an int >= 1 and not a bool; ValueError otherwise."""
+    if type(m) is not int or m < 1:
+        raise ValueError(f"truncation level m must be an int >= 1, got {m!r}")
+    return m
+
+
 def lattice_image(rs: RootSystem, sc: StructureConstants, Y: LieElement, lam,
                   k: int, i: int, m: int):
     """t-adic elementary divisor valuations of the block A_{-i}(Y),
@@ -272,8 +279,7 @@ def lattice_image(rs: RootSystem, sc: StructureConstants, Y: LieElement, lam,
     Rank deficiency over the fraction field shows up as None entries.
     m and i are ints, not bools: m >= 1 and 1 <= i < k.
     """
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise ValueError(f"truncation level m must be an int >= 1, got {m!r}")
+    check_truncation_level(m)
     field = check_valued(Y.field)
     for val in Y.coeffs.values():
         if field.valuation(val) < 0:

@@ -1,8 +1,7 @@
 """Cocharacter gradings, filtration invariants and modulus exponents.
 
 A cocharacter lam grades the Lie algebra by <a, lam> on root spaces and
-0 on the Cartan; grade pairs lam with the simple roots only and adds one
-simple degree per positive root along the root system's height parents.
+0 on the Cartan; grade groups the root system's `degrees` of lam.
 m_of is the least filtration degree of a nilpotent element;
 delta_exponent is the valuation exponent of the modulus character of a
 torus element on a filtration slice.
@@ -76,20 +75,11 @@ class GradingReport:
 
 def grade(rs: RootSystem, lam) -> GradingReport:
     """Assign every root to its degree <a, lam>; lam must be integral.
-    Only the simple roots are paired with lam: a positive root's degree is
-    its height parent's plus one simple root's, and -a has degree -<a, lam>.
-    Each degree's root indices come out increasing, as the positives are
-    visited in index order and the negatives follow them in the same order."""
-    lam = rs.lattice_vector(lam, "lam")
-    simple = [sum(map(mul, rs.pairing_rows[i], lam)) for i in rs.simple_roots]
-    degrees = []
-    for parent, j in rs.height_parents:
-        degrees.append(simple[j] if parent is None else degrees[parent] + simple[j])
+    The roots are visited in index order, so each degree's root indices
+    come out increasing."""
     spaces: dict[int, list[int]] = {}
-    for i, d in enumerate(degrees):
+    for i, d in enumerate(rs.degrees(rs.lattice_vector(lam, "lam"))):
         spaces.setdefault(d, []).append(i)
-    for i, d in enumerate(degrees, start=rs.negative(0)):
-        spaces.setdefault(-d, []).append(i)
     return GradingReport(spaces, {d: len(v) for d, v in spaces.items()}, rs.rank)
 
 
@@ -138,16 +128,13 @@ def instability_ratio_sq(rs: RootSystem, Y: LieElement, lam) -> Fraction:
 def delta_exponent(rs: RootSystem, lam, s: int, t: int | None, v) -> int:
     """Exponent e with delta_{lam,s} (or delta_{lam,(s,t)}) = q**(-e) on
     the torus element of valuation v: the sum of <a, v> over roots with
-    s <= <a, lam> (< t when t is given).  v must be integral."""
-    if s < 1:
-        raise ValueError("the filtration slice starts at s >= 1")
-    if t is not None and t <= s:
-        raise ValueError("need t > s")
+    s <= <a, lam> (< t when t is given).  s is an int >= 1, t None or an
+    int > s (an int here is not a bool), and v must be integral."""
+    if type(s) is not int or s < 1:
+        raise ValueError(f"the filtration slice starts at an int s >= 1, got {s!r}")
+    if t is not None and (type(t) is not int or t <= s):
+        raise ValueError(f"need t None or an int t > s = {s}, got {t!r}")
     lam = rs.cochar_vector(lam, "lam")
     v = rs.lattice_vector(v, "the valuation vector v")
-    e = 0
-    for row in rs.pairing_rows:
-        d = sum(map(mul, row, lam))
-        if d >= s and (t is None or d < t):
-            e += sum(map(mul, row, v))
-    return e
+    return sum(dv for d, dv in zip(rs.degrees(lam), rs.degrees(v))
+               if d >= s and (t is None or d < t))

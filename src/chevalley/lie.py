@@ -99,10 +99,11 @@ def root_vector(rs: RootSystem, field, root, coeff=1) -> LieElement:
 def element_from_support(rs: RootSystem, field, support, coefficients=None) -> LieElement:
     """Sum of root vectors; support entries are coordinate lists or indices,
     and a repeated root adds up its coefficients (all 1 if None).  A length
-    mismatch or a sum that is zero over the field raises ValueError."""
-    if coefficients is None:
-        coefficients = [1] * len(support)
-    elif len(coefficients) != len(support):
+    mismatch or a sum that is zero over the field raises ValueError.  Each
+    of support and coefficients is read once, so an iterator counts."""
+    support = tuple(support)
+    coefficients = (1,) * len(support) if coefficients is None else tuple(coefficients)
+    if len(coefficients) != len(support):
         raise ValueError(f"{len(coefficients)} coefficients for {len(support)} support roots")
     out: dict = {}
     for root, c in zip(support, coefficients):

@@ -256,7 +256,10 @@ def brute_force_verify(rs: RootSystem, Y: LieElement, cert: OptimalityCertificat
 
     Any lam' destabilizing Y (all support degrees >= 1) must satisfy
     rho(lam')^2 <= rho(lam)^2; violators are collected, not raised.
+    box_radius is an int, not a bool.
     """
+    if type(box_radius) is not int:
+        raise ValueError(f"the box radius must be an int, got {box_radius!r}")
     if box_radius < max(abs(c) for c in cert.lam):
         raise ValueError("box must contain the certified optimum")
     supp_vecs = [rs.pairing_rows[ri] for ri in cert.support]

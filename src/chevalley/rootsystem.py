@@ -18,7 +18,8 @@ exact integer division; each squared length is an int over one common
 denominator (`len_num`, `len_den`; `len_sq` is their Fraction view,
 which no other module reads).  The same loop records each positive
 root's height parent (`height_parents`): a - alpha_j for the first simple
-root with <a, alpha_j^v> > 0, so a grading adds one simple degree per root.
+root with <a, alpha_j^v> > 0, so `degrees` pairs a vector with every
+root by adding one simple degree per root.
 The cocharacter Gram on each factor f is rank_f sum_{a>0} <a, x><a, y>
 over its trace sum_{a>0} (a, a), so the module solves no linear system
 and imports nothing from the package.
@@ -98,11 +99,15 @@ class RootSystem:
     def __init__(self, cartan_type, isogeny, scale=None):
         if isinstance(cartan_type, str):
             cartan_type = parse_cartan_type(cartan_type)
-        cartan_type = [(str(s).upper(), r) for s, r in cartan_type]
+        if not isinstance(cartan_type, (list, tuple)) or not all(
+                isinstance(f, (list, tuple)) and len(f) == 2 and isinstance(f[0], str)
+                and type(f[1]) in (int, float, Fraction) for f in cartan_type):
+            raise ValueError("a Cartan type is a string or a list of (letter, int rank) "
+                             f"pairs, got {cartan_type!r}")
+        cartan_type = [(s.upper(), r) for s, r in cartan_type]
         for s, r in cartan_type:
-            if Fraction(r).denominator != 1:  # int() would truncate 2.5 to a valid rank
+            if type(r) is not int:  # int() would truncate 2.5 or 2.0 to a valid rank
                 raise ValueError(f"invalid Cartan type {s}{r}")
-        cartan_type = [(s, int(r)) for s, r in cartan_type]
         if not cartan_type:
             raise ValueError("empty Cartan type")
         dynkin = [_dynkin_data(series, r) for series, r in cartan_type]
@@ -278,6 +283,17 @@ class RootSystem:
         """Canonical pairing <a, lam> of the root a with a cocharacter."""
         lam = self.cochar_vector(lam, "the cocharacter")
         return sum(map(mul, self.pairing_rows[self.index(a)], lam))
+
+    def degrees(self, x) -> list:
+        """<a, x> for every root a, by root index: x meets the simple roots
+        once, each positive root adds one simple degree to its height
+        parent's, and -a gets the negative."""
+        x = self.cochar_vector(x, "the cocharacter")
+        simple = [sum(map(mul, self.pairing_rows[s], x)) for s in self.simple_roots]
+        out = []
+        for parent, j in self.height_parents:
+            out.append(simple[j] if parent is None else out[parent] + simple[j])
+        return out + [-d for d in out]
 
     def coroot(self, a) -> tuple[int, ...]:
         """Coordinates of the coroot of a in the cocharacter basis."""

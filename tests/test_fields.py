@@ -219,6 +219,14 @@ def test_is_prime_and_factor_prime_power_against_a_sieve():
         assert got == powers.get(n, f"not a prime power: {n}"), n
 
 
+@pytest.mark.parametrize("q", [4.0, "4", True, Fraction(4), None])
+def test_field_order_is_an_int(q):
+    # 4.0 and Fraction(4) raised AttributeError and "4" TypeError
+    for make in (factor_prime_power, FiniteField, FunctionField):
+        with pytest.raises(ValueError, match=f"^not a prime power: {re.escape(repr(q))}$"):
+            make(q)
+
+
 def test_field_operations_refuse_what_has_no_value():
     f4, f8 = FiniteField(4), FiniteField(8)
     with pytest.raises(ValueError, match="elements of different finite fields"):

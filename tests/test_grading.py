@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -43,18 +44,21 @@ def test_grade_dimension_totals():
 
 
 def test_grade_matches_direct_pairing():
-    # the height-parent recurrence against one dot product per root, for
-    # zero and seeded lam on every pinned and scaled build (E7, E8 and
-    # products among them): the same lists, in the same order
+    # the height-parent walk of rs.degrees, and grade's grouping of it,
+    # against one dot product per root, for zero and seeded lam on every
+    # pinned and scaled build (E7, E8 and products among them): the same
+    # degrees and lists, in the same order
     rng = random.Random("grade-direct-pairing")
     for (t, scale), isogeny in product([(t, None) for t in SC_TYPES] + SCALED_BUILDS, ISOGENIES):
         rs = build(t, isogeny, scale=scale)
         lams = [(0,) * rs.rank] + [tuple(rng.randint(-5, 5) for _ in range(rs.rank))
                                    for _ in range(3)]
         for lam in lams:
+            direct = [sum(r * l for r, l in zip(row, lam)) for row in rs.pairing_rows]
+            assert rs.degrees(lam) == direct, (t, scale, isogeny, lam)
             expected = {}
-            for i, row in enumerate(rs.pairing_rows):
-                expected.setdefault(sum(r * l for r, l in zip(row, lam)), []).append(i)
+            for i, d in enumerate(direct):
+                expected.setdefault(d, []).append(i)
             spaces = grade(rs, lam).weight_spaces
             assert list(spaces.items()) == list(expected.items()), (t, scale, isogeny, lam)
 
@@ -239,6 +243,16 @@ def test_delta_exponent_examples():
     with pytest.raises(ValueError):
         delta_exponent(sl3, (1, 1), 1, 2, (Fraction(1, 2), Fraction(1, 3)))
     assert delta_exponent(sl3, (1, 1), 1, 2, (Fraction(1), 0)) == 1
+    # s and t are ints, not bools: s = 1.5 read as 1 gave 1, s = True ran as
+    # s = 1, and t = 2.5 was accepted
+    for s, t in ((1.5, None), (True, None), (Fraction(1), None), ("1", None)):
+        with pytest.raises(ValueError, match=f"^the filtration slice starts at an int "
+                                             f"s >= 1, got {re.escape(repr(s))}$"):
+            delta_exponent(sl3, (1, 1), s, t, (1, 0))
+    for t in (2.5, True, 2.0, "2"):
+        with pytest.raises(ValueError, match=f"^need t None or an int t > s = 1, "
+                                             f"got {re.escape(repr(t))}$"):
+            delta_exponent(sl3, (1, 1), 1, t, (1, 0))
 
 
 def test_delta_telescoping_identity():
@@ -298,9 +312,10 @@ def test_zero_cocharacter_is_not_primitive():
 @pytest.mark.parametrize("isogeny", ["simply_connected", "adjoint"])
 @pytest.mark.parametrize("t", ["A3", "B3", "C3", "G2", "F4", "E6", "A2xA1"])
 def test_grade_and_delta_match_pair_oracle(t, isogeny):
-    """grade and delta_exponent, read off the pairing rows, agree with
-    rs.pair on every root, for lam and v given as ints or as integral
-    Fractions; every weight-space list is sorted."""
+    """rs.degrees, grade and delta_exponent agree with rs.pair on every
+    root, for lam and v given as ints or as integral Fractions, and
+    delta_exponent and rs.degrees for a half-integral lam too; every
+    weight-space list is sorted."""
     rs = build(t, isogeny)
     rng = random.Random(f"grade-oracle-{t}-{isogeny}")
     for trial in range(20):
@@ -309,6 +324,8 @@ def test_grade_and_delta_match_pair_oracle(t, isogeny):
         if trial % 2:
             lam, v = tuple(map(Fraction, lam)), tuple(map(Fraction, v))
         degree = [rs.pair(a, lam) for a in rs.roots]
+        assert rs.degrees(lam) == degree
+        assert rs.degrees(v) == [rs.pair(a, v) for a in rs.roots]
         expected = {}
         for ri, d in enumerate(degree):
             expected.setdefault(d, []).append(ri)
@@ -320,3 +337,11 @@ def test_grade_and_delta_match_pair_oracle(t, isogeny):
             e = sum(rs.pair(a, v) for a, d in zip(rs.roots, degree)
                     if d >= s and (stop is None or d < stop))
             assert delta_exponent(rs, lam, s, stop, v) == e
+        # a half-integral lam, which grade refuses, still slices the roots
+        half = tuple(Fraction(2 * c + 1, 2) for c in lam)
+        degree = [rs.pair(a, half) for a in rs.roots]
+        assert rs.degrees(half) == degree
+        for s, stop in ((1, None), (1, 3), (2, 4)):
+            e = sum(rs.pair(a, v) for a, d in zip(rs.roots, degree)
+                    if d >= s and (stop is None or d < stop))
+            assert delta_exponent(rs, half, s, stop, v) == e

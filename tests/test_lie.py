@@ -177,6 +177,13 @@ def test_element_from_support_coefficient_count():
     assert element_from_support(rs, QQ, support) == element_from_support(rs, QQ, support, [1, 1])
     assert element_from_support(rs, QQ, support, (5, 7)).coeffs == {
         ("E", rs.root_index[(1, 0)]): 5, ("E", rs.root_index[(0, 1)]): 7}
+    # each is read once, so a one-shot iterator counts: iter([0]) raised
+    # "object of type 'list_iterator' has no len()"
+    assert element_from_support(rs, QQ, iter([0])) == root_vector(rs, QQ, 0)
+    assert (element_from_support(rs, QQ, iter(support), iter([5, 7]))
+            == element_from_support(rs, QQ, support, [5, 7]))
+    with pytest.raises(ValueError, match="^1 coefficients for 2 support roots$"):
+        element_from_support(rs, QQ, iter(support), iter([5]))
 
 
 def test_only_real_roots_enter_an_element():
@@ -248,6 +255,14 @@ def test_coefficients_enter_only_their_own_field():
                 continue
             why = "not an integer" if isinstance(x, Fraction) else f"an element of {G!r}"
             message = f"^{re.escape(f'cannot embed {x!r} in {F!r}: {why}')}$"
+            for make in constructors:
+                with pytest.raises(ValueError, match=message):
+                    make(F, x)
+    # a bool is no coefficient: True entered every field as 1, so
+    # element_from_support(rs, QQ, [0], [True]) built E_0
+    for F in fields:
+        for x in (True, False):
+            message = f"^{re.escape(f'cannot embed {x!r} in {F!r}: a bool is not a number')}$"
             for make in constructors:
                 with pytest.raises(ValueError, match=message):
                     make(F, x)

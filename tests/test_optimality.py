@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -229,6 +230,14 @@ def test_box_must_contain_certificate():
     Y = root_vector(sl3, q, sl3.root_index[(1, 1)])
     cert = optimal_cocharacter(sl3, Y)
     with pytest.raises(ValueError):
+        brute_force_verify(sl3, Y, cert, 0)
+    # the radius is an int, not a bool: 2.5 and "2" raised TypeError, and
+    # True ran as radius 1
+    for radius in (2.5, "2", True, 2.0, None):
+        with pytest.raises(ValueError, match=f"^the box radius must be an int, got "
+                                             f"{re.escape(repr(radius))}$"):
+            brute_force_verify(sl3, Y, cert, radius)
+    with pytest.raises(ValueError, match="^box must contain the certified optimum$"):
         brute_force_verify(sl3, Y, cert, 0)
 
 

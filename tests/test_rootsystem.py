@@ -323,6 +323,14 @@ def test_exact_division_raises_under_O():
     ([], "empty Cartan type"),
     ([("A", 2.5)], "invalid Cartan type A2.5"),  # not truncated to A2
     ([("a", Fraction(5, 2))], "invalid Cartan type A5/2"),
+    ([("A", 2.0)], "invalid Cartan type A2.0"),  # an integral float is no rank either
+    # a string, or a list or tuple of (letter, int) pairs, the int not a bool:
+    # True built A1, "2" and " 2 " built A2, and the rest raised TypeError or
+    # Python's own unpacking ValueError
+    *((t, "a Cartan type is a string or a list of (letter, int rank) pairs, "
+          f"got {t!r}")
+      for t in [[("A", True)], [("A", "2")], [("A", " 2 ")], None, 5, [5], [("A",)],
+                {"A": 2}, [(1, 2)], [("A", None)]]),
 ])
 def test_build_error_messages_and_their_order(cartan_type, message, isogeny):
     # a bad type is reported before a bad isogeny

@@ -1,9 +1,10 @@
 """Source guards: invariant checks in the package raise, so `python -O` keeps
 them, `optimality` keeps its one elimination to itself, `rootsystem` imports
 nothing from the package, only `rootsystem` derives squared lengths or
-subscripts its root table, no module reads its `char_form` view, each
-field parses its own coefficient strings, and the prime, degree and
-valued-field rules each raise from one module."""
+subscripts its root table or walks its height parents, no module reads
+its `char_form` view, each field parses its own coefficient strings, the
+prime, degree, valued-field and truncation-level rules each raise from one
+module, and no module imports a name it does not use."""
 
 import ast
 from pathlib import Path
@@ -66,6 +67,22 @@ def test_only_rootsystem_reads_len_sq():
     assert _modules_reading("len_sq") == {"rootsystem.py"}  # the guard sees its own reads
 
 
+def test_only_rootsystem_walks_the_height_parents():
+    # every pairing of a vector with all of the roots is rs.degrees; the
+    # other modules pair a handful of roots, one pairing row each
+    assert _modules_reading("height_parents") == {"rootsystem.py"}
+    whole = set()
+    for p in SRC.glob("*.py"):
+        nodes = list(ast.walk(ast.parse(p.read_text(encoding="utf-8"))))
+        one_row = {id(node.value) for node in nodes if isinstance(node, ast.Subscript)
+                   and not isinstance(node.slice, ast.Slice)}
+        if any(isinstance(node, ast.Attribute) and node.attr == "pairing_rows"
+               and id(node) not in one_row for node in nodes):
+            whole.add(p.name)
+    assert whole == {"rootsystem.py"}  # the guard sees the table's own build
+    assert {"grading.py", "optimality.py"} <= _modules_reading("pairing_rows")
+
+
 def test_no_module_reads_char_form():
     # the form on the simple roots is a Fraction view of the integer Cartan
     # matrix and len_num / len_den; root_form and every other module read those
@@ -122,3 +139,37 @@ def test_only_fields_raises_the_valued_field_rule():
     assert _modules_raising("valued field") == {"fields.py"}  # the guard sees fields' own
     assert _modules_raising("valuation") == {"fields.py"}
     assert _modules_calling("check_valued") >= {"fields.py", "gradedmap.py"}
+
+
+def test_only_gradedmap_raises_the_truncation_level_rule():
+    # lattice_image and chevalley snf both call gradedmap.check_truncation_level
+    assert _modules_raising("truncation level") == {"gradedmap.py"}
+    assert _modules_calling("check_truncation_level") == {"cli.py", "gradedmap.py"}
+
+
+def _unused_imports(source):
+    """Names that source imports and never reads; a name listed in `__all__`
+    counts as read, as __init__.py re-exports what it imports."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update({(a.asname or a.name).split(".")[0]: node.lineno for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update({a.asname or a.name: node.lineno for a in node.names})
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_no_module_imports_a_name_it_does_not_read():
+    unused = {p.name: _unused_imports(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    assert not {name: found for name, found in unused.items() if found}
+    # the guard sees plain, dotted, aliased and from-imports, and __all__
+    assert _unused_imports("import os\nimport os.path as osp\nfrom a import b, c as d\n"
+                           "__all__ = ['b']\n") == [(1, "os"), (2, "osp"), (3, "d")]
+    assert not _unused_imports("from __future__ import annotations\nimport os.path\n"
+                               "from x import y\nos.path.join(y)\n")
