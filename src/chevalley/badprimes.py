@@ -52,9 +52,9 @@ def regular_counterexample(rs: RootSystem, sc: StructureConstants, p: int):
     kern = kernel_basis(field, mat)
     if not kern:
         return None
-    X = LieElement(field, {("E", rs.negative(si)): c for si, c in zip(rs.simple_roots, kern[0])})
-    if X.is_zero():
+    if not any(kern[0]):
         raise RuntimeError("the kernel vector gives X = 0")
+    X = element_from_support(rs, field, [rs.negative(si) for si in rs.simple_roots], kern[0])
     Y = regular_nilpotent(rs, field)
     if bracket(sc, X, Y).cartan_part():
         raise RuntimeError("kernel vector fails the bracket check")

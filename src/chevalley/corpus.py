@@ -28,21 +28,6 @@ from .rootsystem import RootSystem, build
 
 SCHEMA_VERSION = 1
 
-ADE = {"A", "D", "E"}
-
-
-def is_ade(rs: RootSystem) -> bool:
-    return all(series in ADE for series, _ in rs.cartan_type)
-
-
-def is_type_a(rs: RootSystem) -> bool:
-    """Type A factors only: ad-brackets factor through GL_n where every
-    prime is very good, so mod-p injectivity of optimal instances is
-    safe to assert.  (D types are NOT safe at p = 2; see the shipped
-    corpus report for the explicit counterexample instance.)"""
-    return all(series == "A" for series, _ in rs.cartan_type)
-
-
 def standard_instances(rs_type: str) -> list[dict]:
     """Instance entries for one type: every positive single-root support,
     every nonempty simple-root subset, and up to five seeded random supports
@@ -143,7 +128,10 @@ def run_instance(rs: RootSystem, sc, entry: dict, primes) -> dict:
     report["blocks_over_Q"] = report["detail"]["blocks"]
     report["injective_over_Q"] = all(v["injective"] for v in kern.values())
     mod_p = {}
-    type_a, ade = is_type_a(rs), is_ade(rs)
+    # type A brackets factor through GL_n, where every prime is very good, so
+    # only type A asserts mod-p injectivity; D already fails at p = 2
+    series = {s for s, _ in rs.cartan_type}
+    type_a, ade = series <= {"A"}, series <= {"A", "D", "E"}
     for p in primes:
         if not keeps_support_mod(Y, p):
             mod_p[str(p)] = {"injective": None, "note": "support degenerates mod p"}

@@ -99,7 +99,10 @@ def single_degree(rs: RootSystem, Y: LieElement, lam):
 
 
 def check_degree(rs: RootSystem, Y: LieElement, lam, k: int) -> None:
-    """ValueError unless Y is 0 or lives in the one degree k >= 1 of lam."""
+    """ValueError unless k is an int that is not a bool, and Y is 0 or
+    lives in the one degree k >= 1 of lam."""
+    if type(k) is not int:
+        raise ValueError(f"the degree k must be an int, got {k!r}")
     deg = single_degree(rs, Y, lam) if Y else k
     if deg != k or k < 1:
         raise ValueError(f"Y must be concentrated in degree k = {k} >= 1, found {deg}")

@@ -96,13 +96,22 @@ def root_vector(rs: RootSystem, field, root, coeff=1) -> LieElement:
     return LieElement(field, {("E", rs.index(root)): field.element(coeff)})
 
 
+def _sequence(x, name: str, of: str) -> tuple:
+    try:
+        return tuple(x)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence of {of}, got {x!r}") from None
+
+
 def element_from_support(rs: RootSystem, field, support, coefficients=None) -> LieElement:
     """Sum of root vectors; support entries are coordinate lists or indices,
     and a repeated root adds up its coefficients (all 1 if None).  A length
     mismatch or a sum that is zero over the field raises ValueError.  Each
-    of support and coefficients is read once, so an iterator counts."""
-    support = tuple(support)
-    coefficients = (1,) * len(support) if coefficients is None else tuple(coefficients)
+    of support and coefficients is read once, so an iterator counts, and
+    one that is not iterable raises ValueError."""
+    support = _sequence(support, "the support", "roots")
+    coefficients = ((1,) * len(support) if coefficients is None
+                    else _sequence(coefficients, "the coefficients", "coefficients"))
     if len(coefficients) != len(support):
         raise ValueError(f"{len(coefficients)} coefficients for {len(support)} support roots")
     out: dict = {}

@@ -158,17 +158,14 @@ def _min_norm_weights(K) -> tuple[list[int], int]:
 
 
 def _support_gram(rs: RootSystem, support):
-    """(reps, [D h_j], D, K): the support deduplicated by pairing row (root
-    indices), and the Gram of the nu(a_j) = h_j coroot(a_j), h_j = (a_j, a_j)/2,
-    scaled to integers by D, the lcm of the denominators of the h_j:
+    """(reps, [D h_j], D, K): the support's root indices deduplicated, and
+    the Gram of the nu(a_j) = h_j coroot(a_j), h_j = (a_j, a_j)/2, scaled
+    to integers by D, the lcm of the denominators of the h_j:
     K[i][j] = D <a_i, nu(a_j)> = D h_j <a_i, coroot(a_j)>.  With
     h_j = len_num / (2 len_den), that lcm is 2 len_den over one gcd.
     K[i][j] = D (a_i, a_j) is symmetric, so only its upper triangle is
     computed and then mirrored."""
-    first = {}
-    for ri in support:
-        first.setdefault(rs.pairing_rows[ri], ri)
-    reps = list(first.values())
+    reps = list(dict.fromkeys(support))
     nums = [rs.len_num[ri] for ri in reps]
     g = gcd(2 * rs.len_den, *nums)
     hs = [x // g for x in nums]
@@ -176,7 +173,7 @@ def _support_gram(rs: RootSystem, support):
     m = len(reps)
     cos = [rs.coroots[ri] for ri in reps]
     K = [[0] * m for _ in range(m)]
-    for i, row in enumerate(first):
+    for i, row in enumerate([rs.pairing_rows[ri] for ri in reps]):
         for j in range(i, m):
             K[i][j] = K[j][i] = hs[j] * sum(map(mul, row, cos[j]))
     return reps, hs, D, K

@@ -330,7 +330,7 @@ def test_is_prime_beyond_trial_division():
 
 # GF(100003^2) multiplies digit by digit, beyond the exp/log tables; x^2 + 1
 # is its modulus, irreducible as 100003 = 3 mod 4
-ORACLE_FIELDS = [2, 3, 4, 8, 9, 25, 100003 ** 2]
+ORACLE_FIELDS = [2, 3, 4, 8, 9, 25, 343, 512, 100003 ** 2]
 
 
 @pytest.mark.parametrize("q", ORACLE_FIELDS)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -443,6 +444,15 @@ def test_verdicts_check_degree_and_k_before_sharing_a_grading(sl3):
     for i in (0, 2, 5, True, 1.0, None):
         with pytest.raises(ValueError, match=f"block index i = {i} outside 1..1"):
             lattice_image(rs, sc, X, (1, 1), 2, i, 3)
+    # k is an int that is not a bool: on E_0, in degree 1 of (1, 1), k = True
+    # gave graded_ad a map with k = True and phi over Q_2 the value 2^(-0/2),
+    # and k = 2.0 raised TypeError from range
+    E0 = root_vector(rs, RationalField(2), rs.root_index[(1, 0)])
+    for k in (True, 1.0, 2.0, Fraction(1), "1", None):
+        for call in calls + (lambda Y, k: graded_ad(rs, sc, Y, (1, 1), k),):
+            for Y in (X, E0):
+                with pytest.raises(ValueError, match=re.escape(f"k must be an int, got {k!r}")):
+                    call(Y, k)
 
 
 def test_lattice_image_takes_an_int_truncation_level(sl3):

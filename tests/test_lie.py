@@ -184,6 +184,12 @@ def test_element_from_support_coefficient_count():
             == element_from_support(rs, QQ, support, [5, 7]))
     with pytest.raises(ValueError, match="^1 coefficients for 2 support roots$"):
         element_from_support(rs, QQ, iter(support), iter([5]))
+    # one that is not iterable raised "TypeError: 'int' object is not iterable"
+    with pytest.raises(ValueError, match="^the support must be a sequence of roots, got 5$"):
+        element_from_support(rs, QQ, 5)
+    with pytest.raises(ValueError,
+                       match="^the coefficients must be a sequence of coefficients, got 5$"):
+        element_from_support(rs, QQ, [0], 5)
 
 
 def test_only_real_roots_enter_an_element():

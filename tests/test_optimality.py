@@ -18,8 +18,8 @@ from chevalley.corpus import element_from_support, run_instance, standard_instan
 from chevalley.grading import CocharRational, grade
 from chevalley.lie import LieElement
 from chevalley.linalg import rank
-from chevalley.optimality import (OptimalityCertificate, _affine_minimizer, _support_gram,
-                                  minimum_norm_cocharacter, solve)
+from chevalley.optimality import (OptimalityCertificate, _affine_minimizer, _min_norm,
+                                  _support_gram, minimum_norm_cocharacter, solve)
 from conftest import half_sum_of_positive_coroots
 from qp_oracles import (QQ, active_set_min_norm, bordered_affine_minimizer,
                         fourier_motzkin_torus_check, sl2_completion_oracle)
@@ -378,6 +378,22 @@ def test_solver_matches_active_set_and_fourier_motzkin_oracles():
     zero = [v for lam, v in verdicts if not any(lam)]
     assert zero and not any(zero)  # lam = 0: the positive support is destabilizing
     assert {True, False} <= {v for lam, v in verdicts if any(lam)}
+
+
+def test_a_repeated_support_root_is_one_constraint():
+    # Wolfe's support is deduplicated by root index: [a, a, b] has the Gram,
+    # mu and weights of [a, b], and a and b, two simple roots of one height,
+    # stay two constraints, the oracle's
+    for t in ["A3", "B3", "G2", "E8"]:
+        for iso in ["simply_connected", "adjoint"]:
+            rs = build(t, iso)
+            a, b = rs.simple_roots[:2]
+            assert _support_gram(rs, [a, a, b]) == _support_gram(rs, [a, b])
+            assert _support_gram(rs, [a, b])[0] == [a, b]
+            twice, once = _min_norm(rs, [a, a, b]), _min_norm(rs, [a, b])
+            assert twice[0] == once[0] == active_set_min_norm(rs, [a, b])[0], (t, iso)
+            assert twice[4] == once[4] and set(once[4]) == {a, b}, (t, iso)
+            assert minimum_norm_cocharacter(rs, [a, a, b])[0] == once[0]
 
 
 @pytest.mark.parametrize("t, iso, scale", [

@@ -298,6 +298,9 @@ def test_basis_pairing_and_length_table():
             expected = rs.cartan[j][i] if isogeny == "simply_connected" else int(i == j)
             assert rs.basis_pairing[i][j] == expected, (t, isogeny, i, j)
         assert all(type(x) is int for x in rs.len_num) and type(rs.len_den) is int
+        # no two roots share a pairing row, so Wolfe's support deduplicated
+        # by root index keeps one constraint per distinct row
+        assert len(set(rs.pairing_rows)) == len(rs.roots), (t, isogeny)
         assert [Fraction(x, rs.len_den) for x in rs.len_num] == rs.len_sq, (t, isogeny)
 
 
