@@ -194,11 +194,10 @@ def cmd_snf(args):
 
 @_command("counterexample", *_SYSTEM, "--prime")
 def cmd_counterexample(args):
-    rs = build(args.type, args.isogeny)
-    sc = structure_constants(rs)
+    rs = build(args.type, args.isogeny)  # a bad --type reports first
     if args.prime is None:
         raise ValueError("--prime is required")
-    return regular_counterexample_report(rs, sc, args.prime), 0
+    return regular_counterexample_report(rs, structure_constants(rs), args.prime), 0
 
 
 @_command("corpus", "--corpus")

@@ -104,17 +104,17 @@ def ad_blocks(sc: StructureConstants, Y: LieElement, pieces) -> list[list[dict]]
     # each root's entries y_a N are made once per distinct N (|N| <= 3) and
     # shared by all the blocks, which is safe as entries are immutable;
     # N = +-1 needs no product
-    support = [(key[1], y, {1: y, -1: -y}) for key, y in Y.coeffs.items()]
+    support = [(sc.rows[key[1]], y, {1: y, -1: -y}) for key, y in Y.coeffs.items()]
     blocks = []
     for src, dst in pieces:
         dst_pos = {ri: r for r, ri in enumerate(dst)}
         block = [{} for _ in dst]
         # column c is [Y, E_ri] = sum_a y_a N_{a,ri} E_{a+ri}; distinct a give distinct rows
         for c, ri in enumerate(src):
-            for a, y, y_times in support:
-                s = sc.root_sum(a, ri)
-                if s is not None:
-                    n = sc.n(a, ri)
+            for row, y, y_times in support:
+                sum_n = row.get(ri)  # (index of a + ri, N_{a,ri})
+                if sum_n is not None:
+                    s, n = sum_n
                     entry = y_times.get(n)
                     if entry is None:
                         entry = y_times[n] = y * field.element(n)

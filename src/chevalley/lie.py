@@ -14,11 +14,17 @@ roots and propagated by the classical relations:
         N_{a,b} N_{c,d}/(a+b,a+b) + N_{b,c} N_{a,d}/(b+c,b+c)
             + N_{c,a} N_{b,d}/(c+a,c+a) = 0
 
-The last identity, applied against the extraspecial pair of a+b,
-recurses on the height of the sum.  The table is built on ints: the
-relations use only ratios of squared lengths, so they read the root
-system's integer numerators `rs.len_num` over their one denominator, and
-each division by a length or by N is exact (`rootsystem.exact_div`).
+The table is one walk over the zero-sum triples {x, y, -(x+y)}, x < y
+positive, in order of the height of x + y.  The first triple of each
+sum is its extraspecial pair and takes N_{x,y} = q + 1; the others take
+the last identity against it, whose terms lie in triples of lower
+height; the first three relations then give the triple's 12 ordered
+entries.  The table is built on ints: the relations use only ratios of
+squared lengths, so they read the root system's integer numerators
+`rs.len_num` over their one denominator, and each division by a length
+or by N is exact (`rootsystem.exact_div`).  `sc.rows[i]` maps each j
+with a_i + a_j a root to (index of a_i + a_j, N_{a_i,a_j}), so `bracket`
+and `gradedmap.ad_blocks` read one row per support root.
 """
 
 from __future__ import annotations
@@ -141,94 +147,72 @@ def coroot_element(rs: RootSystem, field, root) -> LieElement:
 
 
 class StructureConstants:
-    """Integer Chevalley structure constants for one root system, keyed
-    by root index.  One walk over all pairs (i, j) records the index of
-    a_i + a_j and, for each sum of two positive roots, its extraspecial
-    pair: the first positive a_i, in root order, that reaches it."""
+    """Integer Chevalley structure constants for one root system, keyed by
+    root index: `rows[i]` maps each j with a_i + a_j a root to the pair
+    (index of a_i + a_j, N_{a_i,a_j}).
+
+    Every such pair belongs to exactly one zero-sum triple {x, y, -(x+y)},
+    x < y positive, or to its negative.  One code sum per pair of
+    positive roots finds the triples; sorted by the index of x + y, so by
+    its height, each sum's first triple is its extraspecial pair, and the
+    triple walk of the module docstring fills them in that order."""
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
+        npos, size, ell = len(rs.positive_roots), len(rs.roots), rs.len_num
         # c(a) = sum_k a_k base**k is additive, and injective on sums of
-        # two roots once base > 4 max |a_k|
-        base = 4 * max(map(max, rs.roots)) + 1
-        codes = [sum(c * base ** k for k, c in enumerate(a)) for a in rs.roots]
+        # two positive roots once base > 2 max a_k
+        base = 2 * max(map(max, rs.roots)) + 1
+        codes = [sum(c * base ** k for k, c in enumerate(a)) for a in rs.roots[:npos]]
         index_of = {c: i for i, c in enumerate(codes)}
-        npos = len(rs.positive_roots)
-        self._sum: dict[tuple[int, int], int] = {}
-        self._extraspecial: dict[int, tuple[int, int]] = {}
-        for i, ci in enumerate(codes):
-            for j, cj in enumerate(codes):
-                s = index_of.get(ci + cj)
-                if s is not None:
-                    self._sum[i, j] = s
-                    if i < npos and j < npos:
-                        self._extraspecial.setdefault(s, (i, j))
-        self._n: dict[tuple[int, int], int] = {}
-        for i, j in self._sum:
-            self._compute(i, j)
-
-    def _compute(self, i: int, j: int) -> int:
-        val = self._n.get((i, j))
-        if val is not None:
-            return val
-        s = self._sum[i, j]
-        rs, neg, ell = self.rs, self.rs.negative, self.rs.len_num
-        npos = len(rs.positive_roots)
-        if i < npos and j < npos:
-            if i > j:
-                val = -self._compute(j, i)
-            elif self._extraspecial[s] == (i, j):
-                val = rs.alpha_chain(rs.roots[i], rs.roots[j])[0] + 1
+        triples = sorted((z, x, y) for x, cx in enumerate(codes) for y in range(x + 1, npos)
+                         if (z := index_of.get(cx + codes[y])) is not None)
+        self.rows = rows = [{} for _ in range(size)]
+        top = None  # the sum whose extraspecial pair (a1, b1) is read
+        for z, x, y in triples:
+            nx, ny, nz = x + npos, y + npos, z + npos
+            if z != top:
+                top, a1, b1 = z, x, y
+                n = n1 = rs.alpha_chain(x, y)[0] + 1
             else:
-                val = self._from_four_root_identity(i, j, s)
-        elif i >= npos and j >= npos:
-            val = -self._compute(neg(i), neg(j))
-        else:
-            # mixed signs: rotate the triple (a, b, -(a+b)) to a positive pair
-            a, b, sign = (i, j, 1) if i < npos else (j, i, -1)
-            if s < npos:
-                # N_{a,b} = -(s,s)/(a,a) N_{-b, s}
-                num, d = -ell[s] * self._compute(neg(b), s), ell[a]
-            else:
-                # N_{a,b} = (s,s)/(b,b) N_{-s, a}
-                num, d = ell[s] * self._compute(neg(s), a), ell[b]
-            val = exact_div(sign * num, d, "structure constant")
-        self._n[i, j] = val
-        return val
-
-    def _from_four_root_identity(self, a: int, b: int, s: int) -> int:
-        """Special pair via the four-root identity against the
-        extraspecial pair (a1, b1) of s = a + b; all terms involve sums
-        of strictly smaller height."""
-        neg, ell = self.rs.negative, self.rs.len_num
-        a1, b1 = self._extraspecial[s]
-        na, nb = neg(a), neg(b)
-        # the sum of the known terms as num / d
-        num, d = 0, 1
-        t1 = self._sum.get((b1, na))  # b1 - a
-        if t1 is not None:
-            num, d = num * ell[t1] + self._compute(b1, na) * self._compute(a1, nb) * d, d * ell[t1]
-        t2 = self._sum.get((a1, na))  # a1 - a
-        if t2 is not None:
-            num, d = num * ell[t2] + self._compute(na, a1) * self._compute(b1, nb) * d, d * ell[t2]
-        return exact_div(num * ell[s], d * self._compute(a1, b1), "structure constant")
+                # N_{x,y} = (z,z)/N_{a1,b1} (N_{b1,-x} N_{a1,-y}/(b1-x, b1-x)
+                #                             + N_{-x,a1} N_{b1,-y}/(a1-x, a1-x)),
+                # a term present when its root b1 - x or a1 - x is one
+                num, d = 0, 1
+                t = rows[b1].get(nx)
+                if t is not None:
+                    num, d = num * ell[t[0]] + t[1] * rows[a1][ny][1] * d, d * ell[t[0]]
+                t = rows[a1].get(nx)
+                if t is not None:
+                    num, d = num * ell[t[0]] - t[1] * rows[b1][ny][1] * d, d * ell[t[0]]
+                n = exact_div(num * ell[z], d * n1, "structure constant")
+            # N_{x,y}/(z,z) = N_{y,-z}/(x,x) = N_{-z,x}/(y,y) on x + y - z = 0,
+            # then N_{b,a} = -N_{a,b} and N_{-a,-b} = -N_{a,b}
+            for a, b, c, v in ((x, y, nz, n),
+                               (y, nz, x, exact_div(n * ell[x], ell[z], "structure constant")),
+                               (nz, x, y, exact_div(n * ell[y], ell[z], "structure constant"))):
+                na, nb, nc = (a + npos) % size, (b + npos) % size, (c + npos) % size
+                rows[a][b], rows[b][a] = (nc, v), (nc, -v)
+                rows[na][nb], rows[nb][na] = (c, -v), (c, v)
 
     def root_sum(self, i: int, j: int) -> int | None:
         """Index of a_i + a_j; None when the sum is not a root."""
-        return self._sum.get((i, j))
+        entry = self.rows[i].get(j)
+        return None if entry is None else entry[0]
 
     def n(self, i: int, j: int) -> int:
         """N_{a,b} for root indices i, j; 0 when the sum is not a root."""
-        return self._n.get((i, j), 0)
+        entry = self.rows[i].get(j)
+        return 0 if entry is None else entry[1]
 
     def max_abs_n(self) -> int:
-        return max((abs(v) for v in self._n.values()), default=0)
+        return max((abs(v) for row in self.rows for _, v in row.values()), default=0)
 
     def to_json(self) -> dict:
         return {
             "type": self.rs.type_string(),
             "isogeny": self.rs.isogeny,
-            "n": {f"{i},{j}": v for (i, j), v in sorted(self._n.items())},
+            "n": {f"{i},{j}": row[j][1] for i, row in enumerate(self.rows) for j in sorted(row)},
             "coroots": {str(i): list(c) for i, c in enumerate(self.rs.coroots)},
         }
 
@@ -260,9 +244,9 @@ def bracket(sc: StructureConstants, X: LieElement, Y: LieElement) -> LieElement:
                 if w:
                     add(ka, -(va * vb * field.element(w)))
             else:
-                s = sc.root_sum(ka[1], kb[1])
-                if s is not None:
-                    add(("E", s), va * vb * field.element(sc.n(ka[1], kb[1])))
+                sum_n = sc.rows[ka[1]].get(kb[1])
+                if sum_n is not None:
+                    add(("E", sum_n[0]), va * vb * field.element(sum_n[1]))
                 elif kb[1] == rs.negative(ka[1]):
                     c = va * vb
                     for j, h in enumerate(rs.coroots[ka[1]]):

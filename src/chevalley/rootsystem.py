@@ -16,10 +16,12 @@ the pairing row is <a, alpha_j^v> (simply connected) or a_j (adjoint),
 and the other of the two vectors gives the coroot, each coordinate an
 exact integer division; each squared length is an int over one common
 denominator (`len_num`, `len_den`; `len_sq` is their Fraction view,
-which no other module reads).  The same loop records each positive
-root's height parent (`height_parents`): a - alpha_j for the first simple
-root with <a, alpha_j^v> > 0, so `degrees` pairs a vector with every
-root by adding one simple degree per root.
+which no other module reads).  The loop runs over the positive roots,
+and -a takes the length of a and the negatives of its pairing row and
+coroot.  The same loop records each positive root's height parent
+(`height_parents`): a - alpha_j for the first simple root with
+<a, alpha_j^v> > 0, so `degrees` pairs a vector with every root by
+adding one simple degree per root.
 The cocharacter Gram on each factor f is rank_f sum_{a>0} <a, x><a, y>
 over its trace sum_{a>0} (a, a), so the module solves no linear system
 and imports nothing from the package.
@@ -155,8 +157,8 @@ class RootSystem:
         if len(self.roots) != expected:
             raise RuntimeError(f"root count {len(self.roots)} != classical {expected}")
 
-        # per root, by root index: squared length, pairing row <a, basis_j>,
-        # and the coroot in the cocharacter basis; on ints, with
+        # per root, by root index, built on the positive roots: squared length,
+        # pairing row <a, basis_j>, and the coroot in the cocharacter basis; on ints, with
         # (a, a) = len_num[a] / len_den and len_den = 2D
         self.len_den = 2 * den
         self.len_num = []
@@ -166,15 +168,14 @@ class RootSystem:
         # a = alpha_j: the first j with <a, alpha_j^v> > 0 makes a - alpha_j
         # a root or 0, and a root of lower height, so of lower index
         self.height_parents = []
-        for i, a in enumerate(self.roots):
+        for a in positives:
             # <a, simple coroot j>, and from it 2D (a, a) = sum_j a_j <a, alpha_j^v> ell_j
             on_coroots = tuple(sum(map(mul, a, row)) for row in self.cartan)
-            if i < len(positives):
-                j = next((j for j, c in enumerate(on_coroots) if c > 0), None)
-                parent = None if j is None else a[:j] + (a[j] - 1,) + a[j + 1:]
-                if parent is None or any(parent) and parent not in self.root_index:
-                    raise RuntimeError(f"no simple root alpha_j with {a} - alpha_j a root or 0")
-                self.height_parents.append((self.root_index.get(parent), j))
+            j = next((j for j, c in enumerate(on_coroots) if c > 0), None)
+            parent = None if j is None else a[:j] + (a[j] - 1,) + a[j + 1:]
+            if parent is None or any(parent) and parent not in self.root_index:
+                raise RuntimeError(f"no simple root alpha_j with {a} - alpha_j a root or 0")
+            self.height_parents.append((self.root_index.get(parent), j))
             two_d_la = sum(x * c * l for x, c, l in zip(a, on_coroots, ell) if x)
             # a^v = sum_j a_j (alpha_j, alpha_j)/(a, a) alpha_j^v over the simple
             # coroots, and <alpha_j, a^v> = <a, alpha_j^v> (alpha_j, alpha_j)/(a, a)
@@ -184,6 +185,10 @@ class RootSystem:
             self.pairing_rows.append(row)
             self.coroots.append(tuple(exact_div(2 * x * l, two_d_la, "coroot coordinate")
                                       for x, l in zip(src, ell)))
+        # -a has the length of a, and the negatives of its pairing row and coroot
+        self.len_num += self.len_num
+        self.pairing_rows += [tuple(-c for c in row) for row in self.pairing_rows]
+        self.coroots += [tuple(-c for c in h) for h in self.coroots]
         self.len_sq = [Fraction(x, self.len_den) for x in self.len_num]
         # pairing of the simple roots against the cocharacter lattice basis
         self.basis_pairing = [self.pairing_rows[s] for s in self.simple_roots]

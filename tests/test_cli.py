@@ -78,6 +78,21 @@ def test_counterexample_example():
     assert code2 == 0 and json.loads(out2)["found"] is False
 
 
+def test_counterexample_checks_prime_before_the_table(monkeypatch):
+    """A missing --prime exits 2 before any structure constant is built,
+    and a bad --type still reports first."""
+    from chevalley import cli
+
+    def no_table(rs):
+        raise RuntimeError("structure constants built")
+    monkeypatch.setattr(cli, "structure_constants", no_table)
+    for argv, message in ((["--type", "E8"], "error: --prime is required"),
+                          (["--type", "Z9"], "error: invalid Cartan type Z9")):
+        code, out, err = run_main("counterexample", *argv)
+        assert code == 2 and not out
+        assert [line for line in err.splitlines() if "error" in line] == [message]
+
+
 def test_roots_constants_grade_phi_snf_rrao():
     code, out, _ = run_cli("roots", "--type", "G2")
     assert code == 0 and json.loads(out)["root_count"] == 12
