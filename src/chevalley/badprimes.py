@@ -56,7 +56,7 @@ def regular_counterexample(rs: RootSystem, sc: StructureConstants, p: int):
         raise RuntimeError("the kernel vector gives X = 0")
     X = element_from_support(rs, field, [rs.negative(si) for si in rs.simple_roots], kern[0])
     Y = regular_nilpotent(rs, field)
-    if bracket(sc, X, Y).cartan_part():
+    if bracket(sc, X, Y).cartan:
         raise RuntimeError("kernel vector fails the bracket check")
     return X
 
@@ -75,9 +75,7 @@ def regular_counterexample_report(rs: RootSystem, sc: StructureConstants, p: int
         "found": X is not None,
     }
     if X is not None:
-        out["x_coefficients"] = {
-            str(key[1]): repr(val) for key, val in sorted(X.coeffs.items())
-        }
+        out["x_coefficients"] = {str(a): repr(val) for a, val in sorted(X.roots.items())}
         # regular_counterexample raises RuntimeError on a Cartan part
         out["bracket_cartan_component_zero"] = True
     return out

@@ -88,7 +88,7 @@ def _integers(values, what: str) -> list[int]:
 def keeps_support_mod(Y, p: int) -> bool:
     """The mod-p reduction rule: Y mod p is Y's instance, with Y's support,
     when p divides no numerator and no denominator of Y's coefficients."""
-    return all(c.numerator % p and c.denominator % p for c in Y.coeffs.values())
+    return all(c.numerator % p and c.denominator % p for c in Y.coefficients())
 
 
 def run_instance(rs: RootSystem, sc, entry: dict, primes) -> dict:

@@ -32,7 +32,7 @@ from functools import cached_property
 from operator import mul
 
 from . import linalg
-from .fields import check_valued
+from .fields import check_prime, check_valued
 from .grading import check_degree, delta_exponent, grade
 from .lie import LieElement, StructureConstants
 from .rootsystem import RootSystem
@@ -104,7 +104,7 @@ def ad_blocks(sc: StructureConstants, Y: LieElement, pieces) -> list[list[dict]]
     # each root's entries y_a N are made once per distinct N (|N| <= 3) and
     # shared by all the blocks, which is safe as entries are immutable;
     # N = +-1 needs no product
-    support = [(sc.rows[key[1]], y, {1: y, -1: -y}) for key, y in Y.coeffs.items()]
+    support = [(sc.rows[a], y, {1: y, -1: -y}) for a, y in Y.roots.items()]
     blocks = []
     for src, dst in pieces:
         dst_pos = {ri: r for r, ri in enumerate(dst)}
@@ -169,7 +169,9 @@ def block_divisors(gbm: GradedBlockMap) -> dict[int, list[int]]:
 def kernel_from_divisors(gbm: GradedBlockMap, divisors: dict[int, list[int]],
                          p: int | None = None) -> dict[int, dict]:
     """check_kernel's payload read off block_divisors: over Q, or over
-    GF(p) for the blocks reduced mod p."""
+    GF(p) for the blocks reduced mod p (p prime, or ValueError)."""
+    if p is not None:
+        check_prime(p)
     return {i: _kernel_entry(gbm, i, sum(1 for d in ds if d and (p is None or d % p)))
             for i, ds in divisors.items()}
 
@@ -225,20 +227,17 @@ def torus_conjugate(rs: RootSystem, X: LieElement, v) -> LieElement:
     field = check_valued(X.field)
     pi = field.uniformizer()
     powers = [pi]  # powers[j] = pi**(j + 1), extended on demand
-    out = {}
-    for key, val in X.coeffs.items():
-        if key[0] == "H":
-            out[key] = val
-            continue
-        e = sum(map(mul, rs.pairing_rows[key[1]], v))
+    roots = {}
+    for a, val in X.roots.items():
+        e = sum(map(mul, rs.pairing_rows[a], v))
         if e:
             # one product or quotient by pi**|e|: a single normalization
             while len(powers) < abs(e):
                 powers.append(powers[-1] * pi)
             power = powers[abs(e) - 1]
             val = val * power if e > 0 else val / power
-        out[key] = val
-    return LieElement(field, out)
+        roots[a] = val
+    return LieElement(field, roots=roots, cartan=X.cartan)
 
 
 def verify_rrao(rs: RootSystem, sc: StructureConstants, X: LieElement, lam,
@@ -281,7 +280,7 @@ def lattice_image(rs: RootSystem, sc: StructureConstants, Y: LieElement, lam,
     """
     check_truncation_level(m)
     field = check_valued(Y.field)
-    for val in Y.coeffs.values():
+    for val in Y.coefficients():
         if field.valuation(val) < 0:
             raise ValueError("Y must be integral at the uniformizer")
     by_degree = _grading(rs, Y, lam, k)

@@ -86,8 +86,7 @@ def grade(rs: RootSystem, lam) -> GradingReport:
 def degrees_of(rs: RootSystem, Y: LieElement, lam) -> list:
     """Degrees of the support of Y (Cartan components count as degree 0)."""
     lam = rs.cochar_vector(lam, "lam")
-    return [0 if key[0] == "H" else sum(map(mul, rs.pairing_rows[key[1]], lam))
-            for key in Y.coeffs]
+    return [sum(map(mul, rs.pairing_rows[a], lam)) for a in Y.roots] + [0] * len(Y.cartan)
 
 
 def single_degree(rs: RootSystem, Y: LieElement, lam):

@@ -33,73 +33,78 @@ from math import lcm
 
 from .rootsystem import RootSystem, exact_div
 
-# basis keys: ("E", root index) and ("H", cocharacter basis index)
+
+def _add(out: dict, key, val) -> None:
+    out[key] = out[key] + val if key in out else val
 
 
 class LieElement:
-    """Sparse element: map from basis key to a field element.
+    """Sparse element: `roots` maps a root index a to the coefficient of
+    E_a, `cartan` a cocharacter-basis index j to the coefficient of H_j.
 
     Zero coefficients are never stored (canonical form).
     """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "roots", "cartan")
 
-    def __init__(self, field, coeffs=None):
+    def __init__(self, field, *, roots=None, cartan=None):
         self.field = field
-        self.coeffs = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                if v:
-                    self.coeffs[k] = v
+        self.roots = {a: v for a, v in roots.items() if v} if roots else {}
+        self.cartan = {j: v for j, v in cartan.items() if v} if cartan else {}
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not (self.roots or self.cartan)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.roots or self.cartan)
+
+    def _map(self, f) -> "LieElement":
+        return LieElement(self.field, roots={a: f(v) for a, v in self.roots.items()},
+                          cartan={j: f(v) for j, v in self.cartan.items()})
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out[k] + v if k in out else v
-        return LieElement(self.field, out)
+        roots, cartan = dict(self.roots), dict(self.cartan)
+        for out, part in ((roots, other.roots), (cartan, other.cartan)):
+            for key, v in part.items():
+                _add(out, key, v)
+        return LieElement(self.field, roots=roots, cartan=cartan)
 
     def __neg__(self):
-        return LieElement(self.field, {k: -v for k, v in self.coeffs.items()})
+        return self._map(lambda v: -v)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scaled(self, c) -> "LieElement":
-        if not c:
-            return LieElement(self.field)
-        return LieElement(self.field, {k: c * v for k, v in self.coeffs.items()})
+        return self._map(lambda v: c * v)
 
     def __eq__(self, other):
         return (isinstance(other, LieElement) and other.field == self.field
-                and other.coeffs == self.coeffs)
+                and other.roots == self.roots and other.cartan == self.cartan)
 
     def _check(self, other):
         if self.field != other.field:
             raise ValueError("elements over different coefficient fields")
 
+    def coefficients(self) -> list:
+        """Every stored coefficient, the root part's first."""
+        return [*self.roots.values(), *self.cartan.values()]
+
     def support_roots(self) -> list[int]:
         """Root indices carrying a nonzero coefficient."""
-        return sorted(k[1] for k in self.coeffs if k[0] == "E")
-
-    def cartan_part(self) -> dict[int, object]:
-        return {k[1]: v for k, v in self.coeffs.items() if k[0] == "H"}
+        return sorted(self.roots)
 
     def __repr__(self):
-        if not self.coeffs:
+        if self.is_zero():
             return "0"
-        return " + ".join(f"({v!r})*{k[0]}{k[1]}" for k, v in sorted(self.coeffs.items()))
+        return " + ".join([f"({v!r})*E{a}" for a, v in sorted(self.roots.items())]
+                          + [f"({v!r})*H{j}" for j, v in sorted(self.cartan.items())])
 
 
 def root_vector(rs: RootSystem, field, root, coeff=1) -> LieElement:
     """c * E_root; root given by index or coordinate tuple."""
-    return LieElement(field, {("E", rs.index(root)): field.element(coeff)})
+    return LieElement(field, roots={rs.index(root): field.element(coeff)})
 
 
 def _sequence(x, name: str, of: str) -> tuple:
@@ -120,11 +125,10 @@ def element_from_support(rs: RootSystem, field, support, coefficients=None) -> L
                     else _sequence(coefficients, "the coefficients", "coefficients"))
     if len(coefficients) != len(support):
         raise ValueError(f"{len(coefficients)} coefficients for {len(support)} support roots")
-    out: dict = {}
+    roots: dict = {}
     for root, c in zip(support, coefficients):
-        key, c = ("E", rs.index(root)), field.element(c)
-        out[key] = out[key] + c if key in out else c
-    Y = LieElement(field, out)
+        _add(roots, rs.index(root), field.element(c))
+    Y = LieElement(field, roots=roots)
     if Y.is_zero():
         raise ValueError("support collapsed to zero over the chosen field")
     return Y
@@ -132,13 +136,13 @@ def element_from_support(rs: RootSystem, field, support, coefficients=None) -> L
 
 def integer_multiple(Y: LieElement) -> LieElement:
     """D Y, D the lcm of the denominators of Y's rational coefficients."""
-    return Y.scaled(lcm(*(c.denominator for c in Y.coeffs.values())))
+    return Y.scaled(lcm(*(c.denominator for c in Y.coefficients())))
 
 
 def cartan_vector(rs: RootSystem, field, coords) -> LieElement:
     """Cartan element with the given cocharacter-basis coordinates."""
     coords = rs.check_coords(coords, "the Cartan vector")
-    return LieElement(field, {("H", j): field.element(c) for j, c in enumerate(coords)})
+    return LieElement(field, cartan={j: field.element(c) for j, c in enumerate(coords)})
 
 
 def coroot_element(rs: RootSystem, field, root) -> LieElement:
@@ -224,32 +228,25 @@ def structure_constants(rs: RootSystem) -> StructureConstants:
 def bracket(sc: StructureConstants, X: LieElement, Y: LieElement) -> LieElement:
     """[X, Y] over the common coefficient field of X and Y."""
     X._check(Y)
-    rs = sc.rs
-    field = X.field
-    out: dict = {}
-
-    def add(key, val):
-        out[key] = out[key] + val if key in out else val
-
-    for ka, va in X.coeffs.items():
-        for kb, vb in Y.coeffs.items():
-            if ka[0] == "H" and kb[0] == "H":
-                continue
-            if ka[0] == "H" and kb[0] == "E":
-                w = rs.pairing_rows[kb[1]][ka[1]]  # <b, basis_j>
+    rs, field = sc.rs, X.field
+    roots, cartan = {}, {}
+    # [E_a, E_b] = N_{a,b} E_{a+b}, or the coroot H_a when b = -a
+    for a, va in X.roots.items():
+        row, neg = sc.rows[a], rs.negative(a)
+        for b, vb in Y.roots.items():
+            sum_n = row.get(b)
+            if sum_n is not None:
+                _add(roots, sum_n[0], va * vb * field.element(sum_n[1]))
+            elif b == neg:
+                c = va * vb
+                for j, h in enumerate(rs.coroots[a]):
+                    if h:
+                        _add(cartan, j, c * field.element(h))
+    # [H_j, E_b] = <b, basis_j> E_b = -[E_b, H_j]
+    for hs, es, sign in ((X.cartan, Y.roots, 1), (Y.cartan, X.roots, -1)):
+        for j, vh in hs.items():
+            for b, vb in es.items():
+                w = rs.pairing_rows[b][j]
                 if w:
-                    add(kb, va * vb * field.element(w))
-            elif ka[0] == "E" and kb[0] == "H":
-                w = rs.pairing_rows[ka[1]][kb[1]]
-                if w:
-                    add(ka, -(va * vb * field.element(w)))
-            else:
-                sum_n = sc.rows[ka[1]].get(kb[1])
-                if sum_n is not None:
-                    add(("E", sum_n[0]), va * vb * field.element(sum_n[1]))
-                elif kb[1] == rs.negative(ka[1]):
-                    c = va * vb
-                    for j, h in enumerate(rs.coroots[ka[1]]):
-                        if h:
-                            add(("H", j), c * field.element(h))
-    return LieElement(field, out)
+                    _add(roots, b, vh * vb * field.element(sign * w))
+    return LieElement(field, roots=roots, cartan=cartan)

@@ -227,7 +227,7 @@ def minimum_norm_cocharacter(rs: RootSystem, support: list[int]) -> tuple[Cochar
 def optimal_cocharacter(rs: RootSystem, Y: LieElement) -> OptimalityCertificate:
     """Kempf-style optimal data for a nilpotent supported on positive roots."""
     supp = Y.support_roots()
-    if not supp or Y.cartan_part():
+    if not supp or Y.cartan:
         raise ValueError("need a nonzero element supported on root vectors")
     if supp[-1] >= len(rs.positive_roots):  # supp is sorted, positives first
         raise ValueError("support must consist of positive roots (standard position)")
@@ -356,6 +356,6 @@ def sl2_completion_check(rs: RootSystem, sc, Y: LieElement,
     [rows] = ad_blocks(sc, DY, [(src, spaces.get(0, []))])
     M = [[int(row.get(c, 0)) for c in range(len(src))] + [0] for row in rows if row]
     # column E_-a meets E_a in the coroot of a: [E_a, E_-a] = H_a
-    opposite = [(int(DY.coeffs.get(("E", a), 0)), rs.coroots[a]) for a in map(rs.negative, src)]
+    opposite = [(int(DY.roots.get(a, 0)), rs.coroots[a]) for a in map(rs.negative, src)]
     M += [[y * co[j] for y, co in opposite] + [2 * l // k] for j, l in enumerate(cert.lam)]
     return solve(M) is not None

@@ -239,13 +239,15 @@ class RootSystem:
 
     def index(self, root) -> int:
         """The index of a root given by its index (an int in range, not a
-        bool) or by its coordinates; ValueError for anything else."""
+        bool) or by its coordinates (ints, not bools: a bool, float or
+        Fraction compares equal to an int); ValueError for anything else."""
         i = root
         if isinstance(root, bool) or not isinstance(root, int):
             try:
-                i = self.root_index.get(tuple(root), -1)
-            except TypeError:  # not iterable, or an unhashable coordinate
-                i = -1
+                coords = tuple(root)
+            except TypeError:  # not iterable
+                coords = ()
+            i = self.root_index.get(coords, -1) if set(map(type, coords)) == {int} else -1
         if not 0 <= i < len(self.roots):
             raise ValueError(f"{root!r} is not a root of {self.type_string()}")
         return i

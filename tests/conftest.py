@@ -34,9 +34,10 @@ def random_element(rs, field, rng: random.Random, max_terms=3, coeff_range=(-5, 
     """Sparse random Lie element: a few basis vectors with small coefficients."""
     keys = [("E", i) for i in range(len(rs.roots))] + [("H", j) for j in range(rs.rank)]
     out = LieElement(field)
-    for key in rng.sample(keys, rng.randint(1, min(max_terms, len(keys)))):
+    for kind, i in rng.sample(keys, rng.randint(1, min(max_terms, len(keys)))):
         c = field.element(rng.randint(*coeff_range))
-        out = out + LieElement(field, {key: c})
+        out = out + (LieElement(field, roots={i: c}) if kind == "E"
+                     else LieElement(field, cartan={i: c}))
     return out
 
 

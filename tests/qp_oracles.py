@@ -110,6 +110,12 @@ def fourier_motzkin_torus_check(rs, support, lam):
     return not fourier_motzkin_feasible(rows)
 
 
+def _by_key(x) -> dict:
+    """x's coefficients keyed ("E", root index) and ("H", cocharacter-basis index)."""
+    return {**{("E", a): v for a, v in x.roots.items()},
+            **{("H", j): v for j, v in x.cartan.items()}}
+
+
 def sl2_completion_oracle(rs, sc, Y, cert):
     """True iff h = 2 mu is integral and [Y, x] = h for some x in g(-k):
     the columns [Y, E_b], b of degree -k, and h in one dense Fraction
@@ -121,15 +127,9 @@ def sl2_completion_oracle(rs, sc, Y, cert):
     targets = grade(rs, cert.lam).weight_spaces.get(-cert.k)
     if not targets:
         return False
-    keyset = set()
-    images = []
-    for ri in targets:
-        img = bracket(sc, Y, root_vector(rs, field, ri))
-        images.append(img)
-        keyset.update(img.coeffs)
-    h = cartan_vector(rs, field, h_coords)
-    keyset.update(h.coeffs)
-    keys = sorted(keyset)
-    A = [[img.coeffs.get(key, field.zero) for img in images] for key in keys]
-    b = [h.coeffs.get(key, field.zero) for key in keys]
+    images = [_by_key(bracket(sc, Y, root_vector(rs, field, ri))) for ri in targets]
+    h = _by_key(cartan_vector(rs, field, h_coords))
+    keys = sorted(set(h).union(*images))
+    A = [[img.get(key, field.zero) for img in images] for key in keys]
+    b = [h.get(key, field.zero) for key in keys]
     return solve(QQ, A, b) is not None

@@ -276,7 +276,7 @@ def test_element_from_support_refuses_a_non_integral_coefficient_mod_p():
         with pytest.raises(ValueError, match=r"cannot embed Fraction\(1, 2\)"):
             element_from_support(rs, field, [(1, 0)], [Fraction(1, 2)])
         Y = element_from_support(rs, field, [(1, 0)], [Fraction(4, 2)])
-        assert Y.coeffs == {("E", rs.root_index[(1, 0)]): field.element(2)}
+        assert (Y.roots, Y.cartan) == ({rs.root_index[(1, 0)]: field.element(2)}, {})
 
 
 def test_no_float_becomes_an_exact_coefficient():

@@ -184,9 +184,9 @@ def test_torus_conjugate_keeps_cartan_components(sl3):
     X = (root_vector(rs, q2, a1, 3) + root_vector(rs, q2, rs.negative(a12), 5)
          + cartan_vector(rs, q2, (7, Fraction(1, 2))))
     # at v = (1, 0): <a1, v> = 2 and <-(a1 + a2), v> = -1
-    assert torus_conjugate(rs, X, (1, 0)).coeffs == {
-        ("E", a1): Fraction(12), ("E", rs.negative(a12)): Fraction(5, 2),
-        ("H", 0): Fraction(7), ("H", 1): Fraction(1, 2)}
+    Xv = torus_conjugate(rs, X, (1, 0))
+    assert Xv.roots == {a1: Fraction(12), rs.negative(a12): Fraction(5, 2)}
+    assert Xv.cartan == {0: Fraction(7), 1: Fraction(1, 2)}
 
 
 def test_phi_homogeneity_random():
@@ -252,7 +252,7 @@ def test_phi_zero_line_rule_matches_elimination():
                     half += sum(divisors)
                 assert phi(field, gbm) == AbsValue(field.residue_cardinality, half), (t, lam, k)
                 # the same support over Q, where no entry y N vanishes
-                pattern = graded_ad(rs, sc, LieElement(QQ, dict.fromkeys(X.coeffs, QQ.one)),
+                pattern = graded_ad(rs, sc, LieElement(QQ, roots=dict.fromkeys(X.roots, QQ.one)),
                                     lam, k).blocks
                 lines = {i: _zero_lines(mat) for i, mat in gbm.blocks.items() if mat}
                 for i, (row, col) in lines.items():
@@ -323,8 +323,8 @@ def test_resigned_chevalley_basis_leaves_exponent():
             if X.is_zero():
                 continue
             base = phi_of(rs, sc, X, lam, k)
-            Xs = LieElement(q2, {key: (val if eps[key[1]] == 1 else -val)
-                                 for key, val in X.coeffs.items()})
+            Xs = LieElement(q2, roots={a: (val if eps[a] == 1 else -val)
+                                       for a, val in X.roots.items()})
             gbm = graded_ad(rs, sc, Xs, lam, k)
             resigned = GradedBlockMap(
                 k=k,
@@ -558,6 +558,22 @@ def test_block_divisors_match_field_by_field_oracle():
     assert all(seen.values()), seen
 
 
+def test_kernel_from_divisors_takes_only_a_prime():
+    """p goes through fields.check_prime: on the D4 outer-nodes block
+    (divisors 1, 1, 1, 1, 2, 2), p = 4 read rank 6, p = 1 and True rank 0,
+    p = 2.0 passed and p = 0 raised ZeroDivisionError."""
+    rs = build("D4")
+    Y = element_from_support(rs, QQ, [(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+    cert = optimal_cocharacter(rs, Y)
+    gbm = graded_ad(rs, structure_constants(rs), Y, cert.lam, cert.k)
+    divisors = block_divisors(gbm)
+    assert divisors == {1: [1, 1, 1, 1, 2, 2]}
+    assert kernel_from_divisors(gbm, divisors, 2)[1]["rank"] == 4
+    for p in (4, 1, True, 2.0, 0):
+        with pytest.raises(ValueError, match=f"^p must be prime, got {re.escape(repr(p))}$"):
+            kernel_from_divisors(gbm, divisors, p)
+
+
 def test_e8_block_divisors_pinned():
     """The elementary divisors of every graded block of the 380 E8
     standard instances (343 blocks), pinned by digest: a change to the
@@ -696,10 +712,10 @@ def test_graded_ad_columns_match_bracket(t, isogeny):
                 row_of = {ri: r for r, ri in enumerate(gbm.codomain_basis[i])}
                 for c, ri in enumerate(gbm.domain_basis[i]):
                     img = bracket(sc, Y, root_vector(rs, field, ri))
-                    assert not img.cartan_part()
+                    assert not img.cartan
                     column = [field.zero] * len(row_of)
-                    for key, val in img.coeffs.items():
-                        column[row_of[key[1]]] = val
+                    for a, val in img.roots.items():
+                        column[row_of[a]] = val
                     assert [row[c] for row in mat] == column, (support, i, ri)
                     entries += sum(1 for v in column if v)
     assert len(instances) >= 2 and entries > 0
@@ -736,8 +752,10 @@ def test_graded_ad_stores_no_entry_that_vanishes_mod_p(t):
                 row_of = {ri: r for r, ri in enumerate(gbm.codomain_basis[i])}
                 for c, ri in enumerate(gbm.domain_basis[i]):
                     column = [field.zero] * len(row_of)
-                    for key, val in bracket(sc, Y, root_vector(rs, field, ri)).coeffs.items():
-                        column[row_of[key[1]]] = val
+                    img = bracket(sc, Y, root_vector(rs, field, ri))
+                    assert not img.cartan
+                    for a, val in img.roots.items():
+                        column[row_of[a]] = val
                     assert [row[c] for row in mat] == column
             if not isinstance(field, FunctionField):
                 continue

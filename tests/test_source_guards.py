@@ -4,7 +4,8 @@ nothing from the package, only `rootsystem` derives squared lengths or
 subscripts its root table or walks its height parents, no module reads
 its `char_form` view, each field parses its own coefficient strings, the
 prime, degree, valued-field and truncation-level rules each raise from one
-module, and no module imports a name it does not use."""
+module, no module keys a Lie element's coefficients by a tagged ("E", a)
+or ("H", j) tuple, and no module imports a name it does not use."""
 
 import ast
 from pathlib import Path
@@ -145,6 +146,20 @@ def test_only_gradedmap_raises_the_truncation_level_rule():
     # lattice_image and chevalley snf both call gradedmap.check_truncation_level
     assert _modules_raising("truncation level") == {"gradedmap.py"}
     assert _modules_calling("check_truncation_level") == {"cli.py", "gradedmap.py"}
+
+
+def _tagged_key(node):
+    """A tuple whose first item is the string "E" or "H"."""
+    return (isinstance(node, ast.Tuple) and bool(node.elts)
+            and isinstance(node.elts[0], ast.Constant) and node.elts[0].value in ("E", "H"))
+
+
+def test_no_module_builds_a_tagged_basis_key():
+    # a Lie element holds its root and Cartan coefficients in two dicts,
+    # `roots` and `cartan`, each keyed by a plain index
+    sample = 'out[("E", rs.index(root))] = c\nseries == "E" or ("A", 2)\n'
+    assert [n.elts[0].value for n in ast.walk(ast.parse(sample)) if _tagged_key(n)] == ["E"]
+    assert not _modules_with(_tagged_key)
 
 
 def _unused_imports(source):
