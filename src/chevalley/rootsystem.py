@@ -16,12 +16,16 @@ the pairing row is <a, alpha_j^v> (simply connected) or a_j (adjoint),
 and the other of the two vectors gives the coroot, each coordinate an
 exact integer division; each squared length is an int over one common
 denominator (`len_num`, `len_den`; `len_sq` is their Fraction view,
-which no other module reads).  The loop runs over the positive roots,
-and -a takes the length of a and the negatives of its pairing row and
-coroot.  The same loop records each positive root's height parent
-(`height_parents`): a - alpha_j for the first simple root with
-<a, alpha_j^v> > 0, so `degrees` pairs a vector with every root by
-adding one simple degree per root.
+which no other module reads).  The positive roots come from one walk,
+height by height from the simple roots: each root is raised by every
+simple reflection s_i with <a, alpha_i^v> < 0, and its pairings with the
+simple coroots by one vector add, so the build takes no dot product per
+root and sorts no more than one height at a time.  The walk records each
+positive root's height parent (`height_parents`): a - alpha_j for the
+first simple root with <a, alpha_j^v> > 0, whose squared length gives
+a's in one step, so `degrees` pairs a vector with every root by adding
+one simple degree per root.  -a takes the length of a and the negatives
+of its pairing row and coroot.
 The cocharacter Gram on each factor f is rank_f sum_{a>0} <a, x><a, y>
 over its trace sum_{a>0} (a, a), so the module solves no linear system
 and imports nothing from the package.
@@ -77,24 +81,6 @@ def _dynkin_data(series: str, rank: int):
     raise ValueError(f"invalid Cartan type {series}{rank}")
 
 
-def _close_under_reflections(cartan):
-    """All roots, by closing the simple roots under the simple reflections
-    beta -> beta - <beta, alpha_i^v> alpha_i."""
-    n = len(cartan)
-    roots = {tuple(1 if j == i else 0 for j in range(n)) for i in range(n)}
-    frontier = list(roots)
-    while frontier:
-        beta = frontier.pop()
-        for i, row in enumerate(cartan):
-            p = sum(map(mul, beta, row))
-            if p:
-                img = beta[:i] + (beta[i] - p,) + beta[i + 1:]
-                if img not in roots:
-                    roots.add(img)
-                    frontier.append(img)
-    return roots
-
-
 class RootSystem:
     """A reduced root system (possibly a product) with its pairing data."""
 
@@ -139,15 +125,51 @@ class RootSystem:
             for i, j in (edge, edge[::-1]):
                 self.cartan[i][j] = exact_div(-max(ell[i], ell[j]), ell[i], "Cartan entry")
 
-        # the roots, closed under simple reflections on the block-diagonal
-        # Cartan matrix, so each stays in its factor
-        all_roots = _close_under_reflections(self.cartan)
-        # height first, then leftmost-simple-root first (so a1 < a2 < ...,
-        # matching the usual extraspecial-pair convention)
-        positives = sorted((a for a in all_roots if sum(a) > 0),
-                           key=lambda a: (sum(a), tuple(-c for c in a)))
-        if any(c < 0 for a in positives for c in a):
-            raise RuntimeError("a positive root has a negative coordinate")
+        # per positive root, by root index: squared length, pairing row <a, basis_j>
+        # and the coroot in the cocharacter basis, on ints, with (a, a) =
+        # len_num[a] / len_den and len_den = 2D; and (index of a - alpha_j, j),
+        # or (None, j) when a = alpha_j: the first j with <a, alpha_j^v> > 0
+        # makes a - alpha_j a root or 0, of lower height, so of lower index
+        self.len_den = 2 * den
+        self.len_num, self.pairing_rows, self.coroots, self.height_parents = [], [], [], []
+        # the walk visits the positive roots one height at a time from the simple
+        # roots, each height in order of -coordinates (so a1 < a2 < ..., the
+        # usual extraspecial-pair convention), with p = (<a, alpha_i^v>)_i, which
+        # is Cartan column k for alpha_k.  It raises a by every s_i with p_i < 0
+        # to a - p_i alpha_i, of height h - p_i and p minus p_i times column i; a
+        # non-simple positive b has some <b, alpha_i^v> > 0, so is raised from
+        # the lower positive s_i b.  Each root stays in its factor's block.
+        columns = list(zip(*self.cartan))
+        levels = {1: {tuple(int(j == k) for j in range(n)): columns[k] for k in range(n)}}
+        positives, index, h = [], {}, 0
+        while levels:
+            h += 1
+            level = levels.pop(h, {})
+            for a in sorted(level, reverse=True):
+                p = level[a]
+                j = next((j for j, c in enumerate(p) if c > 0), None)
+                parent = None if j is None else index.get(a[:j] + (a[j] - 1,) + a[j + 1:])
+                if parent is None and h > 1:
+                    raise RuntimeError(f"no simple root alpha_j with {a} - alpha_j a root or 0")
+                index[a] = len(positives)
+                positives.append(a)
+                self.height_parents.append((parent, j))
+                # 2D (a, a) = 2D (a - alpha_j, a - alpha_j) + 2 ell_j (<a, alpha_j^v> - 1)
+                la = (0 if parent is None else self.len_num[parent]) + 2 * ell[j] * (p[j] - 1)
+                # a^v = sum_j a_j (alpha_j, alpha_j)/(a, a) alpha_j^v over the simple
+                # coroots, and <alpha_j, a^v> = <a, alpha_j^v> (alpha_j, alpha_j)/(a, a)
+                # over the fundamental coweights: one formula on the other vector
+                row, src = (p, a) if isogeny == SIMPLY_CONNECTED else (a, p)
+                self.len_num.append(la)
+                self.pairing_rows.append(row)
+                self.coroots.append(tuple(exact_div(2 * x * l, la, "coroot coordinate")
+                                          for x, l in zip(src, ell)))
+                for i, c in enumerate(p):
+                    if c < 0:
+                        up = levels.setdefault(h - c, {})
+                        b = a[:i] + (a[i] - c,) + a[i + 1:]
+                        if b not in up:
+                            up[b] = tuple(x - c * y for x, y in zip(p, columns[i]))
         self.roots = positives + [tuple(-c for c in a) for a in positives]
         self.root_index = {a: i for i, a in enumerate(self.roots)}
         self.positive_roots = list(range(len(positives)))
@@ -156,40 +178,13 @@ class RootSystem:
         expected = sum(count for _, _, count in dynkin)
         if len(self.roots) != expected:
             raise RuntimeError(f"root count {len(self.roots)} != classical {expected}")
-
-        # per root, by root index, built on the positive roots: squared length,
-        # pairing row <a, basis_j>, and the coroot in the cocharacter basis; on ints, with
-        # (a, a) = len_num[a] / len_den and len_den = 2D
-        self.len_den = 2 * den
-        self.len_num = []
-        self.pairing_rows = []
-        self.coroots = []
-        # per positive root a, (index of a - alpha_j, j), or (None, j) when
-        # a = alpha_j: the first j with <a, alpha_j^v> > 0 makes a - alpha_j
-        # a root or 0, and a root of lower height, so of lower index
-        self.height_parents = []
-        for a in positives:
-            # <a, simple coroot j>, and from it 2D (a, a) = sum_j a_j <a, alpha_j^v> ell_j
-            on_coroots = tuple(sum(map(mul, a, row)) for row in self.cartan)
-            j = next((j for j, c in enumerate(on_coroots) if c > 0), None)
-            parent = None if j is None else a[:j] + (a[j] - 1,) + a[j + 1:]
-            if parent is None or any(parent) and parent not in self.root_index:
-                raise RuntimeError(f"no simple root alpha_j with {a} - alpha_j a root or 0")
-            self.height_parents.append((self.root_index.get(parent), j))
-            two_d_la = sum(x * c * l for x, c, l in zip(a, on_coroots, ell) if x)
-            # a^v = sum_j a_j (alpha_j, alpha_j)/(a, a) alpha_j^v over the simple
-            # coroots, and <alpha_j, a^v> = <a, alpha_j^v> (alpha_j, alpha_j)/(a, a)
-            # over the fundamental coweights: one formula on the other vector
-            row, src = (on_coroots, a) if isogeny == SIMPLY_CONNECTED else (a, on_coroots)
-            self.len_num.append(two_d_la)
-            self.pairing_rows.append(row)
-            self.coroots.append(tuple(exact_div(2 * x * l, two_d_la, "coroot coordinate")
-                                      for x, l in zip(src, ell)))
-        # -a has the length of a, and the negatives of its pairing row and coroot
+        # -a has the length of a, and the negatives of its pairing row and coroot;
+        # a Fraction is immutable, so the negatives share the positives' len_sq
+        half = [Fraction(x, self.len_den) for x in self.len_num]
+        self.len_sq = half + half
         self.len_num += self.len_num
         self.pairing_rows += [tuple(-c for c in row) for row in self.pairing_rows]
-        self.coroots += [tuple(-c for c in h) for h in self.coroots]
-        self.len_sq = [Fraction(x, self.len_den) for x in self.len_num]
+        self.coroots += [tuple(-c for c in k) for k in self.coroots]
         # pairing of the simple roots against the cocharacter lattice basis
         self.basis_pairing = [self.pairing_rows[s] for s in self.simple_roots]
 

@@ -10,6 +10,7 @@ import pytest
 from chevalley import build, parse_cartan_type
 
 from conftest import ISOGENIES, SC_TYPES, SCALED_BUILDS
+from rs_oracles import reflection_closure_tables
 
 ALL_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "C3", "D4", "E6", "F4", "G2"]
 
@@ -286,6 +287,21 @@ def test_gram_and_coroots_beyond_the_pinned_types(t, scale):
                                      for j in range(n))
     for rs in (sc, ad):
         assert all(rs.pair(a, rs.coroot(a)) == 2 for a in rs.roots)
+
+
+@pytest.mark.parametrize("isogeny", ISOGENIES)
+@pytest.mark.parametrize("t, scale", [
+    *((t, None) for t in ["A8", "B6", "C6", "D7", "D8", "E8", "E7xA1"]),
+    ("A2xB3xG2", [Fraction(7, 3), Fraction(5), Fraction(9, 11)]),
+    ("C4xF4", [Fraction(13, 5), Fraction(3, 7)]),
+])
+def test_height_walk_matches_the_reflection_closure(t, scale, isogeny):
+    # table by table, the build's walk over the positive roots is the
+    # oracle's closure under simple reflections, sort and per-root search
+    rs = build(t, isogeny, scale=scale)
+    oracle = reflection_closure_tables(parse_cartan_type(t), isogeny, scale)
+    for name, table in oracle.items():
+        assert getattr(rs, name) == table, (t, isogeny, name)
 
 
 def test_basis_pairing_and_length_table():
